@@ -6,7 +6,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-fast test-full coverage scenarios docs-check bench \
 	bench-analysis bench-campaign bench-resume bench-multicore \
-	bench-chaos bench-serve chaos check examples serve-smoke
+	bench-chaos bench-serve chaos check examples serve-smoke \
+	perfbench perfbench-smoke
 
 # Tier-1: the full test suite.
 test:
@@ -99,6 +100,28 @@ SERVE_REQUESTS ?= 2000
 bench-serve:
 	$(PYTHON) benchmarks/run_bench.py --only serving_latency \
 		--serve-requests $(SERVE_REQUESTS)
+
+# The repository benchmark (perfbench/README.md, declared in
+# BENCHMARK.json): one workload -- campaign, job, serve or analyze --
+# through the real entry points, pinned to one CPU.  The last line
+# printed is the JSON result; TRACE=1 reports the per-layer spans
+# instead of the end-to-end metrics.  e.g.
+# `make perfbench WORKLOAD=serve TRACE=1`.
+WORKLOAD ?= campaign
+SEED ?= 1
+TRACE ?= 0
+perfbench:
+	$(PYTHON) perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) \
+		--seconds 15 --trace $(TRACE)
+
+# Benchmark smoke (CI's PR gate): a short traced serve run must end in a
+# correct result with no failed operations, so a program change that
+# breaks the benchmark's wrappers or output digests fails here.
+perfbench-smoke:
+	$(PYTHON) perfbench/run.py --workload serve --seed 1 --seconds 2 \
+		--trace 1 | tee /dev/stderr | tail -n 1 | $(PYTHON) -c \
+		'import json, sys; r = json.loads(sys.stdin.read()); \
+		sys.exit(not (r["correct"] is True and r["failed"] == 0))'
 
 # Serving smoke: boot the real service, run a scripted request session
 # (check, campaign job to completion, results download, health), then

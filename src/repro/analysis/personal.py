@@ -46,7 +46,10 @@ def derive_anchor_for_domain(world: World, domain: str) -> PriceAnchor:
     """The operator's one-time manual highlight for ``domain``.
 
     The operator reloads on transient network failures (same bounded
-    persistence the backend's fan-out applies).
+    persistence the backend's fan-out applies).  The anchor is derived on
+    the page's rendered tree when the response carries one, and on a parse
+    of the body otherwise; the fetch itself always happens, because its
+    cookie and request-count side effects are part of every run's output.
     """
     vantage = world.vantage_points[0]
     retailer = world.retailer(domain)
@@ -61,7 +64,9 @@ def derive_anchor_for_domain(world: World, domain: str) -> PriceAnchor:
         ) from exc
     if not response.ok:
         raise RuntimeError(f"cannot fetch anchor page for {domain}")
-    document = parse_html(response.body)
+    document = response.document
+    if document is None:
+        document = parse_html(response.body)
     selector = selector_on_day(
         retailer.template, int(world.clock.now // SECONDS_PER_DAY)
     )

@@ -18,6 +18,10 @@ request.  The request path a server implements:
 
 Routes: ``/`` (catalog index), product paths, ``/login`` (toy login that
 sets an auth cookie), anything else 404.
+
+Product renders go through a :class:`RenderMemo`.  A world owns one and
+every server it registers shares it, so the memory the memo holds is
+bounded per world, not per retailer.
 """
 
 from __future__ import annotations
@@ -52,13 +56,15 @@ from repro.net.geoip import GeoIPDatabase, GeoLocation
 from repro.net.http import HttpRequest, HttpResponse, HttpStatus, SetCookie
 from repro.util import stable_hash, stable_rng
 
-__all__ = ["Retailer", "RetailerServer", "PricingSignature", "SignalProfile"]
+__all__ = [
+    "Retailer",
+    "RetailerServer",
+    "RenderMemo",
+    "PricingSignature",
+    "SignalProfile",
+]
 
 _INDEX_LISTING_CAP = 250
-
-#: Per-server render memo entries (LRU); a retailer rarely shows more than
-#: a few hundred live (sku, locale, price) combinations at once.
-_RENDER_CACHE_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -131,6 +137,78 @@ class PricingSignature:
     values: tuple[tuple[str, Union[str, int]], ...]
 
 
+#: A rendered product page: the tree and its serialized HTML.
+_Page = tuple[Document, str]
+
+
+class RenderMemo:
+    """Rendered product pages, shared by every server of one world.
+
+    Templates are pure functions of the view, so two requests that price
+    identically get byte-identical pages and only the first pays the
+    render.  Keys start with a token unique to the rendering server,
+    followed by every view field that varies between its requests, so a
+    re-registered domain can never be served the replaced server's pages.
+    Cached trees and strings are shared and read-only for every consumer.
+
+    Replacement is 2Q (Johnson & Shasha, VLDB 1994):
+
+    * a new key enters a FIFO of :attr:`FIFO_ENTRIES` pages, which absorbs
+      one fan-out's correlated references (at most 15 distinct views per
+      click: 14 vantages plus the user) without promoting them;
+    * a key leaving that FIFO is remembered, without its page, in a ghost
+      FIFO of :attr:`GHOST_KEYS` keys;
+    * a miss on a remembered key enters an LRU of :attr:`LRU_ENTRIES`
+      pages -- the pages that really recur across bursts.
+
+    At most ``FIFO_ENTRIES + LRU_ENTRIES`` pages are held at once.
+    """
+
+    FIFO_ENTRIES = 32
+    GHOST_KEYS = 1024
+    LRU_ENTRIES = 512
+
+    def __init__(self) -> None:
+        self._fifo: dict[tuple, _Page] = {}
+        self._ghosts: dict[tuple, None] = {}
+        self._lru: "OrderedDict[tuple, _Page]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._fifo) + len(self._lru)
+
+    def __iter__(self) -> Iterator[tuple]:
+        """The keys of every page held, FIFO first."""
+        yield from self._fifo
+        yield from self._lru
+
+    def get(self, key: tuple) -> Optional[_Page]:
+        """The page stored under ``key``, or ``None`` on a miss."""
+        page = self._lru.get(key)
+        if page is not None:
+            self._lru.move_to_end(key)
+            return page
+        return self._fifo.get(key)
+
+    def put(self, key: tuple, page: _Page) -> None:
+        """Store the page just rendered for a missed ``key``."""
+        if key in self._ghosts:
+            del self._ghosts[key]
+            lru = self._lru
+            lru[key] = page
+            if len(lru) > self.LRU_ENTRIES:
+                lru.popitem(last=False)
+            return
+        fifo = self._fifo
+        fifo[key] = page
+        if len(fifo) > self.FIFO_ENTRIES:
+            oldest = next(iter(fifo))
+            del fifo[oldest]
+            ghosts = self._ghosts
+            ghosts[oldest] = None
+            if len(ghosts) > self.GHOST_KEYS:
+                del ghosts[next(iter(ghosts))]
+
+
 #: Sentinel distinguishing "not computed yet" from "not memoizable".
 _UNRESOLVED = object()
 
@@ -154,14 +232,16 @@ class RetailerServer:
         #: sku -> decoy picks; the pick RNG is keyed only by (seed, domain,
         #: sku), so the selection is request-independent and cacheable.
         self._reco_picks: dict[str, list[Product]] = {}
-        # Render memo: templates are pure functions of the view, so two
-        # requests that price identically (the common, promo-free case)
-        # produce byte-identical pages.  Keyed by every view field that can
-        # vary between requests; the cached tree/string are shared and
-        # treated as read-only by all consumers.
-        self._render_cache: "OrderedDict[tuple, tuple[Document, str]]" = (
-            OrderedDict()
-        )
+        #: Where product renders are memoized.  A server starts with a
+        #: private memo; :meth:`World.register_retailer
+        #: <repro.ecommerce.world.World.register_retailer>` points it at
+        #: the world's shared one.
+        self.render_memo = RenderMemo()
+        # This server's identity in render-memo keys: unique to the server,
+        # and not the server itself, so the shared memo holds no reference
+        # back to its servers and a dropped world is freed by reference
+        # counting.
+        self._memo_token = object()
         self._render_hits = 0
         self._render_misses = 0
         # Burst-memo support: lazily resolved signature profile and, while
@@ -171,11 +251,17 @@ class RetailerServer:
         self._signal_reads: Optional[set[str]] = None
 
     def render_cache_stats(self) -> dict[str, int]:
-        """Render-memo counters (for performance reports)."""
+        """This server's render-memo counters (for performance reports).
+
+        Hits and misses count this server's product renders; entries are
+        the pages of this server the (shared) memo holds right now.
+        """
         return {
             "render_hits": self._render_hits,
             "render_misses": self._render_misses,
-            "render_entries": len(self._render_cache),
+            "render_entries": sum(
+                1 for key in self.render_memo if key[0] is self._memo_token
+            ),
         }
 
     # ------------------------------------------------------------------
@@ -394,12 +480,12 @@ class RetailerServer:
         )
         logged_in_user = ctx.identity if ctx.logged_in else None
 
-        # Templates are pure functions of the view, so the render (and its
-        # serialization) can be memoized on every view field that varies
-        # between requests.  Promo-free retailers serve byte-identical
-        # pages to a whole fan-out burst; only the first request pays the
-        # render.
+        # The render (and its serialization) is memoized on this server
+        # plus every view field that varies between its requests.
+        # Promo-free retailers serve byte-identical pages to a whole
+        # fan-out burst; only the first request pays the render.
         cache_key = (
+            self._memo_token,
             product.sku,
             price_text,
             tuple((pick.sku, text) for pick, text in recommended),
@@ -407,10 +493,10 @@ class RetailerServer:
             structural_seed,
             logged_in_user,
         )
-        cached = self._render_cache.get(cache_key)
+        memo = self.render_memo
+        cached = memo.get(cache_key)
         if cached is not None:
             self._render_hits += 1
-            self._render_cache.move_to_end(cache_key)
             tree, html = cached
         else:
             self._render_misses += 1
@@ -431,9 +517,7 @@ class RetailerServer:
             # skip re-parsing (the structured-fetch channel).
             tree = self.retailer.template.render(view)
             html = to_html(tree)
-            self._render_cache[cache_key] = (tree, html)
-            while len(self._render_cache) > _RENDER_CACHE_MAX:
-                self._render_cache.popitem(last=False)
+            memo.put(cache_key, (tree, html))
         response = HttpResponse.html(html, document=tree)
         if "session" not in request.cookies:
             session_id = f"s{stable_hash(self._seed, request.client_ip, request.timestamp) % 10**12}"

@@ -45,7 +45,7 @@ from repro.ecommerce.pricing import (
     TemporalDrift,
     UniformPricing,
 )
-from repro.ecommerce.retailer import Retailer, RetailerServer
+from repro.ecommerce.retailer import RenderMemo, Retailer, RetailerServer
 from repro.ecommerce.templates import template_for
 from repro.ecommerce.thirdparty import trackers_for_retailer
 from repro.fx.rates import RateService
@@ -510,6 +510,8 @@ class World:
     #: Crowd-check weights for retailers outside the named-spec table --
     #: scenario mutators fill this so campaigns exercise their shops.
     extra_crowd_weights: dict[str, float] = field(default_factory=dict)
+    #: The one product-render memo every registered server shares.
+    render_memo: RenderMemo = field(default_factory=RenderMemo)
 
     @property
     def all_shop_domains(self) -> list[str]:
@@ -542,13 +544,16 @@ class World:
         The scenario layer's entry point: the server defaults to a plain
         :class:`RetailerServer` built against this world's geo-IP database
         and FX rates; adversarial scenarios pass subclasses (cloaking,
-        stockouts, page corruption).  Re-registering a domain replaces it.
+        stockouts, page corruption).  Either way the server renders
+        through the world's :attr:`render_memo`.  Re-registering a domain
+        replaces it.
         """
         if server is None:
             server = RetailerServer(
                 retailer, geoip=self.geoip, rates=self.rates,
                 seed=self.config.seed,
             )
+        server.render_memo = self.render_memo
         self.retailers[retailer.domain] = retailer
         self.servers[retailer.domain] = server
         self.network.register(retailer.domain, server)
@@ -610,17 +615,18 @@ def build_world(config: Optional[WorldConfig] = None) -> World:
     plan = IPAddressPlan()
     geoip = plan.database()
     rates = RateService(seed=seed)
-    vantage_points = standard_vantage_points(plan)
-
-    retailers: dict[str, Retailer] = {}
-    servers: dict[str, RetailerServer] = {}
-    crawled: list[str] = []
-
-    def _register(retailer: Retailer) -> None:
-        server = RetailerServer(retailer, geoip=geoip, rates=rates, seed=seed)
-        retailers[retailer.domain] = retailer
-        servers[retailer.domain] = server
-        network.register(retailer.domain, server)
+    world = World(
+        config=config,
+        clock=clock,
+        network=network,
+        plan=plan,
+        geoip=geoip,
+        rates=rates,
+        vantage_points=standard_vantage_points(plan),
+        retailers={},
+        servers={},
+        crawled_domains=[],
+    )
 
     named_specs = NAMED_RETAILER_SPECS if config.include_named_retailers else ()
     for spec in named_specs:
@@ -648,11 +654,10 @@ def build_world(config: Optional[WorldConfig] = None) -> World:
             supports_login=spec.supports_login,
             shipping=spec.shipping or _default_shipping(spec.domain, seed),
         )
-        _register(retailer)
+        world.register_retailer(retailer)
         if spec.crawled:
-            crawled.append(spec.domain)
+            world.crawled_domains.append(spec.domain)
 
-    long_tail: list[str] = []
     if config.include_long_tail:
         rng = stable_rng(seed, "long-tail-config")
         for domain in _long_tail_domains(config.long_tail_domains, seed):
@@ -671,8 +676,8 @@ def build_world(config: Optional[WorldConfig] = None) -> World:
                 localizes_currency=rng.random() < 0.6,
                 home_country=rng.choice(("US", "GB", "DE", "ES", "IT", "FR")),
             )
-            _register(retailer)
-            long_tail.append(domain)
+            world.register_retailer(retailer)
+            world.long_tail.append(domain)
 
     for persona in (AFFLUENT, BUDGET):
         for domain in persona.training_sites:
@@ -680,19 +685,6 @@ def build_world(config: Optional[WorldConfig] = None) -> World:
                 domain, PersonaTrainingSite(domain, persona.interest_tag)
             )
 
-    world = World(
-        config=config,
-        clock=clock,
-        network=network,
-        plan=plan,
-        geoip=geoip,
-        rates=rates,
-        vantage_points=vantage_points,
-        retailers=retailers,
-        servers=servers,
-        crawled_domains=crawled,
-        long_tail=long_tail,
-    )
     if config.scenario is not None:
         # Late import: the scenario registry depends on the ecommerce
         # layer, not the other way round.  Applying the mutation *inside*

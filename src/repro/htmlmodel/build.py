@@ -12,6 +12,7 @@ that structure (and therefore selector behaviour) is explicit:
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional, Union
 
 from repro.htmlmodel.dom import Document, Element, Node, Text
@@ -29,18 +30,24 @@ def T(data: str) -> Text:
 def E(tag: str, attrs: Optional[dict[str, str]] = None, *children: Child) -> Element:
     """Create an element with ``attrs`` and append ``children``.
 
-    String children are wrapped into text nodes for convenience.
+    String children are wrapped into text nodes for convenience.  Children
+    point back at the element weakly (see :mod:`repro.htmlmodel.dom`).
     """
     element = Element(tag, attrs)
+    if not children:  # a leaf needs no weak reference to itself
+        return element
     attach = element.children.append
+    parent_ref = weakref.ref(element)
     for child in children:
         if isinstance(child, str):
             child = Text(child)
         elif not isinstance(child, Node):
             raise TypeError(f"cannot append {type(child).__name__} to <{tag}>")
-        elif child.parent is not None:
-            child.parent.remove(child)
-        child.parent = element
+        elif child._parent is not None:
+            old = child._parent()
+            if old is not None:
+                old.remove(child)
+        child._parent = parent_ref
         attach(child)
     return element
 

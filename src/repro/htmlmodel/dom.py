@@ -12,10 +12,20 @@ order, and :class:`NodePath` -- the structural address ("the 3rd child of the
 2nd child of body") that the $heriff extension records when a user highlights
 a price and that must survive re-parsing the page fetched from a different
 vantage point.
+
+Trees hold no reference cycles: a parent holds its children strongly, but a
+child's :attr:`Node.parent` is a weak reference.  A page is therefore freed
+by reference counting the moment its last holder drops it, instead of
+waiting for the cyclic garbage collector.  The contract that follows: **a
+node does not keep its ancestors alive.**  Code that walks up the tree
+(:meth:`Node.ancestors`, :meth:`Element.node_path`, selector combinators,
+anchor derivation) must hold the :class:`Document` (or the subtree's root)
+while it does; once the root is gone, ``parent`` reads ``None``.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -25,10 +35,24 @@ __all__ = ["Node", "Text", "Element", "Document", "NodePath"]
 class Node:
     """Base class for all DOM nodes."""
 
-    __slots__ = ("parent",)
+    __slots__ = ("_parent", "__weakref__")
 
     def __init__(self) -> None:
-        self.parent: Optional[Element | Document] = None
+        self._parent: Optional[weakref.ref] = None
+
+    @property
+    def parent(self) -> Optional["Element | Document"]:
+        """The node this one is a child of, or ``None``.
+
+        Held weakly (see the module docstring): it reads ``None`` once
+        every strong holder of the parent has dropped it.
+        """
+        ref = self._parent
+        return None if ref is None else ref()
+
+    @parent.setter
+    def parent(self, node: Optional["Element | Document"]) -> None:
+        self._parent = None if node is None else weakref.ref(node)
 
     # ------------------------------------------------------------------
     # Tree navigation helpers shared by all node kinds.
@@ -39,9 +63,10 @@ class Node:
 
         Raises :class:`ValueError` for a detached node.
         """
-        if self.parent is None:
+        parent = self.parent
+        if parent is None:
             raise ValueError("node has no parent")
-        for i, child in enumerate(self.parent.children):
+        for i, child in enumerate(parent.children):
             if child is self:
                 return i
         raise ValueError("node not found among parent's children")
@@ -57,8 +82,9 @@ class Node:
     def root(self) -> "Node":
         """The topmost node of the tree containing this node."""
         node: Node = self
-        while node.parent is not None:
-            node = node.parent
+        parent = node.parent
+        while parent is not None:
+            node, parent = parent, parent.parent
         return node
 
 
@@ -68,7 +94,7 @@ class Text(Node):
     __slots__ = ("data",)
 
     def __init__(self, data: str) -> None:
-        self.parent = None  # inline Node.__init__ (hot allocation path)
+        self._parent = None  # inline Node.__init__ (hot allocation path)
         self.data = data
 
     def __repr__(self) -> str:
@@ -82,29 +108,33 @@ class _ParentNode(Node):
     __slots__ = ("children",)
 
     def __init__(self) -> None:
-        self.parent = None  # inline Node.__init__ (hot allocation path)
+        self._parent = None  # inline Node.__init__ (hot allocation path)
         self.children: list[Node] = []
 
     def append(self, node: Node) -> Node:
         """Attach ``node`` as the last child and return it."""
-        if node.parent is not None:
-            node.parent.remove(node)
-        node.parent = self  # type: ignore[assignment]
+        self._adopt(node)
         self.children.append(node)
         return node
 
     def insert(self, index: int, node: Node) -> Node:
         """Attach ``node`` at ``index`` and return it."""
-        if node.parent is not None:
-            node.parent.remove(node)
-        node.parent = self  # type: ignore[assignment]
+        self._adopt(node)
         self.children.insert(index, node)
         return node
+
+    def _adopt(self, node: Node) -> None:
+        """Detach ``node`` from any live parent and point it at this one."""
+        if node._parent is not None:
+            old = node._parent()
+            if old is not None:
+                old.remove(node)
+        node._parent = weakref.ref(self)
 
     def remove(self, node: Node) -> None:
         """Detach a direct child."""
         self.children.remove(node)
-        node.parent = None
+        node._parent = None
 
     # ------------------------------------------------------------------
     # Traversal
@@ -176,7 +206,7 @@ class Element(_ParentNode):
     def __init__(self, tag: str, attrs: Optional[dict[str, str]] = None) -> None:
         # Inline the base initializers: elements are allocated by the
         # thousand per rendered page, and the super() chain dominates.
-        self.parent = None
+        self._parent = None
         self.children = []
         self.tag = tag.lower()
         self.attrs: dict[str, str] = dict(attrs) if attrs else {}
@@ -221,12 +251,12 @@ class Element(_ParentNode):
         """
         steps: list[int] = []
         node: Element = self
-        while isinstance(node.parent, Element) or isinstance(node.parent, Document):
-            siblings = node.parent.child_elements()
-            steps.append(siblings.index(node))
-            if isinstance(node.parent, Document):
+        parent = node.parent
+        while isinstance(parent, (Element, Document)):
+            steps.append(parent.child_elements().index(node))
+            if isinstance(parent, Document):
                 break
-            node = node.parent
+            node, parent = parent, parent.parent
         steps.reverse()
         return NodePath(tuple(steps))
 

@@ -43,13 +43,39 @@ class StoredCookie:
 
 
 class CookieJar:
-    """Host-scoped cookie store for one simulated client."""
+    """Host-scoped cookie store for one simulated client.
+
+    ``_cookies`` holds every cookie in insertion order -- the order
+    :meth:`snapshot` exports and checkpoint state bytes depend on.
+    ``_by_host`` indexes the same cookies by host, so the per-request
+    operations (:meth:`header_for`, :meth:`get`, ``clear(host)``) touch
+    only the request host's cookies however many shops the client has
+    visited.  Every mutation keeps both in step: a host's bucket lists its
+    cookies in the same relative order as ``_cookies``.
+    """
 
     def __init__(self) -> None:
         self._cookies: dict[tuple[str, str, str], StoredCookie] = {}
+        self._by_host: dict[str, dict[tuple[str, str], StoredCookie]] = {}
 
     def __len__(self) -> int:
         return len(self._cookies)
+
+    def _store(self, cookie: StoredCookie) -> None:
+        host = cookie.host
+        self._cookies[(host, cookie.name, cookie.path)] = cookie
+        bucket = self._by_host.get(host)
+        if bucket is None:
+            bucket = self._by_host[host] = {}
+        bucket[(cookie.name, cookie.path)] = cookie
+
+    def _discard(self, host: str, name: str, path: str) -> None:
+        if self._cookies.pop((host, name, path), None) is None:
+            return
+        bucket = self._by_host[host]
+        del bucket[(name, path)]
+        if not bucket:
+            del self._by_host[host]
 
     # ------------------------------------------------------------------
     def set(self, host: str, cookie: SetCookie, *, now: float = 0.0) -> None:
@@ -57,19 +83,18 @@ class CookieJar:
 
         ``Max-Age=0`` (or negative) deletes the cookie, per RFC 6265.
         """
-        key = (host, cookie.name, cookie.path)
         if cookie.max_age is not None and cookie.max_age <= 0:
-            self._cookies.pop(key, None)
+            self._discard(host, cookie.name, cookie.path)
             return
         expires = None if cookie.max_age is None else now + cookie.max_age
-        self._cookies[key] = StoredCookie(
+        self._store(StoredCookie(
             host=host,
             name=cookie.name,
             value=cookie.value,
             path=cookie.path,
             expires_at=expires,
             secure=cookie.secure,
-        )
+        ))
 
     def update_from_response(self, url: URL, response: HttpResponse, *, now: float = 0.0) -> None:
         """Ingest every ``Set-Cookie`` header of ``response``."""
@@ -78,14 +103,12 @@ class CookieJar:
 
     def put(self, host: str, name: str, value: str, *, path: str = "/") -> None:
         """Directly install a cookie (used to inject login sessions)."""
-        self._cookies[(host, name, path)] = StoredCookie(
-            host=host, name=name, value=value, path=path
-        )
+        self._store(StoredCookie(host=host, name=name, value=value, path=path))
 
     def get(self, host: str, name: str) -> Optional[str]:
         """Value of cookie ``name`` for ``host`` ignoring path, or None."""
-        for (h, n, _), cookie in self._cookies.items():
-            if h == host and n == name:
+        for (n, _), cookie in self._by_host.get(host, {}).items():
+            if n == name:
                 return cookie.value
         return None
 
@@ -93,10 +116,10 @@ class CookieJar:
         """Forget all cookies, or only those of ``host``."""
         if host is None:
             self._cookies.clear()
+            self._by_host.clear()
             return
-        self._cookies = {
-            key: cookie for key, cookie in self._cookies.items() if key[0] != host
-        }
+        for name, path in self._by_host.pop(host, {}):
+            del self._cookies[(host, name, path)]
 
     # ------------------------------------------------------------------
     # State transfer (the shard executors' session hand-off)
@@ -124,19 +147,18 @@ class CookieJar:
     def restore(self, snapshot: list[dict]) -> None:
         """Install cookies exported by :meth:`snapshot` (upserting by key)."""
         for item in snapshot:
-            cookie = StoredCookie(**item)
-            self._cookies[(cookie.host, cookie.name, cookie.path)] = cookie
+            self._store(StoredCookie(**item))
 
     # ------------------------------------------------------------------
     def header_for(self, url: URL, *, now: float = 0.0) -> Optional[str]:
         """The ``Cookie:`` header value for a request to ``url``."""
-        sendable = [
-            cookie
-            for cookie in self._cookies.values()
-            if cookie.matches(url, now)
-        ]
+        bucket = self._by_host.get(url.host)
+        if bucket is None:
+            return None
+        sendable = [cookie for cookie in bucket.values() if cookie.matches(url, now)]
         if not sendable:
             return None
-        # Longest path first, then by name for determinism.
+        # Longest path first, then by name: (host, name, path) is the jar
+        # key, so the order has no ties and needs no insertion order.
         sendable.sort(key=lambda c: (-len(c.path), c.name))
         return "; ".join(f"{c.name}={c.value}" for c in sendable)

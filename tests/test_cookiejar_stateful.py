@@ -2,8 +2,11 @@
 
 The jar carries every personal-information signal in the system (logins,
 personas, A/B buckets), so its semantics get a rule-based hypothesis
-machine: arbitrary interleavings of set/expire/clear must match a plain
-dict model keyed by (host, name, path).
+machine: arbitrary interleavings of set/put/expire/clear/restore must match
+a plain dict model keyed by (host, name, path).  The model is scanned in
+full on every check, so each path that maintains the jar's per-host index
+is checked against a plain scan -- including the insertion order
+``snapshot()`` exports and ``get()`` resolves by.
 """
 
 from __future__ import annotations
@@ -54,10 +57,37 @@ class CookieJarMachine(RuleBasedStateMachine):
         self.jar.set(host, SetCookie(name, "", path=path, max_age=0), now=self.now)
         self.model.pop((host, name, path), None)
 
+    @rule(
+        host=st.sampled_from(_HOSTS),
+        name=st.sampled_from(_NAMES),
+        path=st.sampled_from(_PATHS),
+        value=st.text(alphabet="abc123", min_size=1, max_size=6),
+    )
+    def put_cookie(self, host, name, path, value):
+        self.jar.put(host, name, value, path=path)
+        self.model[(host, name, path)] = (value, None)
+
     @rule(host=st.sampled_from(_HOSTS))
     def clear_host(self, host):
         self.jar.clear(host)
         self.model = {k: v for k, v in self.model.items() if k[0] != host}
+
+    @rule()
+    def clear_all(self):
+        self.jar.clear()
+        self.model.clear()
+
+    @rule()
+    def transfer_to_fresh_jar(self):
+        """The executors' hand-off: a new jar restored from a snapshot."""
+        fresh = CookieJar()
+        fresh.restore(self.jar.snapshot())
+        self.jar = fresh
+
+    @rule(host=st.sampled_from(_HOSTS))
+    def restore_own_host(self, host):
+        """Upserting a host's own cookies back changes nothing, order included."""
+        self.jar.restore(self.jar.snapshot({host}))
 
     @rule(delta=st.floats(min_value=0.5, max_value=300.0))
     def advance_time(self, delta):
@@ -87,6 +117,32 @@ class CookieJarMachine(RuleBasedStateMachine):
                         continue
                     expected[name] = value
             assert sent == expected, (sent, expected)
+
+    @invariant()
+    def get_matches_model(self):
+        # ``get`` ignores path and expiry: the first-inserted cookie of
+        # that name on the host wins.
+        for host in _HOSTS:
+            for name in _NAMES:
+                expected = next(
+                    (value for (h, n, _), (value, _) in self.model.items()
+                     if h == host and n == name),
+                    None,
+                )
+                assert self.jar.get(host, name) == expected
+
+    @invariant()
+    def snapshot_matches_model_order(self):
+        assert len(self.jar) == len(self.model)
+        exported = [
+            ((c["host"], c["name"], c["path"]), (c["value"], c["expires_at"]))
+            for c in self.jar.snapshot()
+        ]
+        assert exported == list(self.model.items())
+        for host in _HOSTS:
+            assert [c["name"] for c in self.jar.snapshot({host})] == [
+                name for (h, name, _) in self.model if h == host
+            ]
 
 
 TestCookieJarMachine = CookieJarMachine.TestCase

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
+from repro.ecommerce.catalog import generate_catalog
+from repro.ecommerce.localization import LOCALES
+from repro.ecommerce.templates import TEMPLATE_FAMILIES, ProductView
 from repro.htmlmodel.build import E, T, document
 from repro.htmlmodel.dom import Document, Element, NodePath, Text
+from repro.htmlmodel.parser import parse_html
+from repro.htmlmodel.serialize import to_html
 
 
 def make_tree() -> Document:
@@ -174,3 +182,55 @@ class TestBuildHelpers:
         assert "div" in repr(E("div", {"id": "x", "class": "a"}))
         assert "Text" in repr(T("y" * 50))
         assert "Document" in repr(document())
+
+
+class TestAcyclicTrees:
+    """Parents are weak references: trees are freed by reference counting."""
+
+    @staticmethod
+    def _view() -> ProductView:
+        catalog = generate_catalog("shop.example", "clothing", 6, seed=1)
+        return ProductView(
+            retailer_name="Test Shop",
+            domain="shop.example",
+            product=catalog.products[0],
+            price_text="$19.99",
+            locale=LOCALES["US"],
+            recommended=[(p, "$5.00") for p in catalog.products[1:5]],
+        )
+
+    @pytest.mark.parametrize("template", TEMPLATE_FAMILIES, ids=lambda t: t.name)
+    def test_dropped_pages_need_no_cycle_collection(self, template):
+        view = self._view()
+        gc.collect()
+        gc.disable()
+        try:
+            page = template.render(view)
+            parsed = parse_html(to_html(page))
+            refs = [weakref.ref(page), weakref.ref(parsed)]
+            del page, parsed
+            assert [ref() for ref in refs] == [None, None]
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_node_does_not_keep_ancestors_alive(self):
+        doc = make_tree()
+        bold = next(e for e in doc.iter_elements() if e.tag == "b")
+        paragraph = bold.parent
+        assert paragraph is not None and paragraph.tag == "p"
+        del doc, paragraph
+        assert bold.parent is None
+        assert list(bold.ancestors()) == []
+        assert bold.root is bold
+
+    def test_reparenting_after_old_parent_died(self):
+        child = E("span")
+        E("div", None, child)  # the parent is dropped at once
+        assert child.parent is None
+        new_parent = E("p", None, child)
+        assert child.parent is new_parent
+        other = E("em")
+        other.append(child)
+        assert child.parent is other
+        assert child not in new_parent.children
