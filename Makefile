@@ -114,14 +114,18 @@ perfbench:
 	$(PYTHON) perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) \
 		--seconds 15 --trace $(TRACE)
 
-# Benchmark smoke (CI's PR gate): a short traced serve run must end in a
-# correct result with no failed operations, so a program change that
-# breaks the benchmark's wrappers or output digests fails here.
+# Benchmark smoke (CI's PR gate): short traced serve and campaign runs
+# must each end in a correct result with no failed operations, so a
+# program change that breaks the benchmark's wrappers (the
+# `run_campaign` one included) or output digests fails here.
+PERFBENCH_OK = $(PYTHON) -c 'import json, sys; \
+	r = json.loads(sys.stdin.read()); \
+	sys.exit(not (r["correct"] is True and r["failed"] == 0))'
 perfbench-smoke:
 	$(PYTHON) perfbench/run.py --workload serve --seed 1 --seconds 2 \
-		--trace 1 | tee /dev/stderr | tail -n 1 | $(PYTHON) -c \
-		'import json, sys; r = json.loads(sys.stdin.read()); \
-		sys.exit(not (r["correct"] is True and r["failed"] == 0))'
+		--trace 1 | tee /dev/stderr | tail -n 1 | $(PERFBENCH_OK)
+	$(PYTHON) perfbench/run.py --workload campaign --seed 1 --seconds 2 \
+		--trace 1 | tee /dev/stderr | tail -n 1 | $(PERFBENCH_OK)
 
 # Serving smoke: boot the real service, run a scripted request session
 # (check, campaign job to completion, results download, health), then

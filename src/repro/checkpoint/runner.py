@@ -23,9 +23,11 @@ after step 3 the segment is permanent.  Superseded state files (only the
 latest is ever needed) are pruned after each commit.
 
 Resume verifies the manifest fingerprint against the new run's world and
-config, replays committed segments into the live dataset one at a time
-through ``append_segment`` (peak memory: spine + one segment), and hands
-the last state snapshot to :func:`repro.checkpoint.state.restore_run_state`.
+config (:meth:`RunCheckpoint.open`), then :meth:`RunCheckpoint.resume_into`
+checks the committed days against the run's day schedule, replays
+committed segments into the live dataset one at a time through
+``append_segment`` (peak memory: spine + one segment), and hands the last
+state snapshot to :func:`repro.checkpoint.state.restore_run_state`.
 Any missing or digest-mismatched file fails loudly with a named
 :class:`~repro.checkpoint.manifest.CheckpointError` subclass.
 """
@@ -35,7 +37,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.checkpoint.barriers import (
     SEGMENT_COMMITTED,
@@ -44,6 +46,7 @@ from repro.checkpoint.barriers import (
 )
 from repro.checkpoint.manifest import (
     CheckpointError,
+    CheckpointMismatchError,
     Manifest,
     SegmentDigestError,
     SegmentMissingError,
@@ -51,11 +54,13 @@ from repro.checkpoint.manifest import (
     file_sha256,
     promote_tmp,
 )
-from repro.checkpoint.state import decode_state, encode_state
+from repro.checkpoint.state import decode_state, encode_state, restore_run_state
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.backend import SheriffBackend
     from repro.crawler.records import CrawlDataset
     from repro.crowd.dataset import CrowdDataset
+    from repro.ecommerce.world import World
 
 __all__ = ["RunCheckpoint", "run_fingerprint"]
 
@@ -239,3 +244,41 @@ class RunCheckpoint:
             record["state_file"], record["state_sha256"]
         )
         return decode_state(json.loads(path.read_text(encoding="utf-8")))
+
+    def resume_into(
+        self,
+        dataset,
+        world: "World",
+        backend: "SheriffBackend",
+        *,
+        days: Sequence[int],
+        **state_kwargs,
+    ) -> int:
+        """Pick a run up where its committed prefix ends.
+
+        ``days`` is the run's whole day-segment schedule.  The committed
+        segments must cover exactly its first days, in order; anything
+        else is a checkpoint of a different run and raises
+        :class:`CheckpointMismatchError`.  The prefix is folded into
+        ``dataset`` (:meth:`fold_into`) and the last snapshot restored
+        into the freshly built ``world`` and ``backend``
+        (``state_kwargs`` go to :func:`restore_run_state`).  Returns how
+        many leading days are done.
+        """
+        committed = self.manifest.records
+        if len(committed) > len(days):
+            raise CheckpointMismatchError(
+                f"checkpoint holds {len(committed)} segments, the "
+                f"{self.kind} only has {len(days)} days"
+            )
+        for record, day in zip(committed, days):
+            if record["day"] != day:
+                raise CheckpointMismatchError(
+                    f"checkpoint segment {record['seq']} covers day "
+                    f"{record['day']}, the {self.kind} expects day {day}"
+                )
+        self.fold_into(dataset)
+        state = self.load_last_state()
+        if state is not None:
+            restore_run_state(state, world, backend, **state_kwargs)
+        return len(committed)

@@ -41,8 +41,8 @@ from repro.analysis import (
     location_ratio_stats,
     variation_extent,
 )
+from repro.checkpoint import CheckpointError
 from repro.exec import ExecConfig, reset_fleet_health
-from repro.exec.plan import PLANNERS
 from repro.experiments.context import SCALES, ExperimentContext
 from repro.fx.rates import RateService
 
@@ -86,10 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "dedicated worker processes, or decided from "
                             "the world's predicted live-work share "
                             "(default: local)")
-        p.add_argument("--planner", choices=PLANNERS, default="cost",
-                       help="shard planner: cost-aware bin packing or the "
-                            "stable-hash fallback (bytes are identical "
-                            "under either; default: cost)")
         p.add_argument("--max-worker-restarts", type=int, default=3,
                        metavar="N",
                        help="under --exec-mode process: how many times a "
@@ -163,15 +159,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _exec_config(args: argparse.Namespace) -> Optional[ExecConfig]:
     """The ExecConfig the flags describe (None = sequential baseline)."""
-    workers = getattr(args, "workers", 1)
-    mode = getattr(args, "exec_mode", "local")
-    planner = getattr(args, "planner", "cost")
-    if workers == 1 and mode == "local":
+    try:
+        config = ExecConfig(
+            workers=getattr(args, "workers", 1),
+            mode=getattr(args, "exec_mode", "local"),
+            max_worker_restarts=getattr(args, "max_worker_restarts", 3),
+        )
+    except ValueError as exc:
+        raise CliError(f"bad executor flags: {exc}")
+    if config.workers == 1 and config.mode == "local":
         return None
-    return ExecConfig(
-        workers=workers, mode=mode, planner=planner,
-        max_worker_restarts=getattr(args, "max_worker_restarts", 3),
-    )
+    return config
 
 
 def _print_fleet_health() -> None:
@@ -208,12 +206,31 @@ def _checkpoint_args(args: argparse.Namespace) -> dict:
     return {"checkpoint_dir": checkpoint_dir, "resume": resume}
 
 
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    reset_fleet_health()
+def _build_dataset(args: argparse.Namespace, dataset: str):
+    """The context's ``dataset`` ("crowd" or "crawl") built as the flags
+    ask; checkpoint misuse becomes one error line naming ``--resume``."""
     ctx = ExperimentContext(args.scale, seed=args.seed,
                             exec_config=_exec_config(args),
                             **_checkpoint_args(args))
-    dataset = ctx.crowd
+    try:
+        return getattr(ctx, dataset)
+    except CheckpointError as exc:
+        if not args.resume:  # the one refusal a fresh checkpoint run meets
+            raise CliError(
+                f"--checkpoint-dir {args.checkpoint_dir} already holds a "
+                f"checkpoint; pass --resume to continue it, or choose a "
+                f"fresh directory"
+            )
+        raise CliError(
+            f"cannot --resume the checkpoint in {args.checkpoint_dir} "
+            f"(resume with the --scale and --seed it was started with): "
+            f"{exc}"
+        )
+
+
+def _cmd_campaign(args: argparse.Namespace) -> int:
+    reset_fleet_health()
+    dataset = _build_dataset(args, "crowd")
     summary = dataset.summary()
     print(
         f"campaign complete: {summary['requests']} checks / "
@@ -237,10 +254,7 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
             )
         return _cmd_crawl_scenario(args)
     reset_fleet_health()
-    ctx = ExperimentContext(args.scale, seed=args.seed,
-                            exec_config=_exec_config(args),
-                            **_checkpoint_args(args))
-    dataset = ctx.crawl
+    dataset = _build_dataset(args, "crawl")
     print(f"crawl complete: {dataset.summary()}")
     _print_fleet_health()
     if args.out:
@@ -266,9 +280,8 @@ def _cmd_crawl_scenario(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     reset_fleet_health()
-    cell = GridCell(
-        mode=args.exec_mode, workers=args.workers, planner=args.planner
-    )
+    _exec_config(args)  # validate the executor flags like every command
+    cell = GridCell(mode=args.exec_mode, workers=args.workers)
     result = run_cell(scenario, cell, seed=args.seed, keep_dataset=True)
     print(
         f"scenario {scenario.name} [{cell.label}]: "
@@ -428,7 +441,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except CliError as exc:
-        print(exc, file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return exc.code
 
 

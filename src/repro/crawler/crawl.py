@@ -22,11 +22,9 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from repro.checkpoint import (
     MID_DAY,
-    CheckpointMismatchError,
     RunCheckpoint,
     barrier,
     capture_run_state,
-    restore_run_state,
     run_fingerprint,
 )
 from repro.core.backend import CheckRequest, SheriffBackend
@@ -106,11 +104,11 @@ def run_crawl(
     serve from the memo, byte-for-byte including archive timestamps.
 
     ``checkpoint_dir`` makes the crawl kill-safe: each completed day is
-    durably committed (dataset shard + run state) before the next starts,
-    and ``resume=True`` against a freshly built world and the same plan
-    skips committed days -- see :mod:`repro.checkpoint`.  The crawl is
-    already day-batched, so checkpointed and non-checkpointed crawls are
-    byte-identical to each other.
+    also durably committed (dataset shard + run state) before the next
+    starts, and ``resume=True`` against a freshly built world and the
+    same plan skips committed days -- see :mod:`repro.checkpoint`.  The
+    schedule is the same with or without a checkpoint, so checkpointed
+    and non-checkpointed crawls are byte-identical to each other.
     """
     config = config or CrawlConfig()
     if not plan.targets:
@@ -118,8 +116,10 @@ def run_crawl(
     if exec_config is not None and executor is not None:
         raise ValueError("pass exec_config or executor, not both")
 
+    days = list(range(config.start_day, config.start_day + config.days))
+    dataset = CrawlDataset()
     checkpoint = None
-    start_offset = 0
+    done = 0
     if checkpoint_dir is not None:
         checkpoint = RunCheckpoint.open(
             checkpoint_dir,
@@ -129,32 +129,13 @@ def run_crawl(
             ),
             resume=resume,
         )
-        committed = checkpoint.committed
-        if len(committed) > config.days:
-            raise CheckpointMismatchError(
-                f"checkpoint holds {len(committed)} segments, crawl only "
-                f"has {config.days} days"
-            )
-        for offset, record in enumerate(committed):
-            if record["day"] != config.start_day + offset:
-                raise CheckpointMismatchError(
-                    f"checkpoint segment {record['seq']} covers day "
-                    f"{record['day']}, crawl expects day "
-                    f"{config.start_day + offset}"
-                )
-        start_offset = len(committed)
+        done = checkpoint.resume_into(dataset, world, backend, days=days)
 
     owned = exec_config.create(world) if exec_config is not None else None
     active = executor if executor is not None else owned
-    dataset = CrawlDataset()
-    if checkpoint is not None:
-        checkpoint.fold_into(dataset)
-        state = checkpoint.load_last_state()
-        if state is not None:
-            restore_run_state(state, world, backend)
     try:
-        for day_offset in range(start_offset, config.days):
-            day_start = (config.start_day + day_offset) * SECONDS_PER_DAY
+        for day in days[done:]:
+            day_start = day * SECONDS_PER_DAY
             if day_start > world.clock.now:
                 world.clock.advance_to(day_start)
             # One batched submission per day: the backend amortizes URL
@@ -166,16 +147,8 @@ def run_crawl(
                 for target in plan.targets
                 for url in target.product_urls
             ]
-            # Stream the day's merged reports straight into the dataset's
-            # columnar spine (plan order) -- no intermediate report list.
-            if checkpoint is None:
-                backend.check_batch(
-                    requests,
-                    pacing_seconds=config.pacing_seconds,
-                    executor=active,
-                    sink=dataset.add,
-                )
-                continue
+            # Stream the day's merged reports straight into the day's
+            # columnar segment (plan order) -- no intermediate report list.
             staging = CrawlDataset()
 
             def sink(report) -> None:
@@ -188,11 +161,12 @@ def run_crawl(
                 executor=active,
                 sink=sink,
             )
-            checkpoint.commit_segment(
-                day=config.start_day + day_offset,
-                dataset=staging,
-                state=capture_run_state(world, backend),
-            )
+            if checkpoint is not None:
+                checkpoint.commit_segment(
+                    day=day,
+                    dataset=staging,
+                    state=capture_run_state(world, backend),
+                )
             dataset.append_segment(staging)
     finally:
         if owned is not None:

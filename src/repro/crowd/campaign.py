@@ -23,11 +23,9 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from repro.checkpoint import (
     MID_DAY,
-    CheckpointMismatchError,
     RunCheckpoint,
     barrier,
     capture_run_state,
-    restore_run_state,
     run_fingerprint,
 )
 from repro.core.backend import SheriffBackend
@@ -69,6 +67,10 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.n_checks <= 0:
             raise ValueError("n_checks must be positive")
+        if self.population_size < 1:
+            raise ValueError("population_size must be positive")
+        if self.start_day < 0:
+            raise ValueError("start_day must be >= 0")
         if self.end_day <= self.start_day:
             raise ValueError("campaign window must be non-empty")
         if not 0.0 <= self.p_wrong_highlight <= 1.0:
@@ -91,29 +93,26 @@ def run_campaign(
     The world's virtual clock is advanced through the campaign window, so
     checks carry realistic timestamps (and FX rates move under them).
 
-    The campaign runs in two phases.  Phase one replays every *click*
-    chronologically in this process: the user's own page load (which
-    drives the world clock), the highlight, the anchor derivation -- all
-    the state the next click may depend on.  Phase two submits the
-    prepared requests as one explicitly-scheduled batch
+    The click stream is segmented by day, and each day runs in two
+    steps.  First every click of the day is replayed chronologically in
+    this process: the user's own page load (which drives the world
+    clock), the highlight, the anchor derivation -- all the state the
+    next click may depend on.  Then the day's prepared requests are
+    submitted as one explicitly-scheduled batch
     (:meth:`~repro.core.backend.SheriffBackend.check_batch` with
     ``start_times``): every fan-out runs at its own click instant on a
     forked burst clock, so the reports are byte-identical whether the
     batch executes inline or sharded across ``exec_config.workers``
     workers.
 
-    ``checkpoint_dir`` makes the run kill-safe: the click stream is
-    segmented by day, each day runs prepare-then-submit as its own batch,
-    and every completed day is durably committed (dataset shard + run
-    state) before the next starts -- see :mod:`repro.checkpoint`.
-    ``resume=True`` against a *freshly built* world restores the last
-    committed state and continues; the finished dataset is byte-identical
-    to an uninterrupted checkpointed run at any worker count, memo on or
-    off.  Note the day-segmented schedule interleaves prepares and
-    fan-outs, so server request counters (the pricing nonce) evolve
-    differently than under the single-batch plan: checkpointed and
-    non-checkpointed runs are each internally deterministic but not
-    byte-identical to each other.
+    ``checkpoint_dir`` makes the run kill-safe: every completed day is
+    also durably committed (dataset shard + run state) before the next
+    starts -- see :mod:`repro.checkpoint`.  ``resume=True`` against a
+    *freshly built* world restores the last committed state and
+    continues.  The schedule is the same with or without a checkpoint,
+    so plain, checkpointed, resumed and served runs of one world and
+    config return byte-identical datasets, at any worker count, memo on
+    or off.
     """
     config = config or CampaignConfig()
     rng = stable_rng(config.seed, "campaign")
@@ -149,13 +148,13 @@ def run_campaign(
     offsets = sorted(rng.uniform(0, window_seconds) for _ in range(config.n_checks))
 
     def prepare_clicks(
-        batch_offsets: list[float],
+        day_offsets: list[float],
     ) -> list[tuple[CrowdUser, str, int, str, PreparedCheck]]:
-        # Phase one: the client side of every click, in chronological
-        # order -- the user's own page load (which drives the world
-        # clock), the highlight, the anchor derivation.
+        # The client side of every click, in chronological order -- the
+        # user's own page load (which drives the world clock), the
+        # highlight, the anchor derivation.
         clicks: list[tuple[CrowdUser, str, int, str, PreparedCheck]] = []
-        for offset in batch_offsets:
+        for offset in day_offsets:
             timestamp = config.start_day * SECONDS_PER_DAY + offset
             if timestamp > world.clock.now:
                 world.clock.advance_to(timestamp)
@@ -186,17 +185,14 @@ def run_campaign(
             )
         return clicks
 
-    def submit_clicks(
-        clicks: list, dataset: CrowdDataset, executor, *,
-        checkpointing: bool = False,
-    ) -> None:
-        # Phase two: one scheduled batch of every click that reached the
-        # backend, fanned out at each click's own instant (and optionally
-        # sharded across workers -- bytes are identical either way).
-        # Reports stream straight into the dataset's columnar spine: the
-        # sink attaches each report to its click and flushes every click
-        # whose fate is settled into the table, releasing the click (and
-        # with it the report dataclass -- the table does not retain it)
+    def submit_clicks(clicks: list, dataset: CrowdDataset, executor) -> None:
+        # One scheduled batch of every click that reached the backend,
+        # fanned out at each click's own instant (and optionally sharded
+        # across workers -- bytes are identical either way).  Reports
+        # stream straight into the dataset's columnar spine: the sink
+        # attaches each report to its click and flushes every click whose
+        # fate is settled into the table, releasing the click (and with
+        # it the report dataclass -- the table does not retain it)
         # immediately.  No intermediate report list exists at any scale.
         ready = [click[4] for click in clicks if click[4].request is not None]
         cursor = 0  # next click to flush into the dataset
@@ -227,8 +223,7 @@ def run_campaign(
             ready[filled] = None  # type: ignore[call-overload]
             filled += 1
             prepared.outcome.report = report
-            if checkpointing:
-                barrier(MID_DAY)
+            barrier(MID_DAY)
             flush_settled()
 
         backend.check_batch(
@@ -239,69 +234,42 @@ def run_campaign(
         )
         flush_settled()  # trailing clicks that never reached the backend
 
-    if checkpoint_dir is None:
-        # The single-batch plan: all prepares, then one scheduled batch.
-        clicks = prepare_clicks(offsets)
-        dataset = CrowdDataset()
-        executor = exec_config.create(world) if exec_config is not None else None
-        try:
-            submit_clicks(clicks, dataset, executor)
-        finally:
-            if executor is not None:
-                executor.close()
-        return dataset
-
-    # Checkpointed: the click stream segmented by day, each day committed
-    # before the next starts.
-    checkpoint = RunCheckpoint.open(
-        checkpoint_dir,
-        kind="campaign",
-        fingerprint=run_fingerprint("campaign", world.config, config),
-        resume=resume,
-    )
-    groups: list[tuple[int, list[float]]] = []
+    days: list[tuple[int, list[float]]] = []
     for offset in offsets:
         day = int((config.start_day * SECONDS_PER_DAY + offset) // SECONDS_PER_DAY)
-        if groups and groups[-1][0] == day:
-            groups[-1][1].append(offset)
+        if days and days[-1][0] == day:
+            days[-1][1].append(offset)
         else:
-            groups.append((day, [offset]))
-    committed = checkpoint.committed
-    if len(committed) > len(groups):
-        raise CheckpointMismatchError(
-            f"checkpoint holds {len(committed)} segments, campaign only "
-            f"has {len(groups)} days with clicks"
-        )
-    for record, (day, _) in zip(committed, groups):
-        if record["day"] != day:
-            raise CheckpointMismatchError(
-                f"checkpoint segment {record['seq']} covers day "
-                f"{record['day']}, campaign expects day {day}"
-            )
+            days.append((day, [offset]))
 
     dataset = CrowdDataset()
-    checkpoint.fold_into(dataset)
     user_clients = {user.user_id: user.client for user in users}
-    state = checkpoint.load_last_state()
-    if state is not None:
-        restore_run_state(
-            state, world, backend, rng=rng, user_clients=user_clients
+    checkpoint = None
+    done = 0
+    if checkpoint_dir is not None:
+        checkpoint = RunCheckpoint.open(
+            checkpoint_dir,
+            kind="campaign",
+            fingerprint=run_fingerprint("campaign", world.config, config),
+            resume=resume,
+        )
+        done = checkpoint.resume_into(
+            dataset, world, backend, days=[day for day, _ in days],
+            rng=rng, user_clients=user_clients,
         )
     executor = exec_config.create(world) if exec_config is not None else None
     try:
-        for seq, (day, day_offsets) in enumerate(groups):
-            if seq < len(committed):
-                continue  # durable on disk, already folded into dataset
-            clicks = prepare_clicks(day_offsets)
+        for day, day_offsets in days[done:]:
             staging = CrowdDataset()
-            submit_clicks(clicks, staging, executor, checkpointing=True)
-            checkpoint.commit_segment(
-                day=day,
-                dataset=staging,
-                state=capture_run_state(
-                    world, backend, rng=rng, user_clients=user_clients
-                ),
-            )
+            submit_clicks(prepare_clicks(day_offsets), staging, executor)
+            if checkpoint is not None:
+                checkpoint.commit_segment(
+                    day=day,
+                    dataset=staging,
+                    state=capture_run_state(
+                        world, backend, rng=rng, user_clients=user_clients
+                    ),
+                )
             dataset.append_segment(staging)
     finally:
         if executor is not None:

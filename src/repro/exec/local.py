@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro.exec.plan import make_planner
+from repro.exec.plan import CostAwarePlanner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.backend import ScheduledCheck, SheriffBackend
@@ -54,8 +54,8 @@ def merge_in_plan_order(
 class LocalExecutor:
     """Run shards sequentially in-process, merging deterministically."""
 
-    def __init__(self, workers: int = 1, *, plan=None) -> None:
-        self.plan = plan or make_planner("cost", workers)
+    def __init__(self, workers: int = 1) -> None:
+        self.plan = CostAwarePlanner(workers)
 
     def run(
         self,

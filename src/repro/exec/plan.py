@@ -11,20 +11,15 @@ owns its retailer; because archives and reports are merged back in plan
 order, **any** retailer-respecting partition produces byte-identical
 output, which frees the planner to chase wall clock instead of safety.
 
-Two planners implement the ``partition_batch(backend, scheduled)`` seam:
+:class:`CostAwarePlanner` implements the ``partition_batch(backend,
+scheduled)`` seam executors call: it predicts each retailer's cost for
+*this* batch (live fan-outs are ~:data:`LIVE_CHECK_COST`; repeats of an
+already-seen ``(url, day)`` burst on a memoizable retailer are
+~:data:`MEMO_HIT_COST`) and bin-packs retailers onto shards so predicted
+shard costs equalize.
 
-* :class:`ShardPlan` -- the stable-hash fallback: shard =
-  ``hash(domain) % workers``.  Deterministic and cheap, but cost-blind:
-  one shard can end up with every live-only retailer while another owns
-  nothing but memo hits.
-* :class:`CostAwarePlanner` -- the default: predicts each retailer's
-  cost for *this* batch (live fan-outs are ~:data:`LIVE_CHECK_COST`;
-  repeats of an already-seen ``(url, day)`` burst on a memoizable
-  retailer are ~:data:`MEMO_HIT_COST`) and bin-packs retailers onto
-  shards so predicted shard costs equalize.
-
-:class:`ExecConfig` is the user-facing knob: ``workers``, ``mode``, and
-``planner`` travel from the CLI / :func:`repro.crawler.run_crawl` /
+:class:`ExecConfig` is the user-facing knob: ``workers`` and ``mode``
+travel from the CLI / :func:`repro.crawler.run_crawl` /
 :func:`repro.crowd.run_campaign` down to an executor instance.
 ``workers=0`` and ``mode="auto"`` defer the choice to
 :meth:`ExecConfig.resolve`, which sizes the pool from ``os.cpu_count()``
@@ -40,7 +35,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.net.clock import SECONDS_PER_DAY
 from repro.net.urls import URL
-from repro.util import stable_hash
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.backend import ScheduledCheck, SheriffBackend
@@ -52,16 +46,10 @@ __all__ = [
     "ExecError",
     "LIVE_CHECK_COST",
     "MEMO_HIT_COST",
-    "PLANNERS",
-    "ShardPlan",
-    "make_planner",
     "predicted_batch_cost",
 ]
 
 _MODES = ("local", "process", "auto")
-
-#: Planner names accepted by :class:`ExecConfig` / the CLI's ``--planner``.
-PLANNERS = ("cost", "stable")
 
 #: Relative cost of a full live fan-out (render + serialize + archive +
 #: extract, times the fleet) vs replaying a memo hit.  Calibrated from
@@ -108,7 +96,7 @@ def predicted_batch_cost(
     backend: "SheriffBackend",
     scheduled: Sequence["ScheduledCheck"],
 ) -> float:
-    """Total predicted cost of a batch slice (any planner's shard).
+    """Total predicted cost of a batch slice (one planned shard).
 
     :class:`~repro.exec.process.ProcessExecutor` scales its per-shard
     hang deadline by this number, so a shard full of live fan-outs gets
@@ -116,49 +104,6 @@ def predicted_batch_cost(
     the supervisor declares its worker hung.
     """
     return sum(cost for _, cost in _check_costs(backend, scheduled))
-
-
-class ShardPlan:
-    """Stable partition of checks across ``workers`` shards by retailer."""
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError("a shard plan needs at least one worker")
-        self.workers = workers
-
-    def shard_of(self, domain: str) -> int:
-        """The shard that owns ``domain``.
-
-        Derived from a process- and platform-stable hash, so coordinator
-        and workers (or two runs months apart) always agree.
-        """
-        return stable_hash("shard", domain.lower()) % self.workers
-
-    def partition(
-        self, scheduled: Sequence["ScheduledCheck"]
-    ) -> list[list["ScheduledCheck"]]:
-        """Split schedule entries into per-shard slices.
-
-        Entries keep their submission order inside each shard, which
-        preserves the per-domain request sequence (and with it cookie and
-        nonce evolution) exactly as the sequential loop would produce it.
-        """
-        shards: list[list["ScheduledCheck"]] = [[] for _ in range(self.workers)]
-        for sched in scheduled:
-            host = URL.parse(sched.request.url).host
-            shards[self.shard_of(host)].append(sched)
-        return shards
-
-    def partition_batch(
-        self,
-        backend: "SheriffBackend",
-        scheduled: Sequence["ScheduledCheck"],
-    ) -> list[list["ScheduledCheck"]]:
-        """The planner seam executors call; the stable hash ignores cost."""
-        return self.partition(scheduled)
-
-    def __repr__(self) -> str:
-        return f"ShardPlan(workers={self.workers})"
 
 
 class CostAwarePlanner:
@@ -218,8 +163,9 @@ class CostAwarePlanner:
     ) -> list[list["ScheduledCheck"]]:
         """Split schedule entries into cost-balanced per-shard slices.
 
-        Entries keep their submission order inside each shard (the same
-        per-domain sequence guarantee as :meth:`ShardPlan.partition`).
+        Entries keep their submission order inside each shard, which
+        preserves the per-domain request sequence (and with it cookie and
+        nonce evolution) exactly as the sequential loop would produce it.
         """
         assignment = self.assign(self.predicted_costs(backend, scheduled))
         shards: list[list["ScheduledCheck"]] = [[] for _ in range(self.workers)]
@@ -230,15 +176,6 @@ class CostAwarePlanner:
 
     def __repr__(self) -> str:
         return f"CostAwarePlanner(workers={self.workers})"
-
-
-def make_planner(name: str, workers: int):
-    """Instantiate the planner ``name`` ("cost" or "stable") for ``workers``."""
-    if name == "cost":
-        return CostAwarePlanner(workers)
-    if name == "stable":
-        return ShardPlan(workers)
-    raise ValueError(f"planner must be one of {PLANNERS}")
 
 
 @dataclass(frozen=True)
@@ -257,16 +194,11 @@ class ExecConfig:
     * ``"auto"`` -- decided per world by :meth:`resolve`.
 
     ``workers=0`` means "size the pool automatically" (``os.cpu_count()``).
-    ``planner`` selects how batches shard: ``"cost"`` (cost-aware bin
-    packing, the default) or ``"stable"`` (hash-by-domain fallback).
-    The planner affects wall clock only -- bytes are identical under
-    either, and the checkpoint fingerprint excludes it, so a resumed run
-    may switch planners freely.
+    Batches shard through :class:`CostAwarePlanner`.
     """
 
     workers: int = 1
     mode: str = "local"
-    planner: str = "cost"
     #: How many times the supervisor may respawn the worker of any one
     #: shard before quarantining the shard to inline execution (process
     #: mode only; see :meth:`ProcessExecutor.supervision_stats`).
@@ -277,8 +209,6 @@ class ExecConfig:
             raise ValueError("workers must be >= 1, or 0 for auto")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
-        if self.planner not in PLANNERS:
-            raise ValueError(f"planner must be one of {PLANNERS}")
         if self.max_worker_restarts < 0:
             raise ValueError("max_worker_restarts must be >= 0")
 
@@ -319,16 +249,14 @@ class ExecConfig:
         config = self.resolve(world)
         if config.mode == "local" and config.workers == 1:
             return None
-        plan = make_planner(config.planner, config.workers)
         if config.mode == "local":
             from repro.exec.local import LocalExecutor
 
-            return LocalExecutor(config.workers, plan=plan)
+            return LocalExecutor(config.workers)
         from repro.exec.process import ProcessExecutor
 
         return ProcessExecutor(
-            world, config.workers, plan=plan,
-            max_restarts=config.max_worker_restarts,
+            world, config.workers, max_restarts=config.max_worker_restarts
         )
 
 

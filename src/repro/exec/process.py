@@ -74,7 +74,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 from repro.checkpoint.barriers import WORKER_RESPAWN, barrier
 from repro.ecommerce.world import WorldSpec
 from repro.exec.local import merge_in_plan_order
-from repro.exec.plan import ExecError, make_planner, predicted_batch_cost
+from repro.exec.plan import CostAwarePlanner, ExecError, predicted_batch_cost
 from repro.net.urls import URL
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -518,7 +518,6 @@ class ProcessExecutor:
         world: "World",
         workers: int = 4,
         *,
-        plan=None,
         start_method: Optional[str] = None,
         max_restarts: int = 3,
         restart_backoff_s: float = 0.05,
@@ -529,7 +528,7 @@ class ProcessExecutor:
             raise ValueError("max_restarts must be >= 0")
         self._world = world
         self._spec = world.spec()
-        self.plan = plan or make_planner("cost", workers)
+        self.plan = CostAwarePlanner(workers)
         self.max_restarts = max_restarts
         self.restart_backoff_s = restart_backoff_s
         self.min_deadline_s = min_deadline_s

@@ -67,25 +67,19 @@ class GridCell:
     #: Fraction of memo hits re-run live for cross-validation (only
     #: meaningful with the memo on; 1.0 = audit every hit).
     validate_fraction: float = 0.0
-    #: Shard planner ("cost" or "stable") -- wall clock only, never bytes.
-    planner: str = "cost"
 
     @property
     def label(self) -> str:
         memo = "memo" if self.burst_memo else "live"
         if self.validate_fraction:
             memo += f"+audit{self.validate_fraction:g}"
-        if self.planner != "cost":
-            memo += f"/{self.planner}"
         return f"{self.mode}x{self.workers}/{memo}"
 
     def exec_config(self) -> Optional[ExecConfig]:
         """The executor config this cell runs under (None = inline)."""
         if self.workers == 1 and self.mode == "local":
             return None
-        return ExecConfig(
-            workers=self.workers, mode=self.mode, planner=self.planner
-        )
+        return ExecConfig(workers=self.workers, mode=self.mode)
 
 
 #: The acceptance grid: executor(local/process, N in {1, 2}) × memo
@@ -298,15 +292,10 @@ def check_invariants(
     # inspectable too: workers drain their cache's entries, demotions,
     # and counters back through the shard results, and the coordinator
     # folds them into its master cache -- so its stats speak for the
-    # fleet.  The one blind spot is a *stable*-planner process cell: the
-    # coordinator then never classifies domains itself and only
-    # evidence-based demotions flow back, so the structural live-only
-    # set would read incomplete.
+    # fleet.
     memoizable = set(scenario.crawl_domains) - set(scenario.live_only_domains)
     for result in results:
         if not result.cell.burst_memo:
-            continue
-        if result.cell.mode != "local" and result.cell.planner != "cost":
             continue
         observed = set(result.live_only)
         for domain in sorted(set(scenario.live_only_domains) - observed):

@@ -54,7 +54,12 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "JobSpec":
-        """Validate a client payload into a spec (``ValueError`` on junk)."""
+        """Validate a client payload into a spec (``ValueError`` on junk).
+
+        The campaign config the spec describes is built here too, so a
+        spec that names an impossible campaign is refused before anything
+        is persisted.
+        """
         if not isinstance(payload, dict):
             raise ValueError("campaign spec must be a JSON object")
         allowed = {"scale", "seed", *_OVERRIDES}
@@ -76,7 +81,9 @@ class JobSpec:
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise ValueError(f"{field} must be an integer")
                 values[field] = value
-        return cls(**values)
+        spec = cls(**values)
+        spec.campaign_config()
+        return spec
 
     def to_dict(self) -> dict:
         """JSON form; omits unset overrides so job.json stays minimal."""

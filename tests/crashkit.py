@@ -18,7 +18,6 @@ Spec fields (JSON object)::
     crawl           CrawlConfig kwargs           (crawl kind)
     plan            {"n_domains": K, "products_per_retailer": P}  (crawl)
     workers, mode   executor cell (1/"local" = inline)
-    planner         shard planner, "cost" (default) | "stable"
     memo            burst memo on/off (default true)
     checkpoint_dir  where day-segments spill
     resume          continue a committed prefix (default false)
@@ -248,11 +247,10 @@ def _exec_config(spec: dict):
 
     workers = int(spec.get("workers", 1))
     mode = spec.get("mode", "local")
-    planner = spec.get("planner", "cost")
     if workers == 1 and mode == "local":
         return None
     return ExecConfig(
-        workers=workers, mode=mode, planner=planner,
+        workers=workers, mode=mode,
         max_worker_restarts=int(spec.get("max_worker_restarts", 3)),
     )
 

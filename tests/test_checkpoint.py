@@ -445,6 +445,16 @@ class TestCampaignResume:
         )
         return crowd_bytes(full, tmp_path / "ref.jsonl")
 
+    def test_plain_campaign_matches_checkpointed(self, tmp_path: Path):
+        """One schedule: a checkpoint only adds the durable per-day
+        commit, so a plain run returns the checkpointed run's bytes."""
+        world, backend = fresh_pair()
+        plain = run_campaign(world, backend, CAMPAIGN_CONFIG)
+        assert (
+            crowd_bytes(plain, tmp_path / "plain.jsonl")
+            == self.reference_bytes(tmp_path)
+        )
+
     def test_interrupted_campaign_resumes_byte_identical(
         self, tmp_path: Path, clean_hook
     ):

@@ -4,23 +4,21 @@ The executor contract (``docs/ARCHITECTURE.md``): a crawl or campaign
 executed across N worker shards serializes to exactly the bytes of the
 sequential run, for any N, in-process or across processes.  These tests
 assert the contract end to end -- dataset serialization compared as
-strings -- plus the pieces it rests on: stable shard assignment across
-processes, order-preserving partitions, and store-state equivalence.
+strings -- plus the pieces it rests on: retailer-owned, order-preserving
+cost-aware partitions, and store-state equivalence.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
 from repro.core.backend import CheckRequest, ScheduledCheck, SheriffBackend
 
 # The byte-identity suites below re-run whole crawls/campaigns per
-# worker count: full tier only (docs/TESTING.md).  The ShardPlan /
+# worker count: full tier only (docs/TESTING.md).  The planner /
 # ExecConfig unit tests stay in the fast tier.
 slow = pytest.mark.slow
 from repro.crawler import CrawlConfig, build_plan, run_crawl
@@ -32,8 +30,6 @@ from repro.exec import (
     ExecError,
     LocalExecutor,
     ProcessExecutor,
-    ShardPlan,
-    make_planner,
 )
 from repro.exec.plan import LIVE_CHECK_COST, MEMO_HIT_COST
 from repro.io import report_to_dict
@@ -97,71 +93,6 @@ def _campaign_blob(exec_config) -> str:
             "report": report_to_dict(record.report) if record.report else None,
         })
     return json.dumps(rows, sort_keys=True)
-
-
-# ----------------------------------------------------------------------
-# ShardPlan
-# ----------------------------------------------------------------------
-class TestShardPlan:
-    def test_partition_covers_all_and_preserves_order(self):
-        world = _tiny_world()
-        anchor = _anchor(world, "www.digitalrev.com")
-        domains = world.crawled_domains[:6]
-        scheduled = []
-        index = 0
-        for _ in range(3):  # interleave domains, like a crawl day does
-            for domain in domains:
-                product = world.retailer(domain).catalog.products[0]
-                scheduled.append(ScheduledCheck(
-                    index=index,
-                    check_id=f"chk{index:07d}",
-                    start_ts=float(index),
-                    request=CheckRequest(
-                        url=f"http://{domain}{product.path}", anchor=anchor
-                    ),
-                ))
-                index += 1
-        plan = ShardPlan(4)
-        shards = plan.partition(scheduled)
-        assert len(shards) == 4
-        flat = [sched.index for shard in shards for sched in shard]
-        assert sorted(flat) == list(range(len(scheduled)))
-        for shard in shards:  # submission order survives inside a shard
-            assert [s.index for s in shard] == sorted(s.index for s in shard)
-
-    def test_shards_own_disjoint_retailers(self):
-        plan = ShardPlan(3)
-        domains = [f"www.shop{i}.example" for i in range(60)]
-        owners = {domain: plan.shard_of(domain) for domain in domains}
-        assert set(owners.values()) == {0, 1, 2}  # all shards used
-        # Ownership is a function of the domain alone.
-        assert all(plan.shard_of(d) == owner for d, owner in owners.items())
-
-    def test_shard_of_case_insensitive(self):
-        plan = ShardPlan(5)
-        assert plan.shard_of("WWW.Amazon.COM") == plan.shard_of("www.amazon.com")
-
-    def test_stable_across_processes(self):
-        """The coordinator/worker agreement the whole design rests on."""
-        domains = ["www.amazon.com", "www.hotels.com", "www.digitalrev.com",
-                   "store.killah.com", "www.rightstart.com"]
-        local = [ShardPlan(4).shard_of(d) for d in domains]
-        code = (
-            "from repro.exec import ShardPlan; "
-            f"print([ShardPlan(4).shard_of(d) for d in {domains!r}])"
-        )
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert json.loads(out.stdout) == local
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            ShardPlan(0)
 
 
 # ----------------------------------------------------------------------
@@ -256,12 +187,6 @@ class TestCostAwarePlanner:
         with pytest.raises(ValueError):
             CostAwarePlanner(0)
 
-    def test_make_planner(self):
-        assert isinstance(make_planner("cost", 2), CostAwarePlanner)
-        assert isinstance(make_planner("stable", 2), ShardPlan)
-        with pytest.raises(ValueError):
-            make_planner("random", 2)
-
 
 # ----------------------------------------------------------------------
 # ExecConfig
@@ -289,8 +214,6 @@ class TestExecConfig:
             ExecConfig(workers=-1)
         with pytest.raises(ValueError):
             ExecConfig(mode="threads")
-        with pytest.raises(ValueError):
-            ExecConfig(planner="random")
 
     def test_workers_zero_resolves_to_cpu_count(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -350,20 +273,18 @@ class TestCrawlByteIdentity:
         assert blob == base_blob
 
     def test_planner_memo_executor_grid_identical(self):
-        """The PR-8 acceptance grid: executor x workers x memo x planner
-        all serialize to the sequential baseline's bytes."""
+        """The executor acceptance grid: executor x workers x memo, every
+        sharded cell partitioned by the cost planner, all serialize to the
+        sequential baseline's bytes."""
         base_blob, base_store = _crawl_blob(None)
-        for planner in ("cost", "stable"):
-            for mode in ("local", "process"):
-                for workers in (1, 2, 4):
-                    for memo in (True, False):
-                        config = ExecConfig(
-                            workers=workers, mode=mode, planner=planner
-                        )
-                        blob, store = _crawl_blob(config, memo=memo)
-                        label = f"{mode}x{workers}/{planner}/memo={memo}"
-                        assert blob == base_blob, f"{label} diverged"
-                        assert store == base_store, f"{label} store diverged"
+        for mode in ("local", "process"):
+            for workers in (1, 2, 4):
+                for memo in (True, False):
+                    config = ExecConfig(workers=workers, mode=mode)
+                    blob, store = _crawl_blob(config, memo=memo)
+                    label = f"{mode}x{workers}/memo={memo}"
+                    assert blob == base_blob, f"{label} diverged"
+                    assert store == base_store, f"{label} store diverged"
 
 
 # ----------------------------------------------------------------------
@@ -379,14 +300,6 @@ class TestCampaignByteIdentity:
     def test_process_workers_identical(self):
         base = _campaign_blob(None)
         assert _campaign_blob(ExecConfig(workers=2, mode="process")) == base
-
-    def test_planners_identical(self):
-        base = _campaign_blob(None)
-        for planner in ("cost", "stable"):
-            config = ExecConfig(workers=2, mode="process", planner=planner)
-            assert _campaign_blob(config) == base, planner
-            config = ExecConfig(workers=3, planner=planner)
-            assert _campaign_blob(config) == base, planner
 
 
 # ----------------------------------------------------------------------

@@ -207,3 +207,27 @@ class TestCliErrorPaths:
             err = capsys.readouterr().err
             assert code == 2, command
             assert "--resume requires --checkpoint-dir" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--workers", "-1"],
+        ["--workers", "2", "--max-worker-restarts", "-2"],
+    ])
+    def test_bad_executor_flags(self, flags, capsys):
+        code = cli.main(["campaign", "--scale", "tiny", *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_checkpoint_misuse_names_resume(self, tmp_path: Path, capsys):
+        base = ["campaign", "--scale", "tiny",
+                "--checkpoint-dir", str(tmp_path / "ck")]
+        assert cli.main(base) == 0
+        capsys.readouterr()
+        for again in (base, base + ["--resume", "--seed", "7"]):
+            code = cli.main(again)
+            err = capsys.readouterr().err
+            assert code == 2, again
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "--resume" in err
+            assert "resume=True" not in err

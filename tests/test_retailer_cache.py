@@ -3,7 +3,9 @@
 The render memo is the layer *below* the burst memo: it dedupes identical
 renders.  One 2Q :class:`RenderMemo` serves every server of a world.  These
 tests pin its bound (retained trees never exceed FIFO + LRU capacity, however
-many servers render), its promotion rule, its transparency (bodies are
+many servers render), its promotion rule, its day scope (a new day drops
+the old one's LRU pages and ghost keys, its FIFO pages age out), its
+transparency (bodies are
 byte-identical after eviction), its server-identity keying, that a dropped
 world is freed without the cycle collector, and the session-state accessor
 guards the executors rely on.
@@ -111,6 +113,40 @@ class TestWorldRenderMemo:
         _render(world, server, target)
         assert _counters(server) == (hits + 1, misses)
 
+    def test_new_day_drops_past_day_pages_and_ghosts(self):
+        """Storing a day d+1 page drops every day-d LRU page and ghost
+        key; day-d FIFO pages leave as day d+1 pages push them out, and
+        2Q promotion works on the new day exactly as on the old one."""
+        world, server = _server_and_world()
+        memo = world.render_memo
+        products = server.retailer.catalog.products
+        target, others = products[0], products[1:RenderMemo.FIFO_ENTRIES + 5]
+
+        def promote(day: int) -> int:
+            """Push the target (and a few more keys) out to the ghosts,
+            promote the target, and return how many hits its next request
+            scores (1 = served from the LRU)."""
+            timestamp = day * 86400.0
+            _render(world, server, target, timestamp=timestamp)
+            for product in others:
+                _render(world, server, product, timestamp=timestamp)
+            _render(world, server, target, timestamp=timestamp)
+            hits, _ = _counters(server)
+            _render(world, server, target, timestamp=timestamp)
+            return _counters(server)[0] - hits
+
+        assert promote(0) == 1
+        fifo_zero = list(memo._fifo)
+        day_zero = set(memo) | set(memo._ghosts)
+        assert len(day_zero) > len(fifo_zero) and memo._lru
+        _render(world, server, products[-1], timestamp=86400.0)
+        # The LRU and the ghosts are gone; the new page pushed the oldest
+        # day-0 FIFO page out, which leaves its key as the only ghost.
+        assert not memo._lru
+        assert list(memo._ghosts) == fifo_zero[:1]
+        assert list(memo._fifo)[:-1] == fifo_zero[1:]
+        assert promote(1) == 1
+        assert not set(memo) & day_zero
     def test_body_identical_after_eviction(self):
         """An evicted-and-rerendered page is byte-identical to its first
         render (the memo is transparent)."""

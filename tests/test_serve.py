@@ -127,13 +127,21 @@ class TestRouteContract:
         assert status == 400
 
     def test_campaign_bad_spec_is_400(self, served):
-        _, client = served
-        status, body = client.post("/campaigns", {"scale": "galactic"})
-        assert status == 400
-        assert "unknown scale" in json.loads(body)["error"]
-        status, body = client.post("/campaigns", {"n_cheks": 10})
-        assert status == 400
-        assert "unknown campaign spec field" in json.loads(body)["error"]
+        service, client = served
+        before = sorted(p.name for p in service.registry.root.iterdir())
+        for spec, message in (
+            ({"scale": "galactic"}, "unknown scale"),
+            ({"n_cheks": 10}, "unknown campaign spec field"),
+            ({"n_checks": 0}, "n_checks"),
+            ({"start_day": 5, "end_day": 5}, "window"),
+            ({"start_day": -1}, "start_day"),
+            ({"population_size": 0}, "population_size"),
+        ):
+            status, body = client.post("/campaigns", spec)
+            assert status == 400, spec
+            assert message in json.loads(body)["error"], spec
+        # A refused spec persists nothing: no job directory appears.
+        assert sorted(p.name for p in service.registry.root.iterdir()) == before
 
     def test_unknown_routes_are_404(self, served):
         _, client = served
@@ -213,8 +221,9 @@ class TestCampaignJobs:
         status, served_results = client.get(f"/jobs/{job_id}/results")
         assert status == 200
 
-        # Reference: the same campaign run directly through the
-        # checkpointed batch path (all checkpointed runs agree bytewise).
+        # Reference: a plain run_campaign on the spec's world and
+        # config -- jobs run the one campaign schedule, and their
+        # checkpoint only adds durable per-day commits.
         from repro.core.backend import SheriffBackend
         from repro.crowd import run_campaign
         from repro.ecommerce.world import build_world
@@ -225,10 +234,7 @@ class TestCampaignJobs:
         backend = SheriffBackend(
             world.network, world.vantage_points, world.rates
         )
-        dataset = run_campaign(
-            world, backend, spec.campaign_config(),
-            checkpoint_dir=tmp_path / "ref-ckpt", resume=True,
-        )
+        dataset = run_campaign(world, backend, spec.campaign_config())
         reference = tmp_path / "reference.jsonl"
         save_crowd_dataset(dataset, reference, seed=spec.seed, columnar=True)
         assert served_results == reference.read_bytes()
