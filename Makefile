@@ -56,8 +56,9 @@ docs-check:
 bench:
 	$(PYTHON) benchmarks/run_bench.py
 
-# Just the columnar-vs-list analysis aggregation bench (100K synthetic
-# reports); other entries in BENCH_pipeline.json are preserved.
+# Just the analysis aggregation bench (table build + the columnar
+# kernels over 100K synthetic reports); other entries in
+# BENCH_pipeline.json are preserved.
 bench-analysis:
 	$(PYTHON) benchmarks/run_bench.py --only analysis_aggregation
 
@@ -114,10 +115,11 @@ perfbench:
 	$(PYTHON) perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) \
 		--seconds 15 --trace $(TRACE)
 
-# Benchmark smoke (CI's PR gate): short traced serve and campaign runs
-# must each end in a correct result with no failed operations, so a
-# program change that breaks the benchmark's wrappers (the
-# `run_campaign` one included) or output digests fails here.
+# Benchmark smoke (CI's PR gate): short traced serve, campaign and
+# analyze runs must each end in a correct result with no failed
+# operations, so a program change that breaks the benchmark's wrappers
+# (the `run_campaign`, io and analysis ones included) or output digests
+# fails here.
 PERFBENCH_OK = $(PYTHON) -c 'import json, sys; \
 	r = json.loads(sys.stdin.read()); \
 	sys.exit(not (r["correct"] is True and r["failed"] == 0))'
@@ -125,6 +127,8 @@ perfbench-smoke:
 	$(PYTHON) perfbench/run.py --workload serve --seed 1 --seconds 2 \
 		--trace 1 | tee /dev/stderr | tail -n 1 | $(PERFBENCH_OK)
 	$(PYTHON) perfbench/run.py --workload campaign --seed 1 --seconds 2 \
+		--trace 1 | tee /dev/stderr | tail -n 1 | $(PERFBENCH_OK)
+	$(PYTHON) perfbench/run.py --workload analyze --seed 1 --seconds 2 \
 		--trace 1 | tee /dev/stderr | tail -n 1 | $(PERFBENCH_OK)
 
 # Serving smoke: boot the real service, run a scripted request session

@@ -422,9 +422,9 @@ def _synthetic_reports(n_reports: int, *, n_vantages: int = 5):
 def bench_analysis_aggregation(
     rounds: int, *, n_reports: int = 100_000
 ) -> dict[str, object]:
-    """The figure-feeding aggregations over 100K synthetic reports:
-    list-of-dataclasses path vs single-pass columnar kernels over the
-    same data in a :class:`ReportTable`, results asserted equal."""
+    """The figure-feeding aggregations over 100K synthetic reports: the
+    one-off cost of appending them to a :class:`ReportTable`, then the
+    columnar kernels over a slice of it."""
     from repro.analysis.extent import variation_extent
     from repro.analysis.locations import location_ratio_stats
     from repro.analysis.longitudinal import daily_extent, product_persistence
@@ -440,32 +440,22 @@ def bench_analysis_aggregation(
     build_ms = (time.perf_counter() - build_start) * 1000.0
     sliced = TableSlice(table)
 
-    def aggregate(data):
+    def aggregate():
         return (
-            variation_extent(data),
-            domain_ratio_stats(data, only_variation=True),
-            location_ratio_stats(data),
-            daily_extent(data),
-            product_persistence(data),
-            ratio_vs_min_price(data),
+            variation_extent(sliced),
+            domain_ratio_stats(sliced, only_variation=True),
+            location_ratio_stats(sliced),
+            daily_extent(sliced),
+            product_persistence(sliced),
+            ratio_vs_min_price(sliced),
         )
 
-    if aggregate(reports) != aggregate(sliced):
-        raise RuntimeError("columnar kernels diverged from the list path")
-
-    list_samples = _time_rounds(lambda: aggregate(reports), rounds)
-    columnar_samples = _time_rounds(lambda: aggregate(sliced), rounds)
-    list_mean = statistics.fmean(list_samples)
-    columnar_mean = statistics.fmean(columnar_samples)
     return {
         "reports": n_reports,
         "observations": table.n_observations,
         "aggregations": 6,
         "table_build_ms": round(build_ms, 4),
-        "list_path": _summary(list_samples),
-        "columnar_path": _summary(columnar_samples),
-        "speedup": round(list_mean / columnar_mean, 2),
-        "results_equal": True,
+        "kernels": _summary(_time_rounds(aggregate, rounds)),
     }
 
 
@@ -700,7 +690,7 @@ def _campaign_resume_worker(
     elapsed = time.perf_counter() - start
     digest = None
     if out_path is not None:
-        save_crowd_dataset(dataset, out_path, columnar=True)
+        save_crowd_dataset(dataset, out_path)
         digest = hashlib.sha256(Path(out_path).read_bytes()).hexdigest()
     queue.put({
         "checks": len(dataset),

@@ -9,7 +9,11 @@ Run:  python examples/crowd_campaign.py
 
 from __future__ import annotations
 
-from repro.analysis import clean_reports, domain_ratio_stats
+from repro.analysis import (
+    clean_reports,
+    domain_ratio_stats,
+    domain_variation_counts,
+)
 from repro.core import SheriffBackend
 from repro.crowd import CampaignConfig, run_campaign
 from repro.ecommerce import WorldConfig, build_world
@@ -33,7 +37,7 @@ def main() -> None:
     )
 
     print("\nFig. 1 -- domains with the most requests showing differences:")
-    counts = dataset.variation_counts()
+    counts = domain_variation_counts(dataset.reports())
     for domain, count in counts.most_common(15):
         print(f"  {domain:35s} {'#' * count} ({count})")
 

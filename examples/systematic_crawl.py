@@ -78,7 +78,7 @@ def main() -> None:
         print(f"  {vantage:22s} median=x{s.median:.3f} q75=x{s.q75:.3f}")
 
     print("\nFig. 9 -- Finland vs cheapest location, per retailer:")
-    varied = [r for r in clean.kept if r.has_variation]
+    varied = clean.kept.with_variation()
     for domain, s in sorted(finland_profile(varied).items(), key=lambda kv: kv[1].median):
         marker = "  <- Finland cheapest" if s.median <= 1.02 else ""
         print(f"  {domain:35s} median=x{s.median:.3f}{marker}")

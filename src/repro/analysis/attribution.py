@@ -139,59 +139,11 @@ class CheckoutProbe:
         valid = report.valid_observations()
         cheapest = min(valid, key=lambda obs: obs.usd or 0.0)
         dearest = max(valid, key=lambda obs: obs.usd or 0.0)
-        return self._attribute(
-            url=report.url,
-            domain=report.domain,
-            displayed_ratio=ratio,
-            guard=report.guard_threshold,
-            cheap_vantage=cheapest.vantage,
-            dear_vantage=dearest.vantage,
-        )
-
-    def attribute_row(self, table, row: int) -> Optional[AttributionVerdict]:
-        """Attribute one :class:`~repro.store.ReportTable` row.
-
-        Same verdict as :meth:`attribute` on the materialized report, but
-        the cheapest/dearest vantage points are read straight off the
-        observation columns -- no dataclass is built.
-        """
-        ratio = table.ratio[row]
-        if ratio is None:
-            return None
-        cheap_j = dear_j = None
-        cheap = dear = None
-        for j in table.valid_obs_indices(row):
-            usd = table.o_usd[j] or 0.0
-            if cheap is None or usd < cheap:
-                cheap, cheap_j = usd, j
-            if dear is None or usd > dear:
-                dear, dear_j = usd, j
-        if cheap_j is None or dear_j is None:
-            return None
-        return self._attribute(
-            url=table.urls.value(table.url_id[row]),
-            domain=table.domains.value(table.domain_id[row]),
-            displayed_ratio=ratio,
-            guard=table.guard[row],
-            cheap_vantage=table.vantages.value(table.o_vantage_id[cheap_j]),
-            dear_vantage=table.vantages.value(table.o_vantage_id[dear_j]),
-        )
-
-    def _attribute(
-        self,
-        *,
-        url: str,
-        domain: str,
-        displayed_ratio: float,
-        guard: float,
-        cheap_vantage: str,
-        dear_vantage: str,
-    ) -> Optional[AttributionVerdict]:
-        sku = _sku_from_url(self.world, domain, url)
+        sku = _sku_from_url(self.world, report.domain, report.url)
         if sku is None:
             return None
-        cheap_quote = self.quote(cheap_vantage, domain, sku)
-        dear_quote = self.quote(dear_vantage, domain, sku)
+        cheap_quote = self.quote(cheapest.vantage, report.domain, sku)
+        dear_quote = self.quote(dearest.vantage, report.domain, sku)
         if cheap_quote is None or dear_quote is None:
             return None
         merchant_ratio = (
@@ -200,13 +152,13 @@ class CheckoutProbe:
             else 1.0
         )
         return AttributionVerdict(
-            url=url,
-            domain=domain,
-            displayed_ratio=displayed_ratio,
+            url=report.url,
+            domain=report.domain,
+            displayed_ratio=ratio,
             merchant_total_ratio=merchant_ratio,
             cheap_quote=cheap_quote,
             dear_quote=dear_quote,
-            guard=guard,
+            guard=report.guard_threshold,
         )
 
 

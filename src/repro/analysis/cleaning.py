@@ -12,11 +12,11 @@ wide extremes, drops degenerate reports, and optionally enforces
 same way on a majority of days, which suppresses A/B-test flukes (§2.2's
 "we repeated the same set of measurements multiple times").
 
-Given a columnar :class:`~repro.store.TableSlice` (what the datasets now
-hand out), cleaning runs as column passes, the guard is written through
-:meth:`~repro.store.ReportTable.set_guard` (column + materialized rows
-stay in sync), and ``CleanResult.kept`` is itself a slice -- so every
-downstream figure aggregation stays on the columnar kernels.
+Cleaning runs as column passes over a :class:`~repro.store.TableSlice`
+(a plain report list is first appended to a fresh table).  The guard is
+written through :meth:`~repro.store.ReportTable.set_guard`, so the
+column and any materialized rows agree, and ``CleanResult.kept`` is a
+slice of the same table for the figure kernels downstream.
 """
 
 from __future__ import annotations
@@ -43,45 +43,33 @@ def dataset_guard(
     rates: RateService, reports: Sequence[PriceCheckReport], *, margin: float = 0.0
 ) -> float:
     """The dataset-wide currency-translation guard threshold."""
-    if not len(reports):
-        raise ValueError("no reports")
-    currencies: set[str] = set()
-    days: set[int] = set()
     sliced = as_table_slice(reports)
-    if sliced is not None:
-        table = sliced.table
-        currency_value = table.currencies.value
-        seen_ids: set[int] = set()
-        for i in sliced.rows:
-            days.add(table.day_index[i])
-            for j in table.valid_obs_indices(i):
-                cid = table.o_currency_id[j]
-                if cid >= 0:
-                    seen_ids.add(cid)
-        currencies = {
-            code for code in (currency_value(cid) for cid in seen_ids) if code
-        }
-    else:
-        for report in reports:
-            days.add(report.day_index)
-            for obs in report.valid_observations():
-                if obs.currency:
-                    currencies.add(obs.currency)
-    if not currencies:
-        currencies = {"USD"}
-    return max_gap_ratio(rates, currencies, days, margin=margin)
+    if not len(sliced):
+        raise ValueError("no reports")
+    table = sliced.table
+    days: set[int] = set()
+    currency_ids: set[int] = set()
+    for i in sliced.rows:
+        days.add(table.day_index[i])
+        for j in table.valid_obs_indices(i):
+            cid = table.o_currency_id[j]
+            if cid >= 0:
+                currency_ids.add(cid)
+    currency_value = table.currencies.value
+    currencies = {code for code in map(currency_value, currency_ids) if code}
+    return max_gap_ratio(rates, currencies or {"USD"}, days, margin=margin)
 
 
 @dataclass
 class CleanResult:
     """Cleaning outcome: surviving reports plus an accounting of drops.
 
-    ``kept`` is a ``Sequence[PriceCheckReport]`` -- a plain list on the
-    legacy path, a lazy :class:`~repro.store.TableSlice` on the columnar
-    one (list-style consumers cannot tell the difference).
+    ``kept`` is a lazy :class:`~repro.store.TableSlice` over the cleaned
+    table: it iterates as ``PriceCheckReport`` objects and feeds the
+    figure kernels without materializing any.
     """
 
-    kept: Sequence[PriceCheckReport] = field(default_factory=list)
+    kept: TableSlice
     dropped: Counter = field(default_factory=Counter)
     guard: float = 1.0
 
@@ -111,60 +99,16 @@ def clean_reports(
     across measurement rounds (no-ops on single-day datasets).
     """
     sliced = as_table_slice(reports)
-    if sliced is not None:
-        return _clean_kernel(
-            sliced, rates,
-            min_points=min_points, guard_margin=guard_margin,
-            require_repeatable=require_repeatable,
-        )
-    result = CleanResult()
-    if not reports:
+    table = sliced.table
+    result = CleanResult(kept=TableSlice(table, []))
+    if not len(sliced):
         return result
-    result.guard = dataset_guard(rates, reports, margin=guard_margin)
+    result.guard = dataset_guard(rates, sliced, margin=guard_margin)
     # Validity first, repeatability second: a measurement round that
     # fails the data-quality filters (too few observations, corrupted
     # non-positive prices) is not evidence about whether a product's
     # variation recurs -- an adversary serving garbage on alternate days
     # must not be able to veto the clean days' verdict.
-    prefiltered: list[PriceCheckReport] = []
-    for report in reports:
-        valid = report.valid_observations()
-        if len(valid) < min_points:
-            result.dropped["too-few-observations"] += 1
-            continue
-        if any(obs.amount is not None and obs.amount <= 0 for obs in valid):
-            result.dropped["non-positive-price"] += 1
-            continue
-        prefiltered.append(report)
-    repeatable: Optional[set[str]] = None
-    if require_repeatable:
-        repeatable = repeatable_products(prefiltered, guard=result.guard)
-    for report in prefiltered:
-        report.guard_threshold = result.guard
-        if repeatable is not None and report.has_variation and report.url not in repeatable:
-            result.dropped["not-repeatable"] += 1
-            continue
-        result.kept.append(report)  # type: ignore[union-attr]
-    return result
-
-
-def _clean_kernel(
-    sliced: TableSlice,
-    rates: RateService,
-    *,
-    min_points: int,
-    guard_margin: float,
-    require_repeatable: bool,
-) -> CleanResult:
-    result = CleanResult()
-    table = sliced.table
-    if not len(sliced):
-        result.kept = TableSlice(table, [])
-        return result
-    result.guard = dataset_guard(rates, sliced, margin=guard_margin)
-    # Mirror of the list path: repeatability is judged only over rounds
-    # that pass the validity filters, so corrupted rounds cannot veto
-    # clean ones (see clean_reports).
     guarded_rows: list[int] = []
     o_amount = table.o_amount
     for i in sliced.rows:
@@ -195,8 +139,6 @@ def _clean_kernel(
                 result.dropped["not-repeatable"] += 1
                 continue
         kept_rows.append(i)
-    # Same write the list path performs on each surviving dataclass, done
-    # once through the table so the column and cached rows agree.
     table.set_guard(result.guard, guarded_rows)
     result.kept = TableSlice(table, kept_rows)
     return result
@@ -254,28 +196,13 @@ def repeatable_products(
     available to demand).
     """
     sliced = as_table_slice(reports)
-    if sliced is not None:
-        url_value = sliced.table.urls.value
-        return {
-            url_value(uid)
-            for uid in _repeatable_url_ids(
-                sliced, guard=guard, min_fraction=min_fraction
-            )
-        }
-    rounds: dict[str, list[bool]] = {}
-    for report in reports:
-        if len(report.valid_observations()) < 2:
-            continue
-        ratio = report.ratio
-        varied = ratio is not None and ratio > guard
-        rounds.setdefault(report.url, []).append(varied)
-    out: set[str] = set()
-    for url, outcomes in rounds.items():
-        if len(outcomes) == 1:
-            out.add(url)
-        elif sum(outcomes) / len(outcomes) > min_fraction:
-            out.add(url)
-    return out
+    url_value = sliced.table.urls.value
+    return {
+        url_value(uid)
+        for uid in _repeatable_url_ids(
+            sliced, guard=guard, min_fraction=min_fraction
+        )
+    }
 
 
 def _repeatable_url_ids(

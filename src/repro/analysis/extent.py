@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.reports import PriceCheckReport
-from repro.store import TableSlice, as_table_slice
+from repro.store import as_table_slice
 
 __all__ = ["variation_extent"]
 
@@ -20,31 +20,11 @@ def variation_extent(
 ) -> dict[str, float]:
     """domain -> fraction of its checks that showed guarded variation.
 
-    Accepts either a plain report sequence or a columnar
-    :class:`~repro.store.TableSlice`; the latter runs as a single pass
-    over the domain/ratio/guard columns.
+    One pass over the domain/ratio/guard columns of the reports' table.
     """
     if min_reports < 1:
         raise ValueError("min_reports must be >= 1")
     sliced = as_table_slice(reports)
-    if sliced is not None:
-        return _extent_kernel(sliced, min_reports)
-    totals: dict[str, int] = {}
-    varied: dict[str, int] = {}
-    for report in reports:
-        if report.ratio is None:
-            continue
-        totals[report.domain] = totals.get(report.domain, 0) + 1
-        if report.has_variation:
-            varied[report.domain] = varied.get(report.domain, 0) + 1
-    return {
-        domain: varied.get(domain, 0) / total
-        for domain, total in totals.items()
-        if total >= min_reports
-    }
-
-
-def _extent_kernel(sliced: TableSlice, min_reports: int) -> dict[str, float]:
     table = sliced.table
     ratio, guard, domain_id = table.ratio, table.guard, table.domain_id
     totals: dict[int, int] = {}

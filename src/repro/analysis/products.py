@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from repro.analysis.stats import percentile
 from repro.core.reports import PriceCheckReport
-from repro.store import TableSlice, as_table_slice
+from repro.store import as_table_slice
 
 __all__ = ["ProductPoint", "ratio_vs_min_price", "per_vantage_structure", "VantageSeries"]
 
@@ -43,36 +43,6 @@ def ratio_vs_min_price(
     the product's minimum across everything seen.
     """
     sliced = as_table_slice(reports)
-    if sliced is not None:
-        points = _ratio_vs_min_price_kernel(sliced, only_variation)
-    else:
-        per_product: dict[str, list[PriceCheckReport]] = {}
-        for report in reports:
-            if report.ratio is not None:
-                per_product.setdefault(report.url, []).append(report)
-        points = []
-        for url, product_reports in per_product.items():
-            ratios = [r.ratio for r in product_reports if r.ratio is not None]
-            mins = [r.min_usd for r in product_reports if r.min_usd is not None]
-            if not ratios or not mins:
-                continue
-            if only_variation and not any(r.has_variation for r in product_reports):
-                continue
-            points.append(
-                ProductPoint(
-                    url=url,
-                    domain=product_reports[0].domain,
-                    min_price_usd=min(mins),
-                    max_ratio=max(ratios),
-                )
-            )
-    points.sort(key=lambda p: p.min_price_usd)
-    return points
-
-
-def _ratio_vs_min_price_kernel(
-    sliced: TableSlice, only_variation: bool
-) -> list[ProductPoint]:
     table = sliced.table
     ratio, guard = table.ratio, table.guard
     # url_id -> [min price, max ratio, any variation, domain_id]
@@ -93,7 +63,7 @@ def _ratio_vs_min_price_kernel(
             entry[1] = r
         entry[2] = entry[2] or varied
     url_value, domain_value = table.urls.value, table.domains.value
-    return [
+    points = [
         ProductPoint(
             url=url_value(uid),
             domain=domain_value(entry[3]),
@@ -103,6 +73,8 @@ def _ratio_vs_min_price_kernel(
         for uid, entry in acc.items()
         if not (only_variation and not entry[2])
     ]
+    points.sort(key=lambda p: p.min_price_usd)
+    return points
 
 
 @dataclass(frozen=True)
@@ -132,51 +104,14 @@ def per_vantage_structure(
     (product, vantage).
     """
     sliced = as_table_slice(reports)
-    if sliced is not None:
-        series_points = _per_vantage_kernel(sliced, domain, vantages)
-    else:
-        domain_reports = [r for r in reports if r.domain == domain]
-        per_product: dict[str, list[PriceCheckReport]] = {}
-        for report in domain_reports:
-            per_product.setdefault(report.url, []).append(report)
-
-        series_points = {}
-        for url, product_reports in per_product.items():
-            mins = [r.min_usd for r in product_reports if r.min_usd is not None]
-            if not mins:
-                continue
-            price = min(mins)
-            per_vantage: dict[str, list[float]] = {}
-            for report in product_reports:
-                for vantage, ratio in report.ratios_by_vantage().items():
-                    per_vantage.setdefault(vantage, []).append(ratio)
-            for vantage, ratios in per_vantage.items():
-                if vantages is not None and vantage not in vantages:
-                    continue
-                series_points.setdefault(vantage, []).append(
-                    (price, percentile(ratios, 50))
-                )
-
-    out = []
-    for vantage in sorted(series_points):
-        points = tuple(sorted(series_points[vantage]))
-        out.append(VantageSeries(vantage=vantage, points=points))
-    return out
-
-
-def _per_vantage_kernel(
-    sliced: TableSlice, domain: str, vantages: Optional[Sequence[str]]
-) -> dict[str, list[tuple[float, float]]]:
     table = sliced.table
     did = table.domains.id_of(domain)
-    series_points: dict[str, list[tuple[float, float]]] = {}
-    if did is None:
-        return series_points
     per_product: dict[int, list[int]] = {}
     for i in sliced.rows:
         if table.domain_id[i] == did:
             per_product.setdefault(table.url_id[i], []).append(i)
     vantage_value = table.vantages.value
+    series_points: dict[str, list[tuple[float, float]]] = {}
     for rows in per_product.values():
         mins = [table.min_usd[i] for i in rows if table.min_usd[i] is not None]
         if not mins:
@@ -193,4 +128,9 @@ def _per_vantage_kernel(
             series_points.setdefault(name, []).append(
                 (price, percentile(ratios, 50))
             )
-    return series_points
+
+    out = []
+    for vantage in sorted(series_points):
+        points = tuple(sorted(series_points[vantage]))
+        out.append(VantageSeries(vantage=vantage, points=points))
+    return out

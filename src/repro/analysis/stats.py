@@ -98,8 +98,8 @@ def grouped_box_stats(
     """key -> :class:`BoxStats`, dropping groups below ``min_samples``.
 
     The reduction every grouped-distribution figure (2, 4, 7, 9) ends
-    with; both the columnar kernels and the list-based fallbacks feed
-    their accumulated samples through here, in group insertion order.
+    with: the columnar kernels feed their accumulated samples through
+    here, in group insertion order.
     """
     return {
         key: BoxStats.from_values(values)

@@ -158,9 +158,9 @@ class RunCheckpoint:
         seg_path = self.directory / seg_name
         tmp = seg_path.with_name(seg_name + ".tmp")
         if self.kind == "campaign":
-            save_crowd_dataset(dataset, tmp, columnar=True)
+            save_crowd_dataset(dataset, tmp)
         else:
-            save_crawl_dataset(dataset, tmp, columnar=True)
+            save_crawl_dataset(dataset, tmp)
         barrier(SEGMENT_FLUSH)
         promote_tmp(tmp, seg_path)
 

@@ -37,6 +37,7 @@ from repro import io as dataset_io
 from repro.analysis import (
     clean_reports,
     domain_ratio_stats,
+    domain_variation_counts,
     finland_profile,
     location_ratio_stats,
     variation_extent,
@@ -238,11 +239,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         f"{summary['domains']} domains"
     )
     _print_fleet_health()
-    for domain, count in dataset.variation_counts().most_common(10):
+    flagged = domain_variation_counts(dataset.reports())
+    for domain, count in flagged.most_common(10):
         print(f"  flagged {domain:40s} {count}")
     if args.out:
-        lines = dataset_io.save_crowd_dataset(dataset, args.out, seed=args.seed)
-        print(f"wrote {lines} records to {args.out}")
+        records = dataset_io.save_crowd_dataset(dataset, args.out, seed=args.seed)
+        print(f"wrote {records} records to {args.out}")
     return 0
 
 
@@ -258,8 +260,8 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
     print(f"crawl complete: {dataset.summary()}")
     _print_fleet_health()
     if args.out:
-        lines = dataset_io.save_crawl_dataset(dataset, args.out, seed=args.seed)
-        print(f"wrote {lines} reports to {args.out}")
+        reports = dataset_io.save_crawl_dataset(dataset, args.out, seed=args.seed)
+        print(f"wrote {reports} reports to {args.out}")
     return 0
 
 
@@ -304,10 +306,10 @@ def _cmd_crawl_scenario(args: argparse.Namespace) -> int:
         print(f"  INVARIANT VIOLATED: {line}")
     if args.out:
         assert result.crawl_dataset is not None
-        lines = dataset_io.save_crawl_dataset(
+        reports = dataset_io.save_crawl_dataset(
             result.crawl_dataset, args.out, seed=args.seed
         )
-        print(f"wrote {lines} reports to {args.out}")
+        print(f"wrote {reports} reports to {args.out}")
     return 1 if problems else 0
 
 
@@ -323,9 +325,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         raise CliError(f"not a repro dataset {args.dataset!r}: {exc}")
     except UnicodeDecodeError:
         raise CliError(f"not a repro dataset {args.dataset!r}: binary junk")
-    if kind == "crowd":
-        return _analyze_crowd(dataset, seed=args.seed)
-    return _analyze_crawl(dataset, seed=args.seed)
+    # Loading checks the file's shape, not its values: a currency the FX
+    # model does not know or a negative day only fails once analyzed.
+    try:
+        if kind == "crowd":
+            return _analyze_crowd(dataset, seed=args.seed)
+        return _analyze_crawl(dataset, seed=args.seed)
+    except ValueError as exc:
+        raise CliError(f"cannot analyze dataset {args.dataset!r}: {exc}")
 
 
 def _analyze_crowd(dataset, *, seed: int) -> int:
@@ -338,7 +345,8 @@ def _analyze_crowd(dataset, *, seed: int) -> int:
         f"{summary['domains']} domains; guard x{clean.guard:.4f}"
     )
     print("\nchecks with variation per domain (Fig. 1):")
-    for domain, count in dataset.variation_counts().most_common(15):
+    flagged = domain_variation_counts(dataset.reports())
+    for domain, count in flagged.most_common(15):
         print(f"  {domain:38s} {count}")
     print("\nmagnitude (Fig. 2, median max/min ratio of flagged checks):")
     stats = domain_ratio_stats(clean.kept, only_variation=True)
@@ -368,7 +376,7 @@ def _analyze_crawl(dataset, *, seed: int) -> int:
     locations = location_ratio_stats(clean.kept)
     print(boxplot_rows(locations, width=44))
     print("\nFinland profile (Fig. 9):")
-    varied = [r for r in clean.kept if r.has_variation]
+    varied = clean.kept.with_variation()
     for domain, s in sorted(finland_profile(varied).items(),
                             key=lambda kv: kv[1].median):
         print(f"  {domain:38s} x{s.median:.3f}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from repro.analysis.ratios import domain_variation_counts
 from repro.core.backend import SheriffBackend
 from repro.core.highlight import PriceAnchor, derive_anchor
 from repro.crowd.dataset import CrowdDataset
@@ -81,7 +82,7 @@ def select_domains_from_crowd(
     Carry-overs are guaranteed a slot (the authors crawled them regardless
     of crowd evidence); the crowd ranking fills the remaining budget.
     """
-    counts = crowd.variation_counts()
+    counts = domain_variation_counts(crowd.reports())
     ranked = [domain for domain, count in counts.most_common() if count >= min_flagged]
     missing = [domain for domain in carry_overs if domain not in ranked]
     budget = max(0, max_retailers - len(missing))
@@ -107,11 +108,12 @@ def build_plan(
     if domains is None:
         if crowd is None:
             raise PlanError("need either explicit domains or a crowd dataset")
+        flagged = domain_variation_counts(crowd.reports())
         domains = select_domains_from_crowd(
             crowd,
             min_flagged=min_flagged,
             max_retailers=max_retailers,
-            carry_overs=[d for d in world.crawled_domains if d not in crowd.variation_counts()],
+            carry_overs=[d for d in world.crawled_domains if d not in flagged],
         )
     if products_per_retailer <= 0:
         raise PlanError("products_per_retailer must be positive")

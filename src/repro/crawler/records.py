@@ -1,11 +1,10 @@
 """The crawled dataset: reports from the systematic daily crawl.
 
-Since the columnar-store refactor this is a thin view over a
-:class:`~repro.store.ReportTable`: :meth:`CrawlDataset.add` appends
-columns (no dataclass is retained), ``dataset.reports`` is a lazy
-:class:`~repro.store.TableSlice`, and the grouping accessors ride the
-table's cached, version-invalidated indexes instead of rebuilding a
-dict of dataclasses on every call.
+This is a thin view over a :class:`~repro.store.ReportTable`:
+:meth:`CrawlDataset.add` appends columns (no dataclass is retained),
+``dataset.reports`` is a lazy :class:`~repro.store.TableSlice` for the
+analysis kernels, and the summary accessors ride the table's cached,
+version-invalidated indexes.
 """
 
 from __future__ import annotations
@@ -75,22 +74,6 @@ class CrawlDataset:
     def n_extracted_prices(self) -> int:
         """Total successful price extractions -- the paper's '188K'."""
         return sum(self._table.n_valid)
-
-    def by_domain(self) -> dict[str, list[PriceCheckReport]]:
-        """Reports grouped by retailer domain."""
-        table = self._table
-        return {
-            table.domains.value(did): [table.report(i) for i in rows]
-            for did, rows in table.rows_by_domain().items()
-        }
-
-    def by_product(self) -> dict[str, list[PriceCheckReport]]:
-        """URL -> that product's reports across days."""
-        table = self._table
-        return {
-            table.urls.value(uid): [table.report(i) for i in rows]
-            for uid, rows in table.rows_by_url().items()
-        }
 
     def summary(self) -> dict[str, int]:
         """Headline dataset statistics (the §3.2 crawl numbers)."""

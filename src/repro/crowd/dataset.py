@@ -1,21 +1,20 @@
 """The crowdsourced dataset and its summary statistics.
 
-Everything Figs. 1-2 need lives here: per-domain counts of checks showing
-variation, per-domain ratio distributions, and the §3.2 headline numbers
-(requests, users, countries, domains).
+The dataset hands Figs. 1-2 their input -- :meth:`CrowdDataset.reports`,
+a slice of the completed checks for the :mod:`repro.analysis` kernels --
+and computes the §3.2 headline numbers (requests, users, countries,
+domains).
 
-Since the columnar-store refactor the dataset is a thin view over the
-shared spine: fleet reports live in a :class:`~repro.store.ReportTable`
-(one row per completed check), while the record-level facts -- who asked,
-from where, what they themselves saw -- are parallel columns alongside
-it.  :class:`CheckRecord` objects materialize lazily and are cached;
-the Fig. 1/2 aggregations are single passes over the columns.
+The dataset is a thin view over the shared spine: fleet reports live in
+a :class:`~repro.store.ReportTable` (one row per completed check), while
+the record-level facts -- who asked, from where, what they themselves
+saw -- are parallel columns alongside it.  :class:`CheckRecord` objects
+materialize lazily and are cached.
 """
 
 from __future__ import annotations
 
 import weakref
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
@@ -248,52 +247,13 @@ class CrowdDataset:
         }
 
     # ------------------------------------------------------------------
-    # Figure inputs (single-pass columnar aggregations)
+    # Figure input
     # ------------------------------------------------------------------
     def reports(self) -> TableSlice:
         """All successfully completed check reports (lazy view)."""
         return TableSlice(
             self._table, [row for row in self._report_row if row >= 0]
         )
-
-    def variation_counts(self) -> Counter:
-        """domain -> number of requests whose variation beat the guard.
-
-        This is exactly Fig. 1's y-axis.
-        """
-        table = self._table
-        counts: Counter = Counter()
-        for i, row in enumerate(self._report_row):
-            if row >= 0 and table.row_has_variation(row):
-                counts[table.domains.value(self._r_domain_id[i])] += 1
-        return counts
-
-    def ratios_by_domain(self, *, only_variation: bool = True) -> dict[str, list[float]]:
-        """domain -> list of per-check max/min ratios (Fig. 2's input)."""
-        table = self._table
-        out: dict[str, list[float]] = {}
-        for i, row in enumerate(self._report_row):
-            if row < 0:
-                continue
-            ratio = table.ratio[row]
-            if ratio is None:
-                continue
-            if only_variation and ratio <= table.guard[row]:
-                continue
-            domain = table.domains.value(self._r_domain_id[i])
-            out.setdefault(domain, []).append(ratio)
-        return out
-
-    def checks_for_domain(self, domain: str) -> list[CheckRecord]:
-        """Every check the crowd ran against one domain."""
-        did = self._table.domains.id_of(domain)
-        if did is None:
-            return []
-        return [
-            self.record(i)
-            for i, record_did in enumerate(self._r_domain_id)
-            if record_did == did
-        ]
 
     # ------------------------------------------------------------------
     # Columnar (de)serialization -- the io layer's compact layout

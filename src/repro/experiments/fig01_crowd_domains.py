@@ -3,6 +3,7 @@ differences, in the crowdsourced dataset."""
 
 from __future__ import annotations
 
+from repro.analysis.ratios import domain_variation_counts
 from repro.experiments.base import FigureResult
 from repro.experiments.context import ExperimentContext
 
@@ -27,7 +28,7 @@ def run(ctx: ExperimentContext) -> FigureResult:
         ),
         columns=("domain", "requests_with_differences"),
     )
-    counts = ctx.crowd.variation_counts()
+    counts = domain_variation_counts(ctx.crowd.reports())
     ranked = counts.most_common()
     for domain, count in ranked:
         result.add_row(domain, count)

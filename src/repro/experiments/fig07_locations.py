@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import statistics
 
-from repro.analysis.locations import location_ratio_stats
+from repro.analysis.locations import location_ratios
+from repro.analysis.stats import grouped_box_stats
 from repro.experiments.base import FigureResult
 from repro.experiments.context import ExperimentContext
 
@@ -30,14 +31,9 @@ def run(ctx: ExperimentContext) -> FigureResult:
         ),
         columns=("location", "n", "median", "mean", "q75", "whisker_high"),
     )
-    stats = location_ratio_stats(ctx.crawl_clean.kept)
-    means: dict[str, float] = {}
-    samples: dict[str, list[float]] = {}
-    for report in ctx.crawl_clean.kept:
-        for vantage, ratio in report.ratios_by_vantage().items():
-            samples.setdefault(vantage, []).append(ratio)
-    for vantage, values in samples.items():
-        means[vantage] = statistics.fmean(values)
+    samples = location_ratios(ctx.crawl_clean.kept)
+    stats = grouped_box_stats(samples)
+    means = {vantage: statistics.fmean(values) for vantage, values in samples.items()}
 
     for vantage in sorted(stats, key=lambda v: means.get(v, 0.0)):
         s = stats[vantage]

@@ -22,8 +22,7 @@ def run(ctx: ExperimentContext) -> FigureResult:
         ),
         columns=("domain", "n", "median", "q25", "max"),
     )
-    varied = [r for r in ctx.crawl_clean.kept if r.has_variation]
-    profile = finland_profile(varied)
+    profile = finland_profile(ctx.crawl_clean.kept.with_variation())
     for domain in sorted(profile, key=lambda d: profile[d].median):
         s = profile[domain]
         result.add_row(domain, s.n, s.median, s.q25, s.maximum)

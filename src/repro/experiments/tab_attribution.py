@@ -34,9 +34,8 @@ def run(ctx: ExperimentContext) -> FigureResult:
 
     # One flagged product per crawled retailer.
     sampled = {}
-    for report in ctx.crawl_clean.kept:
-        if report.has_variation and report.domain not in sampled:
-            sampled[report.domain] = report
+    for report in ctx.crawl_clean.kept.with_variation():
+        sampled.setdefault(report.domain, report)
     verdicts = []
     for domain in sorted(sampled):
         verdict = probe.attribute(sampled[domain])

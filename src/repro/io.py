@@ -1,19 +1,21 @@
-"""Dataset persistence: JSON-lines serialization for check reports.
+"""Dataset persistence: JSON-lines files of check reports.
 
 The paper's backend "store[s] the pages for analysis in a database"; the
 measurement datasets likewise need to outlive a process so the expensive
-crawl can be analyzed repeatedly.  Two layouts share one header line:
+crawl can be analyzed repeatedly.  Every file starts with one header
+line, ``{"format": "repro-reports", "version": 1, "kind":
+"crawl"|"crowd", "layout": ..., ...metadata}``.
 
-* **rows** (the original) -- line 1 a header object ``{"format":
-  "repro-reports", "version": 1, "kind": "crawl"|"crowd", ...metadata}``,
-  every further line one serialized :class:`PriceCheckReport` (crawl) or
-  one crowd check record wrapping a report;
-* **columnar** (``layout: "columnar"`` in the header) -- the
-  :class:`~repro.store.ReportTable`'s own shape: one line of string
-  pools, one line of report columns, one line of observation columns
-  (crowd files add a fourth line of record columns).  Loading rebuilds
-  the table directly -- no per-report dict round-trip -- and both layouts
-  load to equal datasets (test-asserted).
+The saves write the **columnar** layout (``layout: "columnar"``), the
+:class:`~repro.store.ReportTable`'s own shape: one line of string pools,
+one line of report columns, one line of observation columns (crowd
+files add a fourth line of record columns).  Loading rebuilds the table
+directly, with no per-report dict round-trip.
+
+The loaders also read the older **rows** layout (``layout: "rows"``, or
+no ``layout`` at all): after the header, one serialized
+:class:`PriceCheckReport` per line (crawl), or one crowd check record
+wrapping a report.  Both layouts load to equal datasets (test-asserted).
 
 Readers validate the header and fail loudly on version mismatch -- silent
 misreads of measurement data are worse than crashes.
@@ -49,7 +51,6 @@ __all__ = [
 
 FORMAT_NAME = "repro-reports"
 FORMAT_VERSION = 1
-LAYOUT_ROWS = "rows"
 LAYOUT_COLUMNAR = "columnar"
 
 
@@ -131,15 +132,11 @@ def report_from_dict(data: dict) -> PriceCheckReport:
 # ----------------------------------------------------------------------
 # File plumbing
 # ----------------------------------------------------------------------
-def _write_lines(path: Union[str, Path], header: dict, rows: Iterable[dict]) -> int:
-    path = Path(path)
-    count = 0
-    with path.open("w", encoding="utf-8") as fh:
+def _write_lines(path: Union[str, Path], header: dict, rows: Iterable[dict]) -> None:
+    with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         for row in rows:
             fh.write(json.dumps(row, separators=(",", ":")) + "\n")
-            count += 1
-    return count
 
 
 def _read_header(path: Path, first: str) -> dict:
@@ -249,36 +246,23 @@ def _table_from_sections(path: Union[str, Path], sections: list[dict]) -> Report
 # Crawl dataset
 # ----------------------------------------------------------------------
 def save_crawl_dataset(
-    dataset: CrawlDataset,
-    path: Union[str, Path],
-    *,
-    seed: Optional[int] = None,
-    columnar: bool = False,
+    dataset: CrawlDataset, path: Union[str, Path], *, seed: Optional[int] = None
 ) -> int:
-    """Write a crawl dataset; returns the number of data lines written.
-
-    ``columnar=True`` dumps the backing table's columns (3 lines however
-    large the dataset) instead of one line per report; both layouts load
-    back to equal datasets.
-    """
+    """Write a crawl dataset in the columnar layout; returns its report count."""
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "kind": "crawl",
-        "layout": LAYOUT_COLUMNAR if columnar else LAYOUT_ROWS,
+        "layout": LAYOUT_COLUMNAR,
         "reports": len(dataset),
         "seed": seed,
     }
-    if columnar:
-        pools, reports, observations = dataset.table.to_columns()
-        return _write_lines(
-            path, header,
-            ({"pools": pools}, {"reports": reports},
-             {"observations": observations}),
-        )
-    return _write_lines(
-        path, header, (report_to_dict(r) for r in dataset.reports)
+    pools, reports, observations = dataset.table.to_columns()
+    _write_lines(
+        path, header,
+        ({"pools": pools}, {"reports": reports}, {"observations": observations}),
     )
+    return len(dataset)
 
 
 def load_crawl_dataset(path: Union[str, Path]) -> CrawlDataset:
@@ -301,50 +285,27 @@ def load_crawl_dataset(path: Union[str, Path]) -> CrawlDataset:
 # ----------------------------------------------------------------------
 # Crowd dataset
 # ----------------------------------------------------------------------
-def _crowd_record_row(record: CheckRecord) -> dict:
-    return {
-        "user": record.user_id,
-        "country": record.user_country,
-        "day": record.day_index,
-        "domain": record.domain,
-        "url": record.url,
-        "user_amount": record.outcome.user_amount,
-        "user_currency": record.outcome.user_currency,
-        "failure": record.outcome.failure,
-        "report": (
-            report_to_dict(record.report) if record.report else None
-        ),
-    }
-
-
 def save_crowd_dataset(
-    dataset: CrowdDataset,
-    path: Union[str, Path],
-    *,
-    seed: Optional[int] = None,
-    columnar: bool = False,
+    dataset: CrowdDataset, path: Union[str, Path], *, seed: Optional[int] = None
 ) -> int:
-    """Write a crowd dataset; returns the number of data lines written."""
+    """Write a crowd dataset in the columnar layout; returns its record count."""
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "kind": "crowd",
-        "layout": LAYOUT_COLUMNAR if columnar else LAYOUT_ROWS,
+        "layout": LAYOUT_COLUMNAR,
         "records": len(dataset),
         "seed": seed,
     }
-    if columnar:
-        pools, reports, observations = dataset.table.to_columns()
-        records = dataset.record_columns()
-        pools = dict(pools, **records.pop("pools"))
-        return _write_lines(
-            path, header,
-            ({"pools": pools}, {"reports": reports},
-             {"observations": observations}, {"records": records}),
-        )
-    return _write_lines(
-        path, header, (_crowd_record_row(record) for record in dataset.records)
+    pools, reports, observations = dataset.table.to_columns()
+    records = dataset.record_columns()
+    pools = dict(pools, **records.pop("pools"))
+    _write_lines(
+        path, header,
+        ({"pools": pools}, {"reports": reports},
+         {"observations": observations}, {"records": records}),
     )
+    return len(dataset)
 
 
 def load_crowd_dataset(path: Union[str, Path]) -> CrowdDataset:

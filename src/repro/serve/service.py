@@ -246,9 +246,7 @@ class SheriffService:
                     checkpoint_dir=job.checkpoint_dir, resume=True,
                 )
             tmp = job.results_path.with_name(job.results_path.name + ".tmp")
-            rows = save_crowd_dataset(
-                dataset, tmp, seed=job.spec.seed, columnar=True
-            )
+            rows = save_crowd_dataset(dataset, tmp, seed=job.spec.seed)
             os.replace(tmp, job.results_path)
             job.persist_outcome({
                 "status": "done",

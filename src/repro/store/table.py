@@ -17,21 +17,20 @@ dataclasses:
 
 Reports are *materialized lazily*: :meth:`ReportTable.report` builds the
 dataclass for one row on demand and caches it, so iterating a dataset
-still hands out ordinary :class:`PriceCheckReport` objects -- repeated
-access returns the same object, preserving the old mutate-in-place
-semantics of :func:`repro.analysis.cleaning.clean_reports` (which now
-goes through :meth:`ReportTable.set_guard`, keeping the column and any
-cached rows in sync).
+still hands out ordinary :class:`PriceCheckReport` objects.  Repeated
+access returns the same object, and the one analysis write --
+:func:`repro.analysis.cleaning.clean_reports` setting the guard through
+:meth:`ReportTable.set_guard` -- updates the column and any rows already
+handed out.
 
 Derived indexes (:meth:`rows_by_domain`, :meth:`rows_by_url`,
 :meth:`day_values`) are cached against a version counter that every
 append bumps, so a growing table never serves a stale index.
 
 :class:`TableSlice` is an ordered, lazily-materializing view of a row
-subset.  It behaves as a ``Sequence[PriceCheckReport]`` -- old list-based
-call sites keep working -- while carrying ``(table, rows)`` so the
-analysis layer can dispatch to columnar kernels instead of walking
-dataclasses.
+subset.  It behaves as a ``Sequence[PriceCheckReport]`` while carrying
+``(table, rows)``, which is all the analysis kernels read;
+:func:`as_table_slice` turns any other report sequence into one.
 """
 
 from __future__ import annotations
@@ -589,8 +588,8 @@ class ReportTable:
 class TableSlice:
     """An ordered, lazily-materializing view of table rows.
 
-    Quacks like a ``Sequence[PriceCheckReport]`` so every list-based call
-    site keeps working, while exposing ``(table, rows)`` for the columnar
+    Quacks like a ``Sequence[PriceCheckReport]`` for callers that want
+    dataclasses, while exposing ``(table, rows)`` for the columnar
     analysis kernels (see :func:`as_table_slice`).
     """
 
@@ -617,19 +616,27 @@ class TableSlice:
         for i in self.rows:
             yield report(i)
 
+    def with_variation(self) -> "TableSlice":
+        """The rows whose variation beats their guard, in order."""
+        has_variation = self.table.row_has_variation
+        return TableSlice(self.table, [i for i in self.rows if has_variation(i)])
+
     def __repr__(self) -> str:
         return f"TableSlice({len(self)} of {len(self.table)} rows)"
 
 
-def as_table_slice(reports) -> Optional[TableSlice]:
-    """The :class:`TableSlice` behind ``reports``, if it has one.
+def as_table_slice(reports) -> TableSlice:
+    """``reports`` as a :class:`TableSlice`, the analysis kernels' input.
 
-    The analysis adapters call this to dispatch: a slice (or a bare
-    table) routes to the single-pass columnar kernels, anything else
-    falls back to the seed list-based implementation.
+    A slice passes through and a bare table is viewed whole.  Any other
+    report sequence is appended once to a fresh :class:`ReportTable`, so
+    a guard write (cleaning) lands in that table, not in the caller's
+    report objects.
     """
     if isinstance(reports, TableSlice):
         return reports
     if isinstance(reports, ReportTable):
         return TableSlice(reports)
-    return None
+    table = ReportTable()
+    table.extend(reports)
+    return TableSlice(table)

@@ -282,7 +282,7 @@ def _drive_campaign(spec: dict) -> dict:
         checkpoint_dir=spec["checkpoint_dir"],
         resume=bool(spec.get("resume", False)),
     )
-    save_crowd_dataset(dataset, spec["out"], columnar=True)
+    save_crowd_dataset(dataset, spec["out"])
     return {"rows": len(dataset), "archive_chain": backend.store.archive_chain}
 
 
@@ -310,7 +310,7 @@ def _drive_crawl(spec: dict) -> dict:
         checkpoint_dir=spec["checkpoint_dir"],
         resume=bool(spec.get("resume", False)),
     )
-    save_crawl_dataset(dataset, spec["out"], columnar=True)
+    save_crawl_dataset(dataset, spec["out"])
     return {"rows": len(dataset), "archive_chain": backend.store.archive_chain}
 
 
@@ -347,7 +347,7 @@ def _drive_scenario(spec: dict) -> dict:
         checkpoint_dir=spec["checkpoint_dir"],
         resume=bool(spec.get("resume", False)),
     )
-    save_crowd_dataset(campaign, spec["out"], columnar=True)
+    save_crowd_dataset(campaign, spec["out"])
     crawl = run_scenario_crawl(
         world, backend, scenario, exec_config=exec_config, seed=seed
     )

@@ -142,33 +142,6 @@ class TestAttribution:
         assert verdict.explained_by_logistics  # ...and the probe clears it
         assert verdict.merchant_total_ratio == pytest.approx(1.0, abs=0.01)
 
-    def test_attribute_row_equals_attribute(self, tiny_world, tiny_backend):
-        """The columnar row path must yield the dataclass path's verdict,
-        including all-failed rows (None) and cheap/dear tie-breaking."""
-        from repro.store import ReportTable
-
-        probe = CheckoutProbe(tiny_world)
-        table = ReportTable()
-        for domain in ("www.digitalrev.com", "www.zavvi.com",
-                       "www.bookdepository.co.uk"):
-            report = self._flagged_report(tiny_world, tiny_backend, domain)
-            row = table.append(report)
-            assert probe.attribute_row(table, row) == probe.attribute(report)
-        # A row with no usable observations attributes to None either way.
-        from repro.core.reports import PriceCheckReport, VantageObservation
-
-        dead = PriceCheckReport(
-            check_id="chk9999999", url="http://www.zavvi.com/product/X",
-            domain="www.zavvi.com", day_index=1, timestamp=86400.0,
-            observations=[VantageObservation(
-                vantage="UK - London", country_code="GB", city="London",
-                ok=False, error="down",
-            )],
-        )
-        row = table.append(dead)
-        assert probe.attribute(dead) is None
-        assert probe.attribute_row(table, row) is None
-
     def test_quote_in_usd(self, tiny_world):
         probe = CheckoutProbe(tiny_world)
         product = tiny_world.retailer("www.digitalrev.com").catalog.products[0]

@@ -61,12 +61,12 @@ def tiny_plan(world):
 
 
 def crowd_bytes(dataset, path: Path) -> bytes:
-    dataset_io.save_crowd_dataset(dataset, path, columnar=True)
+    dataset_io.save_crowd_dataset(dataset, path)
     return path.read_bytes()
 
 
 def crawl_bytes(dataset, path: Path) -> bytes:
-    dataset_io.save_crawl_dataset(dataset, path, columnar=True)
+    dataset_io.save_crawl_dataset(dataset, path)
     return path.read_bytes()
 
 

@@ -56,7 +56,7 @@ def reference(tmp_path_factory) -> tuple[Path, bytes]:
         world, backend, CAMPAIGN_CONFIG, checkpoint_dir=root / "ckpt"
     )
     out = root / "reference.jsonl"
-    save_crowd_dataset(dataset, out, columnar=True)
+    save_crowd_dataset(dataset, out)
     return root / "ckpt", out.read_bytes()
 
 
@@ -142,7 +142,7 @@ class TestCorruptCheckpointFuzz:
                 outcomes["error"] += 1
                 continue
             out = work / "resumed.jsonl"
-            save_crowd_dataset(resumed, out, columnar=True)
+            save_crowd_dataset(resumed, out)
             assert out.read_bytes() == expected, (
                 f"case {case} ({what}): resumed to DIFFERENT bytes -- "
                 f"silent wrong resume"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.ratios import domain_variation_counts
 from repro.core.backend import SheriffBackend
 from repro.crawler.crawl import CrawlConfig, run_crawl
 from repro.crawler.plan import CrawlPlan, PlanError, build_plan, select_domains_from_crowd
@@ -86,7 +87,7 @@ class TestPlan:
         assert len(selected) <= 21
         assert "www.homedepot.com" in selected
         # Ordered by flagged count descending (head = biggest discriminators).
-        counts = crowd.variation_counts()
+        counts = domain_variation_counts(crowd.reports())
         head = selected[:3]
         assert all(counts.get(d, 0) >= 1 or d == "www.homedepot.com" for d in head)
 
@@ -112,9 +113,11 @@ class TestCrawl:
         world, backend = small_setup
         plan = build_plan(world, domains=["www.guess.eu"], products_per_retailer=2)
         dataset = run_crawl(world, backend, plan, CrawlConfig(days=3, start_day=220))
-        by_product = dataset.by_product()
+        table = dataset.table
+        by_product = table.rows_by_url()
         assert len(by_product) == 2
-        assert all(len(reports) == 3 for reports in by_product.values())
+        for rows in by_product.values():
+            assert sorted(table.day_index[i] for i in rows) == [220, 221, 222]
 
     def test_summary(self, small_setup):
         world, backend = small_setup

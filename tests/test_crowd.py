@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.ratios import domain_ratios, domain_variation_counts
 from repro.core.backend import SheriffBackend
 from repro.crowd.campaign import CampaignConfig, run_campaign
 from repro.crowd.dataset import CrowdDataset
@@ -81,7 +82,7 @@ class TestCampaign:
 
     def test_variation_counts_only_flag_discriminators(self, campaign_result):
         world, _, dataset = campaign_result
-        counts = dataset.variation_counts()
+        counts = domain_variation_counts(dataset.reports())
         assert counts  # something was flagged
         for domain in counts:
             assert domain not in world.long_tail
@@ -90,7 +91,8 @@ class TestCampaign:
         """The crowd's whole point: heavily-checked variation retailers
         surface at the head of the flagged list."""
         _, _, dataset = campaign_result
-        top = [domain for domain, _ in dataset.variation_counts().most_common(6)]
+        counts = domain_variation_counts(dataset.reports())
+        top = [domain for domain, _ in counts.most_common(6)]
         assert "www.amazon.com" in top
 
     def test_user_prices_recorded(self, campaign_result):
@@ -101,9 +103,9 @@ class TestCampaign:
         ]
         assert len(with_price) >= 0.9 * dataset.n_requests
 
-    def test_ratios_by_domain_structure(self, campaign_result):
+    def test_domain_ratios_structure(self, campaign_result):
         _, _, dataset = campaign_result
-        ratios = dataset.ratios_by_domain()
+        ratios = domain_ratios(dataset.reports(), only_variation=True)
         for domain, values in ratios.items():
             assert all(v >= 1.0 for v in values)
 

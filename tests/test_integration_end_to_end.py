@@ -12,6 +12,7 @@ import pytest
 from repro.analysis import (
     clean_reports,
     domain_ratio_stats,
+    domain_variation_counts,
     finland_profile,
     location_ratio_stats,
     variation_extent,
@@ -47,7 +48,7 @@ def pipeline():
 class TestDiscoveryFeedsCrawl:
     def test_crowd_discovers_real_discriminators(self, pipeline):
         world, _, crowd, plan, _, _ = pipeline
-        flagged = set(crowd.variation_counts())
+        flagged = set(domain_variation_counts(crowd.reports()))
         # No honest long-tail shop is ever selected for the crawl.
         assert not (set(plan.domains) & set(world.long_tail))
         # The crawl contains crowd-discovered shops.
@@ -106,7 +107,7 @@ class TestDeterminism:
                 world, backend,
                 CampaignConfig(n_checks=40, population_size=25, seed=11),
             )
-            return sorted(crowd.variation_counts().items())
+            return sorted(domain_variation_counts(crowd.reports()).items())
 
         assert run_once() == run_once()
 

@@ -9,8 +9,10 @@ import pytest
 
 from repro import cli
 from repro import io as dataset_io
+from repro.analysis.ratios import domain_variation_counts
 from repro.core.reports import PriceCheckReport, VantageObservation
 from repro.crawler.records import CrawlDataset
+from tests.rows_layout import write_rows_dataset
 
 
 def make_report(url: str = "http://d.example/p/1", *, day: int = 3) -> PriceCheckReport:
@@ -117,7 +119,8 @@ class TestCrowdFile:
         assert written == len(dataset)
         loaded = dataset_io.load_crowd_dataset(path)
         assert loaded.summary() == dataset.summary()
-        assert loaded.variation_counts() == dataset.variation_counts()
+        assert list(domain_variation_counts(loaded.reports()).items()) == \
+            list(domain_variation_counts(dataset.reports()).items())
 
 
 class TestCli:
@@ -200,6 +203,31 @@ class TestCliErrorPaths:
         code = cli.main(["analyze", str(torn)])
         assert code == 2
         assert "not a repro dataset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["unknown-currency", "negative-day"])
+    def test_analyze_rejects_bad_values(self, bad, tmp_path: Path, capsys):
+        """Well-formed files whose values the analysis cannot use: one
+        error line and exit 2, from either layout."""
+        report = make_report()
+        if bad == "unknown-currency":
+            fi = report.observations[1]
+            report.observations[1] = VantageObservation(
+                vantage=fi.vantage, country_code=fi.country_code,
+                city=fi.city, ok=True, raw_text="9,70 XYZ", amount=9.7,
+                currency="XYZ", usd=12.8, method="selector",
+            )
+        else:
+            report.day_index = -5
+        dataset = CrawlDataset([report])
+        rows_path, cols_path = tmp_path / "rows.jsonl", tmp_path / "cols.jsonl"
+        write_rows_dataset(dataset, rows_path)
+        dataset_io.save_crawl_dataset(dataset, cols_path)
+        for path in (rows_path, cols_path):
+            code = cli.main(["analyze", str(path)])
+            err = capsys.readouterr().err
+            assert code == 2, path
+            assert err.startswith("error: cannot analyze dataset")
+            assert err.count("\n") == 1
 
     def test_resume_without_checkpoint_dir(self, capsys):
         for command in ("campaign", "crawl"):

@@ -1,5 +1,5 @@
-"""Columnar dataset files: round-trip equality with the row layout, and
-the CLI's kind auto-detection."""
+"""Columnar dataset files: round-trip equality with the rows layout the
+loaders still read, and the CLI's kind auto-detection."""
 
 from __future__ import annotations
 
@@ -9,7 +9,9 @@ import pytest
 
 from repro import cli
 from repro import io as dataset_io
+from repro.analysis.ratios import domain_ratios, domain_variation_counts
 from repro.io import report_to_dict
+from tests.rows_layout import write_rows_dataset
 
 
 def crawl_record_dicts(dataset):
@@ -36,11 +38,11 @@ class TestCrawlColumnar:
         dataset = tiny_ctx.crawl
         rows_path = tmp_path / "crawl_rows.jsonl"
         cols_path = tmp_path / "crawl_cols.jsonl"
-        dataset_io.save_crawl_dataset(dataset, rows_path, seed=2013)
-        lines = dataset_io.save_crawl_dataset(
-            dataset, cols_path, seed=2013, columnar=True
-        )
-        assert lines == 3  # pools + report columns + observation columns
+        write_rows_dataset(dataset, rows_path, seed=2013)
+        written = dataset_io.save_crawl_dataset(dataset, cols_path, seed=2013)
+        assert written == len(dataset)  # reports, not file lines
+        # pools + report columns + observation columns
+        assert len(cols_path.read_text().splitlines()) == 1 + 3
         from_rows = dataset_io.load_crawl_dataset(rows_path)
         from_cols = dataset_io.load_crawl_dataset(cols_path)
         assert crawl_record_dicts(from_cols) == crawl_record_dicts(from_rows)
@@ -50,32 +52,34 @@ class TestCrawlColumnar:
         dataset = tiny_ctx.crawl
         rows_path = tmp_path / "rows.jsonl"
         cols_path = tmp_path / "cols.jsonl"
-        dataset_io.save_crawl_dataset(dataset, rows_path)
-        dataset_io.save_crawl_dataset(dataset, cols_path, columnar=True)
+        write_rows_dataset(dataset, rows_path)
+        dataset_io.save_crawl_dataset(dataset, cols_path)
         assert cols_path.stat().st_size < 0.5 * rows_path.stat().st_size
 
     def test_corrupt_columnar_sections(self, tiny_ctx, tmp_path: Path):
         path = tmp_path / "cols.jsonl"
-        dataset_io.save_crawl_dataset(tiny_ctx.crawl, path, columnar=True)
+        dataset_io.save_crawl_dataset(tiny_ctx.crawl, path)
         lines = path.read_text().splitlines()
         # Drop the observations line: wrong section count must fail loudly.
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(dataset_io.DatasetFormatError):
             dataset_io.load_crawl_dataset(path)
 
-    def test_legacy_header_without_layout_still_loads(self, tmp_path: Path):
-        """Files written before the layout field (PR <= 2) stay readable."""
+    def test_legacy_header_without_layout_still_loads(
+        self, tiny_ctx, tmp_path: Path
+    ):
+        """Rows files written before the header had a layout field stay
+        readable."""
         import json
 
-        from tests.test_io_cli import make_report
-
         path = tmp_path / "old.jsonl"
-        header = {"format": "repro-reports", "version": 1, "kind": "crawl"}
-        path.write_text(
-            json.dumps(header) + "\n" + json.dumps(report_to_dict(make_report())) + "\n"
-        )
+        write_rows_dataset(tiny_ctx.crawl, path)
+        header, *rows = path.read_text().splitlines(True)
+        legacy = {"format": "repro-reports", "version": 1, "kind": "crawl"}
+        assert json.loads(header)["layout"] == "rows"
+        path.write_text(json.dumps(legacy) + "\n" + "".join(rows))
         loaded = dataset_io.load_crawl_dataset(path)
-        assert len(loaded) == 1
+        assert crawl_record_dicts(loaded) == crawl_record_dicts(tiny_ctx.crawl)
 
 
 class TestCrowdColumnar:
@@ -83,25 +87,27 @@ class TestCrowdColumnar:
         dataset = tiny_ctx.crowd
         rows_path = tmp_path / "crowd_rows.jsonl"
         cols_path = tmp_path / "crowd_cols.jsonl"
-        dataset_io.save_crowd_dataset(dataset, rows_path, seed=2013)
-        lines = dataset_io.save_crowd_dataset(
-            dataset, cols_path, seed=2013, columnar=True
-        )
-        assert lines == 4  # pools + reports + observations + records
+        write_rows_dataset(dataset, rows_path, seed=2013)
+        written = dataset_io.save_crowd_dataset(dataset, cols_path, seed=2013)
+        assert written == len(dataset)  # records, not file lines
+        # pools + reports + observations + records
+        assert len(cols_path.read_text().splitlines()) == 1 + 4
         from_rows = dataset_io.load_crowd_dataset(rows_path)
         from_cols = dataset_io.load_crowd_dataset(cols_path)
         assert crowd_record_dicts(from_cols) == crowd_record_dicts(from_rows)
         assert from_cols.summary() == dataset.summary()
-        assert from_cols.variation_counts() == dataset.variation_counts()
-        assert from_cols.ratios_by_domain() == dataset.ratios_by_domain()
+        assert list(domain_variation_counts(from_cols.reports()).items()) == \
+            list(domain_variation_counts(dataset.reports()).items())
+        assert domain_ratios(from_cols.reports(), only_variation=True) == \
+            domain_ratios(dataset.reports(), only_variation=True)
 
 
 class TestKindDetection:
     def test_dataset_kind(self, tiny_ctx, tmp_path: Path):
         crawl_path = tmp_path / "a.jsonl"
         crowd_path = tmp_path / "b.jsonl"
-        dataset_io.save_crawl_dataset(tiny_ctx.crawl, crawl_path)
-        dataset_io.save_crowd_dataset(tiny_ctx.crowd, crowd_path, columnar=True)
+        write_rows_dataset(tiny_ctx.crawl, crawl_path)
+        dataset_io.save_crowd_dataset(tiny_ctx.crowd, crowd_path)
         assert dataset_io.dataset_kind(crawl_path) == "crawl"
         assert dataset_io.dataset_kind(crowd_path) == "crowd"
 
@@ -143,6 +149,24 @@ class TestCliAutoDetect:
         assert "extent of variation" in out
         assert "Finland profile" in out
 
+    def test_analyze_prints_the_same_for_both_layouts(
+        self, tiny_ctx, tmp_path: Path, capsys
+    ):
+        for kind, dataset, save in (
+            ("crawl", tiny_ctx.crawl, dataset_io.save_crawl_dataset),
+            ("crowd", tiny_ctx.crowd, dataset_io.save_crowd_dataset),
+        ):
+            rows_path = tmp_path / f"{kind}_rows.jsonl"
+            cols_path = tmp_path / f"{kind}_cols.jsonl"
+            write_rows_dataset(dataset, rows_path)
+            save(dataset, cols_path)
+            printed = []
+            for path in (rows_path, cols_path):
+                assert cli.main(["analyze", str(path)]) == 0
+                printed.append(capsys.readouterr().out)
+            assert printed[0] == printed[1], kind
+            assert printed[0].startswith("loaded")
+
 
 class TestTornFiles:
     """Crash artifacts: loads must fail loudly, never misread.
@@ -155,24 +179,26 @@ class TestTornFiles:
 
     def test_torn_last_line_raises_crawl(self, tiny_ctx, tmp_path: Path):
         path = tmp_path / "torn.jsonl"
-        dataset_io.save_crawl_dataset(tiny_ctx.crawl, path, columnar=True)
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) - len(raw.splitlines(True)[-1]) // 2])
-        with pytest.raises(dataset_io.DatasetFormatError):
-            dataset_io.load_crawl_dataset(path)
+        for write in (write_rows_dataset, dataset_io.save_crawl_dataset):
+            write(tiny_ctx.crawl, path)
+            raw = path.read_bytes()
+            path.write_bytes(raw[: len(raw) - len(raw.splitlines(True)[-1]) // 2])
+            with pytest.raises(dataset_io.DatasetFormatError):
+                dataset_io.load_crawl_dataset(path)
 
     def test_torn_last_line_raises_crowd(self, tiny_ctx, tmp_path: Path):
         path = tmp_path / "torn.jsonl"
-        dataset_io.save_crowd_dataset(tiny_ctx.crowd, path, columnar=True)
-        path.write_bytes(path.read_bytes()[:-40])
-        with pytest.raises(dataset_io.DatasetFormatError):
-            dataset_io.load_crowd_dataset(path)
+        for write in (write_rows_dataset, dataset_io.save_crowd_dataset):
+            write(tiny_ctx.crowd, path)
+            path.write_bytes(path.read_bytes()[:-40])
+            with pytest.raises(dataset_io.DatasetFormatError):
+                dataset_io.load_crowd_dataset(path)
 
     def test_line_boundary_truncation_raises_crawl_rows(
         self, tiny_ctx, tmp_path: Path
     ):
         path = tmp_path / "short.jsonl"
-        dataset_io.save_crawl_dataset(tiny_ctx.crawl, path)
+        write_rows_dataset(tiny_ctx.crawl, path)
         lines = path.read_text().splitlines(True)
         path.write_text("".join(lines[:-1]))  # every line still valid JSON
         with pytest.raises(dataset_io.DatasetFormatError, match="declares"):
@@ -182,7 +208,7 @@ class TestTornFiles:
         self, tiny_ctx, tmp_path: Path
     ):
         path = tmp_path / "short.jsonl"
-        dataset_io.save_crowd_dataset(tiny_ctx.crowd, path)
+        write_rows_dataset(tiny_ctx.crowd, path)
         lines = path.read_text().splitlines(True)
         path.write_text("".join(lines[:-1]))
         with pytest.raises(dataset_io.DatasetFormatError, match="declares"):
@@ -194,7 +220,7 @@ class TestTornFiles:
         """A torn tail must not flip a file's detected kind -- and a torn
         *header* must be an error, not a guess."""
         path = tmp_path / "torn.jsonl"
-        dataset_io.save_crawl_dataset(tiny_ctx.crawl, path, columnar=True)
+        dataset_io.save_crawl_dataset(tiny_ctx.crawl, path)
         path.write_bytes(path.read_bytes()[:-25])
         assert dataset_io.dataset_kind(path) == "crawl"
 

@@ -217,6 +217,7 @@ class TestCampaignJobs:
         state = client.wait_done(job_id)
         assert state["status"] == "done", state
         assert state["checks"] == {"done": 40, "total": 40}
+        assert state["rows"] == _JOB["n_checks"]  # records, not file lines
         assert state["memo"]["hits"] + state["memo"]["misses"] > 0
         status, served_results = client.get(f"/jobs/{job_id}/results")
         assert status == 200
@@ -236,7 +237,7 @@ class TestCampaignJobs:
         )
         dataset = run_campaign(world, backend, spec.campaign_config())
         reference = tmp_path / "reference.jsonl"
-        save_crowd_dataset(dataset, reference, seed=spec.seed, columnar=True)
+        save_crowd_dataset(dataset, reference, seed=spec.seed)
         assert served_results == reference.read_bytes()
 
     def test_restarted_service_sees_finished_job(self, served):

@@ -1,23 +1,43 @@
-"""Columnar/list equivalence: every analysis kernel must return exactly
-the same result over :class:`~repro.store.ReportTable` rows as the seed
-list-based implementation does over the materialized dataclasses.
+"""Golden values for the figure aggregations.
+
+Each aggregation in ``repro.analysis`` (extent, ratios, locations,
+longitudinal, products, cleaning) once had two bodies: a walk over
+``PriceCheckReport`` dataclasses and a columnar kernel over a
+:class:`~repro.store.ReportTable`.  Before the list walks were deleted,
+every case x keyword set below was run through them and the sha256 of a
+canonical ``repr`` of the answer was pinned in
+``tests/data/analysis_pins.json``.  The kernels must reproduce those pins
+from a table slice *and* from a plain report list (which
+:func:`~repro.store.as_table_slice` appends to a fresh table).  The pins
+are the reference: never regenerate them from the kernels.
 
 Property-style: a deterministic pseudo-random generator produces datasets
 mixing multiple domains/products/days/currencies, failed observations,
 ``usd == 0.0`` edge cases and missing vantages; plus the named edge cases
-the refactor must not regress (empty dataset, all-failed observations,
-single domain).  For order-sensitive outputs (dicts feeding figure row
-order, ``most_common`` tie-breaking) key *order* is asserted too, not
-just dict equality.
+(empty dataset, all-failed observations, single domain, values on the
+rules' boundaries).  The canonical
+``repr`` keeps dict key *order* (figure row order, ``most_common``
+tie-breaking), sorts sets and the drop counter, and renders cleaned
+reports through ``report_to_dict``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from repro.analysis.cleaning import clean_reports, dataset_guard, repeatable_products
+from repro.analysis.cleaning import (
+    CleanResult,
+    clean_reports,
+    dataset_guard,
+    repeatable_products,
+)
 from repro.analysis.extent import variation_extent
 from repro.analysis.locations import (
     finland_profile,
@@ -37,8 +57,12 @@ from repro.analysis.ratios import (
 )
 from repro.core.reports import PriceCheckReport, VantageObservation
 from repro.fx.rates import RateService
-from repro.io import report_to_dict
+from repro.io import report_from_dict, report_to_dict
 from repro.store import ReportTable, TableSlice
+
+PINS = json.loads(
+    (Path(__file__).parent / "data" / "analysis_pins.json").read_text()
+)
 
 VANTAGES = [
     ("USA - Boston", "US", "Boston"),
@@ -89,19 +113,13 @@ def synthetic_reports(seed: int, n: int) -> list[PriceCheckReport]:
 
 def copies_and_slice(reports):
     """Two independent inputs over identical data: a plain dataclass list
-    (the seed path) and a table slice (the columnar path)."""
-    from repro.io import report_from_dict
-
-    # Deep-copy through serialization so in-place guard mutation on one
-    # path can never leak into the other.
+    and a table slice."""
+    # Deep-copy through serialization so in-place guard writes on one
+    # input can never leak into the other.
     list_input = [report_from_dict(report_to_dict(r)) for r in reports]
     table = ReportTable()
     table.extend(reports)
     return list_input, TableSlice(table)
-
-
-def ordered(d: dict) -> list:
-    return list(d.items())
 
 
 EDGE_CASES = {
@@ -120,8 +138,39 @@ EDGE_CASES = {
 }
 
 
+def boundary_reports() -> list[PriceCheckReport]:
+    """Values on the rules' boundaries: a ratio equal to its guard (no
+    variation), a product varying on exactly half its rounds (not
+    repeatable at ``min_fraction=0.5``), a vantage reported twice in one
+    check (its later price wins)."""
+    boston, finland, london = VANTAGES[:3]
+
+    def check(i, product, day, prices, guard):
+        return PriceCheckReport(
+            check_id=f"chk{i:07d}", url=f"http://tie.example/p/{product}",
+            domain="tie.example", day_index=day, timestamp=day * 86400.0 + i,
+            observations=[VantageObservation(
+                vantage=v, country_code=c, city=city, ok=True,
+                raw_text=f"{usd:.2f}", amount=usd, currency="USD", usd=usd,
+                method="selector",
+            ) for (v, c, city), usd in prices],
+            guard_threshold=guard,
+        )
+
+    return [
+        check(0, 0, 150, [(boston, 10.0), (finland, 11.0)], 1.1),
+        check(1, 0, 151, [(boston, 10.0), (finland, 11.0)], 1.05),
+        check(2, 1, 150, [(boston, 10.0), (finland, 12.0), (london, 10.0)], 1.1),
+        check(3, 1, 151, [(boston, 10.0), (finland, 10.5)], 1.1),
+        check(4, 2, 152, [(boston, 10.0), (finland, 12.0), (boston, 13.0)], 1.1),
+        check(5, 2, 153, [(finland, 11.0), (boston, 10.0), (finland, 14.0)], 1.1),
+        check(6, 3, 150, [(boston, 10.0), (finland, 10.0)], 1.0),
+    ]
+
+
 def dataset_cases():
     cases = dict(EDGE_CASES)
+    cases["boundaries"] = boundary_reports()
     single = synthetic_reports(99, 60)
     cases["single_domain"] = [
         PriceCheckReport(
@@ -137,144 +186,199 @@ def dataset_cases():
 
 
 CASES = dataset_cases()
+RATES = RateService(seed=5)
+LOCATIONS = ["USA - Boston", "Finland - Tampere", "UK - London"]
+
+
+def canonical(value):
+    """A hash-seed-independent, order-keeping rendering of a result."""
+    if isinstance(value, CleanResult):
+        return (
+            value.guard,
+            sorted(value.dropped.items()),
+            [report_to_dict(r) for r in value.kept],
+        )
+    if isinstance(value, (dict, Counter)):
+        return [(canonical(k), canonical(v)) for k, v in value.items()]
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
+    if isinstance(value, (list, tuple)):
+        return [canonical(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return repr(value)
+    return value
+
+
+def digest(value) -> str:
+    return hashlib.sha256(repr(canonical(value)).encode("utf-8")).hexdigest()
+
+
+def per_domain(fn):
+    """Run ``fn(reports, domain)`` for every domain of the input."""
+
+    def run(reports):
+        domains = sorted({r.domain for r in reports}) or ["only.example"]
+        return {domain: fn(reports, domain) for domain in domains}
+
+    return run
+
+
+def cleaned_then_kernels(reports):
+    kept = clean_reports(reports, RATES).kept
+    return (
+        variation_extent(kept),
+        domain_ratio_stats(kept, only_variation=True),
+        location_ratio_stats(kept),
+    )
+
+
+#: label -> the call it pins (label = function and keyword set).
+CALLS = {
+    "variation_extent()": variation_extent,
+    "variation_extent(min_reports=3)":
+        lambda r: variation_extent(r, min_reports=3),
+    "domain_variation_counts()": domain_variation_counts,
+    "domain_ratios(only_variation=False)":
+        lambda r: domain_ratios(r, only_variation=False),
+    "domain_ratios(only_variation=True)":
+        lambda r: domain_ratios(r, only_variation=True),
+    "domain_ratio_stats(only_variation=False)":
+        lambda r: domain_ratio_stats(r, only_variation=False),
+    "domain_ratio_stats(only_variation=True)":
+        lambda r: domain_ratio_stats(r, only_variation=True),
+    "location_ratio_stats()": location_ratio_stats,
+    "location_ratio_stats(min_samples=4)":
+        lambda r: location_ratio_stats(r, min_samples=4),
+    "finland_profile()": finland_profile,
+    "finland_profile(finland_vantage='UK - London')":
+        lambda r: finland_profile(r, finland_vantage="UK - London"),
+    "finland_profile(finland_vantage='Nowhere - Nope')":
+        lambda r: finland_profile(r, finland_vantage="Nowhere - Nope"),
+    "pairwise_grid(domain, LOCATIONS)":
+        per_domain(lambda r, d: pairwise_grid(r, d, LOCATIONS)),
+    "daily_extent()": daily_extent,
+    "extent_stability()": extent_stability,
+    "product_persistence()": product_persistence,
+    "ratio_vs_min_price(only_variation=False)":
+        lambda r: ratio_vs_min_price(r, only_variation=False),
+    "ratio_vs_min_price(only_variation=True)":
+        lambda r: ratio_vs_min_price(r, only_variation=True),
+    "per_vantage_structure(domain)": per_domain(per_vantage_structure),
+    "per_vantage_structure(domain, vantages=[Boston, London])": per_domain(
+        lambda r, d: per_vantage_structure(
+            r, d, vantages=["USA - Boston", "UK - London"]
+        )
+    ),
+    "dataset_guard()": lambda r: dataset_guard(RATES, r),
+    "dataset_guard(margin=0.01)": lambda r: dataset_guard(RATES, r, margin=0.01),
+    "repeatable_products(guard=1.05)":
+        lambda r: repeatable_products(r, guard=1.05),
+    "clean_reports()": lambda r: clean_reports(r, RATES),
+    "clean_reports(min_points=3)": lambda r: clean_reports(r, RATES, min_points=3),
+    "clean_reports(require_repeatable=True)":
+        lambda r: clean_reports(r, RATES, require_repeatable=True),
+    "clean_reports(guard_margin=0.02)":
+        lambda r: clean_reports(r, RATES, guard_margin=0.02),
+    "clean_reports() -> extent, ratio stats, location stats":
+        cleaned_then_kernels,
+}
+
+
+def assert_pinned(case: str, *labels: str) -> None:
+    """Both input kinds reproduce the pinned answer of every label."""
+    for label in labels:
+        list_input, sliced = copies_and_slice(CASES[case])
+        for kind, reports in (("list", list_input), ("slice", sliced)):
+            assert digest(CALLS[label](reports)) == PINS[label][case], (
+                f"{label} on the {kind} input of {case!r} left its pin"
+            )
 
 
 @pytest.fixture(params=sorted(CASES), name="case")
-def case_fixture(request):
-    return CASES[request.param]
+def case_fixture(request) -> str:
+    return request.param
 
 
 class TestKernelEquivalence:
     def test_variation_extent(self, case):
-        lst, sliced = copies_and_slice(case)
-        assert ordered(variation_extent(lst)) == ordered(variation_extent(sliced))
-        assert ordered(variation_extent(lst, min_reports=3)) == ordered(
-            variation_extent(sliced, min_reports=3)
-        )
+        assert_pinned(case, "variation_extent()", "variation_extent(min_reports=3)")
 
     def test_domain_variation_counts(self, case):
-        lst, sliced = copies_and_slice(case)
-        a, b = domain_variation_counts(lst), domain_variation_counts(sliced)
-        assert ordered(a) == ordered(b)
-        assert a.most_common() == b.most_common()
+        assert_pinned(case, "domain_variation_counts()")
 
     def test_domain_ratios_and_stats(self, case):
-        lst, sliced = copies_and_slice(case)
-        for only_variation in (False, True):
-            assert ordered(domain_ratios(lst, only_variation=only_variation)) == \
-                ordered(domain_ratios(sliced, only_variation=only_variation))
-            assert ordered(
-                domain_ratio_stats(lst, only_variation=only_variation)
-            ) == ordered(domain_ratio_stats(sliced, only_variation=only_variation))
+        assert_pinned(
+            case,
+            "domain_ratios(only_variation=False)",
+            "domain_ratios(only_variation=True)",
+            "domain_ratio_stats(only_variation=False)",
+            "domain_ratio_stats(only_variation=True)",
+        )
 
     def test_location_ratio_stats(self, case):
-        lst, sliced = copies_and_slice(case)
-        assert ordered(location_ratio_stats(lst)) == ordered(
-            location_ratio_stats(sliced)
-        )
-        assert ordered(location_ratio_stats(lst, min_samples=4)) == ordered(
-            location_ratio_stats(sliced, min_samples=4)
+        assert_pinned(
+            case, "location_ratio_stats()", "location_ratio_stats(min_samples=4)"
         )
 
     def test_finland_profile(self, case):
-        lst, sliced = copies_and_slice(case)
-        assert ordered(finland_profile(lst)) == ordered(finland_profile(sliced))
-        assert ordered(
-            finland_profile(lst, finland_vantage="UK - London")
-        ) == ordered(finland_profile(sliced, finland_vantage="UK - London"))
-        assert ordered(
-            finland_profile(lst, finland_vantage="Nowhere - Nope")
-        ) == ordered(finland_profile(sliced, finland_vantage="Nowhere - Nope"))
-
-    def test_pairwise_grid(self, case):
-        lst, sliced = copies_and_slice(case)
-        domains = {r.domain for r in case} or {"only.example"}
-        locations = ["USA - Boston", "Finland - Tampere", "UK - London"]
-        for domain in sorted(domains):
-            assert pairwise_grid(lst, domain, locations) == pairwise_grid(
-                sliced, domain, locations
-            )
-
-    def test_daily_extent_and_stability(self, case):
-        lst, sliced = copies_and_slice(case)
-        a, b = daily_extent(lst), daily_extent(sliced)
-        assert ordered(a) == ordered(b)
-        assert [ordered(v) for v in a.values()] == [ordered(v) for v in b.values()]
-        assert ordered(extent_stability(lst)) == ordered(extent_stability(sliced))
-
-    def test_product_persistence(self, case):
-        lst, sliced = copies_and_slice(case)
-        assert ordered(product_persistence(lst)) == ordered(
-            product_persistence(sliced)
+        assert_pinned(
+            case,
+            "finland_profile()",
+            "finland_profile(finland_vantage='UK - London')",
+            "finland_profile(finland_vantage='Nowhere - Nope')",
         )
 
+    def test_pairwise_grid(self, case):
+        assert_pinned(case, "pairwise_grid(domain, LOCATIONS)")
+
+    def test_daily_extent_and_stability(self, case):
+        assert_pinned(case, "daily_extent()", "extent_stability()")
+
+    def test_product_persistence(self, case):
+        assert_pinned(case, "product_persistence()")
+
     def test_ratio_vs_min_price(self, case):
-        lst, sliced = copies_and_slice(case)
-        for only_variation in (False, True):
-            assert ratio_vs_min_price(lst, only_variation=only_variation) == \
-                ratio_vs_min_price(sliced, only_variation=only_variation)
+        assert_pinned(
+            case,
+            "ratio_vs_min_price(only_variation=False)",
+            "ratio_vs_min_price(only_variation=True)",
+        )
 
     def test_per_vantage_structure(self, case):
-        lst, sliced = copies_and_slice(case)
-        domains = {r.domain for r in case} or {"only.example"}
-        for domain in sorted(domains):
-            assert per_vantage_structure(lst, domain) == per_vantage_structure(
-                sliced, domain
-            )
-            assert per_vantage_structure(
-                lst, domain, vantages=["USA - Boston", "UK - London"]
-            ) == per_vantage_structure(
-                sliced, domain, vantages=["USA - Boston", "UK - London"]
-            )
+        assert_pinned(
+            case,
+            "per_vantage_structure(domain)",
+            "per_vantage_structure(domain, vantages=[Boston, London])",
+        )
 
 
 class TestCleaningEquivalence:
     def test_dataset_guard(self, case):
-        if not case:
+        if not CASES[case]:
+            with pytest.raises(ValueError):
+                dataset_guard(RATES, [])
             return
-        lst, sliced = copies_and_slice(case)
-        rates = RateService(seed=5)
-        assert dataset_guard(rates, lst) == dataset_guard(rates, sliced)
-        assert dataset_guard(rates, lst, margin=0.01) == dataset_guard(
-            rates, sliced, margin=0.01
-        )
+        assert_pinned(case, "dataset_guard()", "dataset_guard(margin=0.01)")
 
     def test_repeatable_products(self, case):
-        lst, sliced = copies_and_slice(case)
-        assert repeatable_products(lst, guard=1.05) == repeatable_products(
-            sliced, guard=1.05
-        )
+        assert_pinned(case, "repeatable_products(guard=1.05)")
 
     def test_clean_reports(self, case):
-        rates = RateService(seed=5)
-        for kwargs in (
-            {},
-            {"min_points": 3},
-            {"require_repeatable": True},
-            {"guard_margin": 0.02},
-        ):
-            lst, sliced = copies_and_slice(case)
-            a = clean_reports(lst, rates, **kwargs)
-            b = clean_reports(sliced, rates, **kwargs)
-            assert a.guard == b.guard
-            assert a.dropped == b.dropped
-            assert [report_to_dict(r) for r in a.kept] == [
-                report_to_dict(r) for r in b.kept
-            ]
-            # The guard write must survive on the columnar path too.
-            assert all(r.guard_threshold == b.guard for r in b.kept)
+        labels = [label for label in CALLS if label.startswith("clean_reports(")]
+        assert_pinned(case, *labels)
+        list_input, sliced = copies_and_slice(CASES[case])
+        guards = [r.guard_threshold for r in list_input]
+        from_list = clean_reports(list_input, RATES)
+        from_slice = clean_reports(sliced, RATES)
+        # The guard lands in the table behind ``kept`` (and any rows it
+        # hands out), never in the caller's report objects.
+        assert all(r.guard_threshold == from_slice.guard for r in from_slice.kept)
+        assert all(r.guard_threshold == from_list.guard for r in from_list.kept)
+        assert [r.guard_threshold for r in list_input] == guards
 
     def test_cleaned_slice_feeds_kernels(self, case):
-        """The chained pipeline (clean -> figures) stays equivalent."""
-        rates = RateService(seed=5)
-        lst, sliced = copies_and_slice(case)
-        a = clean_reports(lst, rates)
-        b = clean_reports(sliced, rates)
-        assert isinstance(b.kept, TableSlice)
-        assert ordered(variation_extent(a.kept)) == ordered(variation_extent(b.kept))
-        assert ordered(
-            domain_ratio_stats(a.kept, only_variation=True)
-        ) == ordered(domain_ratio_stats(b.kept, only_variation=True))
-        assert ordered(location_ratio_stats(a.kept)) == ordered(
-            location_ratio_stats(b.kept)
-        )
+        """The chained pipeline (clean -> figures) keeps its answers."""
+        assert_pinned(case, "clean_reports() -> extent, ratio stats, location stats")
+        list_input, sliced = copies_and_slice(CASES[case])
+        assert isinstance(clean_reports(list_input, RATES).kept, TableSlice)
+        assert isinstance(clean_reports(sliced, RATES).kept, TableSlice)

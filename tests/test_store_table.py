@@ -196,12 +196,34 @@ class TestTableSlice:
         assert [r.check_id for r in sub] == ["chk0000001", "chk0000002"]
 
     def test_as_table_slice_dispatch(self):
+        """A slice passes through, a table is viewed whole, and a plain
+        report list is appended once to a fresh table, bytes unchanged."""
         table = ReportTable()
         table.append(make_report())
-        assert as_table_slice(TableSlice(table)) is not None
-        assert as_table_slice(table) is not None
-        assert as_table_slice([make_report()]) is None
+        sliced = TableSlice(table)
+        assert as_table_slice(sliced) is sliced
+        assert as_table_slice(table).table is table
         assert as_table_slice(table).rows == range(1)
+        reports = [make_report(i, day=i) for i in range(3)]
+        from_list = as_table_slice(reports)
+        assert isinstance(from_list, TableSlice)
+        assert from_list.table is not table
+        assert from_list.rows == range(3)
+        assert [report_to_dict(r) for r in from_list] == [
+            report_to_dict(r) for r in reports
+        ]
+
+    def test_with_variation_keeps_guard_beating_rows_in_order(self):
+        table = ReportTable()
+        flat = [obs("USA - Boston", 10.0), obs("UK - London", 10.0)]
+        for i in range(5):
+            # Rows 0, 2, 4 vary by x1.28 against a x1.02 guard.
+            table.append(make_report(i, observations=None if i % 2 == 0 else flat))
+        varied = TableSlice(table, [4, 3, 2, 1, 0]).with_variation()
+        assert varied.table is table
+        assert list(varied.rows) == [4, 2, 0]
+        table.set_guard(1.5)
+        assert len(TableSlice(table).with_variation()) == 0
 
     def test_empty_slice(self):
         sliced = TableSlice(ReportTable())
