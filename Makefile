@@ -4,10 +4,8 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-full coverage scenarios docs-check bench \
-	bench-analysis bench-campaign bench-resume bench-multicore \
-	bench-chaos bench-serve chaos check examples serve-smoke \
-	perfbench perfbench-smoke
+.PHONY: test test-fast test-full coverage scenarios docs-check chaos \
+	check examples serve-smoke perfbench perfbench-record perfbench-smoke
 
 # Tier-1: the full test suite.
 test:
@@ -51,57 +49,6 @@ check: test docs-check
 docs-check:
 	$(PYTHON) -m pytest tests/test_docs_api.py -q
 
-# Refresh benchmarks/BENCH_pipeline.json (per-check, crawl/campaign
-# throughput, workers scaling curve, analysis aggregation).
-bench:
-	$(PYTHON) benchmarks/run_bench.py
-
-# Just the analysis aggregation bench (table build + the columnar
-# kernels over 100K synthetic reports); other entries in
-# BENCH_pipeline.json are preserved.
-bench-analysis:
-	$(PYTHON) benchmarks/run_bench.py --only analysis_aggregation
-
-# Just the heavy-traffic campaign bench (100K checks, burst memo on/off,
-# subprocess-isolated peak RSS); other entries are preserved.  Tune with
-# e.g. `make bench-campaign CAMPAIGN_CHECKS=200000`.
-CAMPAIGN_CHECKS ?= 100000
-bench-campaign:
-	$(PYTHON) benchmarks/run_bench.py --only campaign_scaling \
-		--campaign-checks $(CAMPAIGN_CHECKS)
-
-# Just the kill-safe resume bench: checkpoint tax, day-boundary SIGKILL,
-# resume overhead + peak RSS, byte-identity check.  Tune with e.g.
-# `make bench-resume RESUME_CHECKS=500000`.
-RESUME_CHECKS ?= 200000
-bench-resume:
-	$(PYTHON) benchmarks/run_bench.py --only campaign_resume \
-		--resume-checks $(RESUME_CHECKS)
-
-# Just the multicore scaling curve: workers x {local,process} x memo
-# {on,off}, checks/s + per-day boundary overhead + fleet memo misses,
-# byte identity across every cell.  `MULTICORE_FAST=1` runs the reduced
-# 3-cell CI grid to a scratch file, leaving the recorded full-grid
-# numbers in BENCH_pipeline.json untouched.
-bench-multicore:
-	$(PYTHON) benchmarks/run_bench.py --only multicore_scaling \
-		$(if $(MULTICORE_FAST),--multicore-fast --heavy-rounds 2 \
-		--out bench_multicore_ci.json)
-
-# Just the worker-failure supervision bench: recovery latency under a
-# mid-day worker SIGKILL, no-fault supervision overhead, byte identity
-# demanded under both.
-bench-chaos:
-	$(PYTHON) benchmarks/run_bench.py --only worker_failure
-
-# Just the serving-latency traffic replay: live HTTP service, mixed
-# read/write stream, p50/p99 check latency + sustained checks/s.  Tune
-# with e.g. `make bench-serve SERVE_REQUESTS=5000`.
-SERVE_REQUESTS ?= 2000
-bench-serve:
-	$(PYTHON) benchmarks/run_bench.py --only serving_latency \
-		--serve-requests $(SERVE_REQUESTS)
-
 # The repository benchmark (perfbench/README.md, declared in
 # BENCHMARK.json): one workload -- campaign, job, serve or analyze --
 # through the real entry points, pinned to one CPU.  The last line
@@ -114,6 +61,27 @@ TRACE ?= 0
 perfbench:
 	$(PYTHON) perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) \
 		--seconds 15 --trace $(TRACE)
+
+# Record one benchmark result in the committed trajectory,
+# benchmarks/BENCH_perfbench.jsonl.  A run that ends correct with no
+# failed operations appends one line {commit, workload, seed, nproc,
+# metrics}; any other run records nothing and fails.  e.g.
+# `make perfbench-record WORKLOAD=job SEED=1`.
+PERFBENCH_RECORD = $(PYTHON) -c 'import json, os, subprocess, sys; \
+	r = json.loads(sys.stdin.read()); \
+	r["correct"] is True and r["failed"] == 0 or sys.exit( \
+		"error: run not correct or with failed operations, not recorded"); \
+	commit = subprocess.run(["git", "describe", "--always", "--dirty", \
+		"--abbrev=12", "--exclude=*"], capture_output=True, text=True, \
+		check=True).stdout.strip(); \
+	line = {"commit": commit, "workload": sys.argv[1], \
+		"seed": int(sys.argv[2]), "nproc": len(os.sched_getaffinity(0)), \
+		"metrics": {k: m["value"] for k, m in r["metrics"].items()}}; \
+	open(sys.argv[3], "a").write(json.dumps(line, sort_keys=True) + "\n")'
+perfbench-record:
+	$(PYTHON) perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) \
+		--seconds 15 --trace 0 | tee /dev/stderr | tail -n 1 | \
+		$(PERFBENCH_RECORD) $(WORKLOAD) $(SEED) benchmarks/BENCH_perfbench.jsonl
 
 # Benchmark smoke (CI's PR gate): short traced serve, campaign and
 # analyze runs must each end in a correct result with no failed

@@ -1,8 +1,9 @@
 """Benchmark fixtures.
 
 The figure benchmarks measure the *analysis* stage against a pre-built
-dataset (the dataset build itself is measured once in the pipeline
-benches).  ``REPRO_SCALE`` selects the workload; benchmarks default to
+dataset; ``test_bench_pipeline.py`` times the measurement stages, and the
+repository benchmark (``make perfbench``) times the entry points end to
+end.  ``REPRO_SCALE`` selects the workload; benchmarks default to
 ``tiny`` so `pytest benchmarks/ --benchmark-only` completes in minutes.
 Run with ``REPRO_SCALE=paper`` to regenerate figures at the paper's scale.
 """

@@ -78,15 +78,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_exec(p: argparse.ArgumentParser) -> None:
         p.add_argument("--workers", type=int, default=1,
-                       help="shard fan-out batches across N workers; 0 = "
-                            "auto-size from the CPU count (output is "
-                            "byte-identical at any N; default 1)")
-        p.add_argument("--exec-mode", choices=("local", "process", "auto"),
+                       help="shard fan-out batches across N >= 1 workers "
+                            "(output is byte-identical at any N; "
+                            "default 1)")
+        p.add_argument("--exec-mode", choices=("local", "process"),
                        default="local",
-                       help="how shards execute: in this process, in "
-                            "dedicated worker processes, or decided from "
-                            "the world's predicted live-work share "
-                            "(default: local)")
+                       help="how shards execute: in this process or in "
+                            "dedicated worker processes (default: local)")
         p.add_argument("--max-worker-restarts", type=int, default=3,
                        metavar="N",
                        help="under --exec-mode process: how many times a "

@@ -16,8 +16,7 @@ text of what was fetched.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 __all__ = ["ArchivedPage", "PageStore"]
@@ -45,34 +44,11 @@ class ArchivedPage:
 class PageStore:
     """In-memory page database with per-domain HTML retention caps."""
 
-    def __init__(
-        self,
-        *,
-        html_per_domain: int = 30,
-        metadata_cap: Optional[int] = None,
-    ) -> None:
-        """``metadata_cap`` bounds the per-fetch metadata list.
-
-        ``None`` (the default) keeps every :class:`ArchivedPage` forever
-        -- the analysis-friendly behaviour.  A campaign-scale run (100K+
-        checks, millions of fetches) sets a cap and the store becomes a
-        rolling window over the most recent archives: memory stays flat
-        no matter how long the campaign runs, at the documented cost that
-        ``__iter__``/``pages_for_domain`` only see the window.  A page
-        rolling off the window returns its domain's HTML retention budget
-        (and its body's interning slot), so the window always carries up
-        to ``html_per_domain`` recent bodies per domain rather than only
-        the campaign's very first ones.
-        """
+    def __init__(self, *, html_per_domain: int = 30) -> None:
         if html_per_domain < 0:
             raise ValueError("html_per_domain must be >= 0")
-        if metadata_cap is not None and metadata_cap < 1:
-            raise ValueError("metadata_cap must be >= 1 (or None)")
         self.html_per_domain = html_per_domain
-        self.metadata_cap = metadata_cap
-        self._pages: "deque[ArchivedPage] | list[ArchivedPage]" = (
-            deque() if metadata_cap is not None else []
-        )
+        self._pages: list[ArchivedPage] = []
         self._html_counts: dict[str, int] = {}
         # Content interning pool: maps an HTML string to its first-seen
         # instance, so equal bodies are stored once (str is immutable).
@@ -106,14 +82,6 @@ class PageStore:
             key=self._archive_chain,
         )
         self._archive_chain = digest.digest()
-        if self.metadata_cap is not None:
-            while len(self._pages) >= self.metadata_cap:
-                evicted = self._pages.popleft()  # type: ignore[union-attr]
-                if evicted.retained:
-                    self._html_counts[evicted.domain] -= 1
-                    # Future identical bodies re-intern; pages still in
-                    # the window keep the shared string alive meanwhile.
-                    self._interned.pop(evicted.html, None)
         count = self._html_counts.get(domain, 0)
         keep = count < self.html_per_domain
         if keep:
@@ -179,19 +147,19 @@ class PageStore:
 
         Each :meth:`archive` call folds the page's identifying fields and
         full HTML into a keyed blake2b chain.  Two stores that processed
-        the same archive *stream* -- regardless of retention caps or
-        eviction -- end with equal chains, which is what checkpoint resume
-        asserts instead of comparing page windows byte by byte.
+        the same archive *stream* -- whatever their HTML retention caps --
+        end with equal chains, which is what checkpoint resume asserts
+        instead of comparing archived pages byte by byte.
         """
         return self._archive_chain.hex()
 
     def restore_archive_chain(self, chain: str) -> None:
         """Reset the chain cursor to a previously captured value.
 
-        Used on checkpoint resume: the store starts empty (the retention
-        window refills as the resumed run archives pages) but the chain
-        continues from where the interrupted run committed, so the final
-        chain matches an uninterrupted run's.
+        Used on checkpoint resume: the store starts empty (it refills as
+        the resumed run archives pages) but the chain continues from
+        where the interrupted run committed, so the final chain matches
+        an uninterrupted run's.
         """
         raw = bytes.fromhex(chain)
         if len(raw) != len(_CHAIN_SEED):

@@ -10,8 +10,8 @@ to the sequential loop:
   predicted per-shard cost (live fan-outs vs memo hits) equalizes;
 * :class:`~repro.exec.plan.ExecConfig` -- the ``workers``/``mode`` knob
   carried by :func:`repro.crawler.run_crawl`,
-  :func:`repro.crowd.run_campaign`, and the CLI's ``--workers``
-  (``--workers 0`` auto-sizes from ``os.cpu_count()``);
+  :func:`repro.crowd.run_campaign`, and the CLI's ``--workers`` /
+  ``--exec-mode``;
 * :class:`~repro.exec.local.LocalExecutor` -- in-process execution, the
   default and the determinism test baseline;
 * :class:`~repro.exec.process.ProcessExecutor` -- multiprocessing

@@ -21,17 +21,12 @@ shard costs equalize.
 :class:`ExecConfig` is the user-facing knob: ``workers`` and ``mode``
 travel from the CLI / :func:`repro.crawler.run_crawl` /
 :func:`repro.crowd.run_campaign` down to an executor instance.
-``workers=0`` and ``mode="auto"`` defer the choice to
-:meth:`ExecConfig.resolve`, which sizes the pool from ``os.cpu_count()``
-and picks the mode from the world's predicted live-work share.
 """
 
 from __future__ import annotations
 
-import logging
-import os
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 from repro.net.clock import SECONDS_PER_DAY
 from repro.net.urls import URL
@@ -49,17 +44,14 @@ __all__ = [
     "predicted_batch_cost",
 ]
 
-_MODES = ("local", "process", "auto")
+_MODES = ("local", "process")
 
 #: Relative cost of a full live fan-out (render + serialize + archive +
-#: extract, times the fleet) vs replaying a memo hit.  Calibrated from
-#: ``benchmarks/BENCH_pipeline.json``: a memoized campaign day runs
-#: ~20x faster per check than a live one.  Only the *ratio* matters --
-#: the planner equalizes relative shard loads, never absolute seconds.
+#: extract, times the fleet) vs replaying a memo hit.  Only the *ratio*
+#: matters -- the planner equalizes relative shard loads, never absolute
+#: seconds.
 LIVE_CHECK_COST = 20.0
 MEMO_HIT_COST = 1.0
-
-logger = logging.getLogger("repro.exec")
 
 
 class ExecError(RuntimeError):
@@ -183,7 +175,8 @@ class ExecConfig:
     """How a crawl/campaign executes its fan-out batches.
 
     ``workers=1`` with ``mode="local"`` is the sequential baseline (no
-    executor object at all); higher worker counts shard the batch.  Modes:
+    executor object at all); higher worker counts shard the batch through
+    :class:`CostAwarePlanner`.  Modes:
 
     * ``"local"`` -- :class:`~repro.exec.local.LocalExecutor`: shards run
       one after another in this process.  Zero overhead, exercises the
@@ -191,10 +184,6 @@ class ExecConfig:
     * ``"process"`` -- :class:`~repro.exec.process.ProcessExecutor`:
       shards run in parallel worker processes that rebuild the world from
       its :class:`~repro.ecommerce.world.WorldSpec`.
-    * ``"auto"`` -- decided per world by :meth:`resolve`.
-
-    ``workers=0`` means "size the pool automatically" (``os.cpu_count()``).
-    Batches shard through :class:`CostAwarePlanner`.
     """
 
     workers: int = 1
@@ -205,79 +194,23 @@ class ExecConfig:
     max_worker_restarts: int = 3
 
     def __post_init__(self) -> None:
-        if self.workers < 0:
-            raise ValueError("workers must be >= 1, or 0 for auto")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
         if self.max_worker_restarts < 0:
             raise ValueError("max_worker_restarts must be >= 0")
 
-    # ------------------------------------------------------------------
-    def resolve(self, world: "World") -> "ExecConfig":
-        """A concrete config: ``workers=0`` / ``mode="auto"`` decided.
-
-        Auto workers is ``os.cpu_count()``.  Auto mode weighs the world's
-        predicted live-work share: live-only retailers (stateful pricing,
-        login) re-run the full fan-out on every check, which is the
-        parallelizable heavy work, so a fleet dominated by them (weighted
-        share >= 0.5 of expected traffic) crosses into ``"process"``;
-        a memo-friendly fleet stays ``"local"``, where replaying hits in
-        one process beats paying any boundary at all.  The decision is
-        logged on the ``repro.exec`` logger.
-        """
-        if self.workers >= 1 and self.mode != "auto":
-            return self
-        workers = self.workers or (os.cpu_count() or 1)
-        mode = self.mode
-        if mode == "auto":
-            live_share = _live_work_share(world)
-            mode = "process" if workers >= 2 and live_share >= 0.5 else "local"
-            logger.info(
-                "exec auto: workers=%d mode=%s (cpu_count=%s, "
-                "predicted live-work share %.2f)",
-                workers, mode, os.cpu_count(), live_share,
-            )
-        else:
-            logger.info(
-                "exec auto: workers=%d mode=%s (cpu_count=%s)",
-                workers, mode, os.cpu_count(),
-            )
-        return replace(self, workers=workers, mode=mode)
-
     def create(self, world: "World"):
         """Build the executor this config describes (None = run inline)."""
-        config = self.resolve(world)
-        if config.mode == "local" and config.workers == 1:
-            return None
-        if config.mode == "local":
+        if self.mode == "local":
+            if self.workers == 1:
+                return None
             from repro.exec.local import LocalExecutor
 
-            return LocalExecutor(config.workers)
+            return LocalExecutor(self.workers)
         from repro.exec.process import ProcessExecutor
 
         return ProcessExecutor(
-            world, config.workers, max_restarts=config.max_worker_restarts
+            world, self.workers, max_restarts=self.max_worker_restarts
         )
-
-
-def _live_work_share(world: "World") -> float:
-    """Expected fraction of traffic that must run the live fan-out.
-
-    Weighted by :meth:`~repro.ecommerce.world.World.crowd_weights` where
-    known (crawl-only retailers count once): a retailer whose
-    :meth:`~repro.ecommerce.retailer.RetailerServer.signature_profile`
-    is ``None`` is live-only, and long-tail domains (not retailer
-    servers) always are.
-    """
-    weights = world.crowd_weights()
-    total = live = 0.0
-    for domain, server in world.servers.items():
-        weight = weights.get(domain, 1.0)
-        total += weight
-        if server.signature_profile() is None:
-            live += weight
-    for domain in world.long_tail:
-        weight = weights.get(domain, 0.6)
-        total += weight
-        live += weight
-    return live / total if total else 1.0

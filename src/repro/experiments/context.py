@@ -83,9 +83,7 @@ class ExperimentContext:
 
     ``exec_config`` shards the campaign and crawl fan-outs across workers
     (``repro.exec``); datasets are byte-identical at any worker count, so
-    the figures cannot depend on it.  An auto config (``workers=0`` /
-    ``mode="auto"``) is resolved against this context's world when each
-    executor is created.
+    the figures cannot depend on it.
 
     ``checkpoint_dir`` makes the dataset builds kill-safe: the campaign
     checkpoints into ``<dir>/campaign`` and the crawl into ``<dir>/crawl``

@@ -64,6 +64,8 @@ class SheriffRequestHandler(BaseHTTPRequestHandler):
     #: delayed ACK every keep-alive response stalls ~40 ms waiting for
     #: the client's ACK, swamping the serving latency it frames.
     disable_nagle_algorithm = True
+    #: Whether this request's body is still unread; only a POST has one.
+    _body_pending = False
 
     # -- plumbing -------------------------------------------------------
     @property
@@ -79,6 +81,10 @@ class SheriffRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self._body_pending:
+            # The request body is still on the socket: read as the next
+            # request line it would desync the connection, so end it.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -90,13 +96,18 @@ class SheriffRequestHandler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message})
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = (self.headers.get("Content-Length") or "0").strip()
+        if not header.isdecimal():
+            raise BadRequest("Content-Length must be a non-negative integer")
+        length = int(header)
         if length <= 0:
             raise BadRequest("request body required")
         if length > _MAX_BODY:
             raise BadRequest("request body too large")
+        raw = self.rfile.read(length)
+        self._body_pending = False
         try:
-            return json.loads(self.rfile.read(length).decode("utf-8"))
+            return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise BadRequest(f"request body is not valid JSON: {exc}")
 
@@ -123,6 +134,7 @@ class SheriffRequestHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         """/checks (200, report bytes) and /campaigns (202, job status)."""
+        self._body_pending = True
         try:
             if self.path == "/checks":
                 body = self.service.check(self._read_json())

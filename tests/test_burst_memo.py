@@ -429,27 +429,9 @@ class TestCampaignScalePlumbing:
         finally:
             _WORKER_WORLDS.pop(spec, None)
 
-    def test_page_store_rolling_window_returns_retention_budget(self):
-        """With ``metadata_cap``, evicted pages hand back their domain's
-        HTML budget: the window always holds the most *recent* retained
-        bodies, not only the campaign's very first ones."""
-        from repro.core.store import PageStore
-
-        store = PageStore(html_per_domain=2, metadata_cap=4)
-        for i in range(10):
-            store.archive(
-                check_id=f"c{i}", url="http://shop.example/x",
-                domain="shop.example", vantage="v", timestamp=float(i),
-                html=f"<html>{i}</html>",
-            )
-        pages = list(store)
-        assert len(pages) == 4
-        assert [p.check_id for p in pages] == ["c6", "c7", "c8", "c9"]
-        retained = [p.check_id for p in pages if p.retained]
-        assert retained == ["c8", "c9"]  # recent bodies, budget returned
-        assert store.retained_html_count() == 2
-
-    def test_page_store_without_cap_unchanged(self):
+    def test_page_store_keeps_every_fetch_and_first_bodies(self):
+        """Every fetch keeps its metadata; only the first
+        ``html_per_domain`` fetches of a domain keep their body."""
         from repro.core.store import PageStore
 
         store = PageStore(html_per_domain=2)

@@ -152,6 +152,34 @@ class TestPageStore:
         assert len(pages) == 5
         assert all(page.html for page in pages)
 
+    def test_archived_bodies_re_extract(self, tiny_world):
+        """Archived HTML is the page that was measured: re-extracting
+        each stored body from its string gives the text the check
+        reported for that vantage, for live fetches and memo replays."""
+        from repro.core.extraction import extract_price
+
+        store = PageStore(html_per_domain=28)
+        backend = SheriffBackend(
+            tiny_world.network, tiny_world.vantage_points, tiny_world.rates,
+            store=store,
+        )
+        domain = "www.digitalrev.com"
+        anchor = anchor_for(tiny_world, domain)
+        request = CheckRequest(url=product_url(tiny_world, domain),
+                               anchor=anchor)
+        reports = [backend.check(request) for _ in range(2)]
+        assert backend.cache_stats()["burst_hits"] == 1
+        observed = {
+            (report.check_id, obs.vantage): obs.raw_text
+            for report in reports for obs in report.observations
+        }
+        pages = store.pages_for_domain(domain, with_html_only=True)
+        assert len(pages) == 28
+        for page in pages:
+            extracted = extract_price(page.html, anchor)
+            assert extracted.ok, (page.vantage, extracted.error)
+            assert extracted.raw_text == observed[page.check_id, page.vantage]
+
     def test_metadata_kept_beyond_cap(self):
         store = PageStore(html_per_domain=1)
         for i in range(4):

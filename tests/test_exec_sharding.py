@@ -11,7 +11,6 @@ cost-aware partitions, and store-state equivalence.
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -210,39 +209,12 @@ class TestExecConfig:
             executor.close()
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ExecConfig(workers=-1)
-        with pytest.raises(ValueError):
-            ExecConfig(mode="threads")
-
-    def test_workers_zero_resolves_to_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        resolved = ExecConfig(workers=0).resolve(_tiny_world())
-        assert resolved.workers == 3
-        assert resolved.mode == "local"
-
-    def test_auto_mode_picks_local_for_memo_friendly_world(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        # The tiny test world is dominated by signature-pure retailers:
-        # most checks replay from the memo, so auto stays local.
-        resolved = ExecConfig(workers=0, mode="auto").resolve(_tiny_world())
-        assert resolved.workers == 4
-        assert resolved.mode == "local"
-
-    def test_auto_mode_crosses_to_process_for_live_heavy_world(
-        self, monkeypatch
-    ):
-        from repro.exec.plan import _live_work_share
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        world = _tiny_world()
-        monkeypatch.setattr(
-            "repro.exec.plan._live_work_share", lambda w: 0.9
-        )
-        resolved = ExecConfig(workers=0, mode="auto").resolve(world)
-        assert resolved.mode == "process"
-        # sanity: the real share function returns a fraction
-        assert 0.0 <= _live_work_share(world) <= 1.0
+        # No automatic choice: the caller names a worker count >= 1 and
+        # one of the two modes.
+        for bad in ({"workers": -1}, {"workers": 0}, {"mode": "threads"},
+                    {"mode": "auto"}):
+            with pytest.raises(ValueError):
+                ExecConfig(**bad)
 
 
 # ----------------------------------------------------------------------

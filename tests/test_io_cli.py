@@ -239,6 +239,7 @@ class TestCliErrorPaths:
     @pytest.mark.parametrize("flags", [
         ["--workers", "-1"],
         ["--workers", "2", "--max-worker-restarts", "-2"],
+        ["--workers", "0"],
     ])
     def test_bad_executor_flags(self, flags, capsys):
         code = cli.main(["campaign", "--scale", "tiny", *flags])
@@ -246,6 +247,12 @@ class TestCliErrorPaths:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_unknown_exec_mode_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["campaign", "--scale", "tiny", "--exec-mode", "auto"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'auto'" in capsys.readouterr().err
 
     def test_checkpoint_misuse_names_resume(self, tmp_path: Path, capsys):
         base = ["campaign", "--scale", "tiny",

@@ -15,6 +15,7 @@ Three tiers of proof:
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -31,10 +32,19 @@ from repro.serve import JobSpec, ServeConfig, build_app
 # Harness: one live server per test module section
 # ----------------------------------------------------------------------
 class Client:
-    """urllib wrapper that returns (status, body) instead of raising."""
+    """urllib wrapper that returns (status, body) instead of raising.
+
+    urllib opens a new connection per request; tests of keep-alive
+    framing take one ``connection()`` and send several requests on it.
+    """
 
     def __init__(self, port: int) -> None:
+        self.port = port
         self.base = f"http://127.0.0.1:{port}"
+
+    def connection(self) -> http.client.HTTPConnection:
+        """One HTTP/1.1 connection that later requests reuse (keep-alive)."""
+        return http.client.HTTPConnection("127.0.0.1", self.port, timeout=60)
 
     def get(self, path: str) -> tuple[int, bytes]:
         return self._run(urllib.request.Request(self.base + path))
@@ -63,6 +73,15 @@ class Client:
                 return state
             time.sleep(0.05)
         raise AssertionError(f"{job_id} still running after {timeout}s")
+
+
+def _assert_healthz(conn: http.client.HTTPConnection) -> None:
+    """``GET /healthz`` on ``conn`` gets its own 200 JSON reply."""
+    conn.request("GET", "/healthz")
+    resp = conn.getresponse()
+    body = resp.read()
+    assert resp.status == 200, body[:200]
+    assert json.loads(body)["status"] == "ok"
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +145,35 @@ class TestRouteContract:
         status, _ = client.post("/checks", {"product": 1})
         assert status == 400
 
+        # A refused body is never left on a kept-alive connection: an
+        # oversize one is not read, so the reply ends the connection.
+        conn = client.connection()
+        try:
+            conn.putrequest("POST", "/checks")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", str(2 << 20))
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert "too large" in json.loads(resp.read())["error"]
+            assert resp.getheader("Connection") == "close"
+        finally:
+            conn.close()
+
+        # A Content-Length that is not a number is the client's error.
+        conn = client.connection()
+        try:
+            conn.putrequest("POST", "/checks")
+            conn.putheader("Content-Length", "abc")
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert "Content-Length" in json.loads(resp.read())["error"]
+            assert resp.getheader("Connection") == "close"
+            _assert_healthz(conn)
+        finally:
+            conn.close()
+
     def test_campaign_bad_spec_is_400(self, served):
         service, client = served
         before = sorted(p.name for p in service.registry.root.iterdir())
@@ -148,6 +196,20 @@ class TestRouteContract:
         assert client.get("/jobs/job-999999")[0] == 404
         assert client.get("/nope")[0] == 404
         assert client.post("/nope", {})[0] == 404
+
+        # The unread body of a refused POST must not be parsed as the
+        # next request on the same keep-alive connection.
+        conn = client.connection()
+        try:
+            conn.request("POST", "/nope",
+                         body=json.dumps({"domain": "www.digitalrev.com"}),
+                         headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            assert resp.status == 404
+            assert "no such route" in json.loads(resp.read())["error"]
+            _assert_healthz(conn)
+        finally:
+            conn.close()
 
     def test_results_before_done_is_409(self, served):
         # Service-level (deterministic): a registered-but-unlaunched job
