@@ -83,11 +83,12 @@ perfbench-record:
 		--seconds 15 --trace 0 | tee /dev/stderr | tail -n 1 | \
 		$(PERFBENCH_RECORD) $(WORKLOAD) $(SEED) benchmarks/BENCH_perfbench.jsonl
 
-# Benchmark smoke (CI's PR gate): short traced serve, campaign and
+# Benchmark smoke (CI's PR gate): short traced serve, campaign, job and
 # analyze runs must each end in a correct result with no failed
 # operations, so a program change that breaks the benchmark's wrappers
 # (the `run_campaign`, io and analysis ones included) or output digests
-# fails here.
+# fails here.  `job` ignores --seconds: it runs its plain and traced
+# 1,000-click served campaign, the checkpointed serve path.
 PERFBENCH_OK = $(PYTHON) -c 'import json, sys; \
 	r = json.loads(sys.stdin.read()); \
 	sys.exit(not (r["correct"] is True and r["failed"] == 0))'
@@ -95,6 +96,8 @@ perfbench-smoke:
 	$(PYTHON) perfbench/run.py --workload serve --seed 1 --seconds 2 \
 		--trace 1 | tee /dev/stderr | tail -n 1 | $(PERFBENCH_OK)
 	$(PYTHON) perfbench/run.py --workload campaign --seed 1 --seconds 2 \
+		--trace 1 | tee /dev/stderr | tail -n 1 | $(PERFBENCH_OK)
+	$(PYTHON) perfbench/run.py --workload job --seed 1 --seconds 2 \
 		--trace 1 | tee /dev/stderr | tail -n 1 | $(PERFBENCH_OK)
 	$(PYTHON) perfbench/run.py --workload analyze --seed 1 --seconds 2 \
 		--trace 1 | tee /dev/stderr | tail -n 1 | $(PERFBENCH_OK)

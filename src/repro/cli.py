@@ -156,19 +156,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _exec_config(args: argparse.Namespace) -> Optional[ExecConfig]:
-    """The ExecConfig the flags describe (None = sequential baseline)."""
+def _exec_config(args: argparse.Namespace) -> ExecConfig:
+    """The validated ExecConfig the flags describe.
+
+    The defaults (1 worker, local) describe the sequential baseline, for
+    which :meth:`ExecConfig.create` builds no executor.
+    """
     try:
-        config = ExecConfig(
+        return ExecConfig(
             workers=getattr(args, "workers", 1),
             mode=getattr(args, "exec_mode", "local"),
             max_worker_restarts=getattr(args, "max_worker_restarts", 3),
         )
     except ValueError as exc:
         raise CliError(f"bad executor flags: {exc}")
-    if config.workers == 1 and config.mode == "local":
-        return None
-    return config
 
 
 def _print_fleet_health() -> None:

@@ -158,10 +158,11 @@ class SheriffExtension:
         """Run the full §3.1 user flow for one product page.
 
         ``find_price`` stands in for the user's eyes.  The document it
-        receives may be a *shared* tree (the retailer's render memo or the
-        process-wide parse cache), so it must only read -- never detach,
-        re-parent, or edit nodes; mutations would poison every later check
-        that renders or parses the identical page.  ``referer`` is how
+        receives may be a *shared* tree (the process-wide parse cache) or
+        a page filled from a shape whose anchor resolutions every fill
+        reuses, so it must only read -- never detach, re-parent, or edit
+        nodes; mutations would poison every later check that parses the
+        identical page or fills the same shape.  ``referer`` is how
         the *user* arrived at the page; the backend fan-out deliberately
         does not reproduce it (it only receives the bare URI) -- which is
         one of the things the system "cannot control for" per §3.1.

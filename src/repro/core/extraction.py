@@ -14,6 +14,13 @@ have shifted.  Extraction therefore:
 3. reports *how* it succeeded (``method``) so analysis can quantify anchor
    robustness (one of the DESIGN.md ablations).
 
+A page filled from a :class:`~repro.htmlmodel.shape.PageShape` shares its
+tags, element positions and attributes with every other fill of the shape,
+except the shape's slot attributes, and selectors never read text.  So an
+anchor is resolved once per shape, by the rule above, and each page reaches
+the resolved node by its path.  An anchor whose selector reads a slot
+attribute is resolved on every page.
+
 Failures return an :class:`ExtractedPrice` with ``ok=False`` and a reason
 rather than raising: a fan-out must tolerate one bad vantage page.
 """
@@ -25,7 +32,12 @@ from functools import lru_cache
 from typing import Optional
 
 from repro.core.highlight import PriceAnchor
-from repro.ecommerce.localization import Locale, PriceFormatError, parse_price
+from repro.ecommerce.localization import (
+    Locale,
+    ParsedPrice,
+    PriceFormatError,
+    parse_price,
+)
 from repro.htmlmodel.dom import Document, Element, NodePath
 from repro.htmlmodel.parser import parse_html, parse_html_cached
 from repro.htmlmodel.selectors import Selector, SelectorError
@@ -55,6 +67,25 @@ def _parsed_path_steps(text: str) -> Optional[tuple[int, ...]]:
         return NodePath.parse(text).steps
     except ValueError:
         return None
+
+
+@lru_cache(maxsize=4096)
+def _parsed_price(text: str, locale_hint: Optional[Locale]) -> ParsedPrice:
+    """:func:`parse_price`, which is pure, once per (text, locale hint).
+
+    A burst's pages repeat a handful of price texts, and parsing one scans
+    the text for every currency code.
+    """
+    return parse_price(text, locale_hint=locale_hint)
+
+
+#: Anchors one page shape resolves before its resolutions start over: a
+#: shape lives for a day, and a client may aim any number of anchors at it.
+_SHAPE_ANCHORS = 64
+
+#: A shape resolution meaning "resolve on every page": the anchor's
+#: selector reads an attribute that differs between the shape's fills.
+_PER_PAGE = object()
 
 
 @dataclass(frozen=True)
@@ -108,7 +139,7 @@ def extract_price_from_document(
     if not text:
         return ExtractedPrice.failure(f"anchored node is empty (via {method})")
     try:
-        parsed = parse_price(text, locale_hint=locale_hint)
+        parsed = _parsed_price(text, locale_hint)
     except PriceFormatError as exc:
         return ExtractedPrice.failure(f"unparseable price text {text!r}: {exc}")
     return ExtractedPrice(
@@ -121,6 +152,39 @@ def extract_price_from_document(
 
 
 def _resolve(
+    document: Document, anchor: PriceAnchor
+) -> tuple[Optional[Element], str]:
+    """The anchored element and how it was found, once per page shape."""
+    shape = document.shape
+    if shape is None:
+        return _walk(document, anchor)
+    resolutions = shape.resolutions
+    key = (anchor.selector, anchor.node_path)
+    resolved = resolutions.get(key)
+    if resolved is None:
+        selector = (
+            _compiled_selector(anchor.selector) if anchor.selector else None
+        )
+        if selector is not None and (
+            selector.attribute_names() & shape.slot_attributes
+        ):
+            resolved = _PER_PAGE
+        else:
+            element, method = _walk(document, anchor)
+            path = element.node_path() if element is not None else None
+            resolved = (path, method)
+        if len(resolutions) >= _SHAPE_ANCHORS:
+            resolutions.clear()
+        resolutions[key] = resolved
+    if resolved is _PER_PAGE:
+        return _walk(document, anchor)
+    path, method = resolved
+    if path is None:
+        return None, method
+    return document.find_by_path(path), method
+
+
+def _walk(
     document: Document, anchor: PriceAnchor
 ) -> tuple[Optional[Element], str]:
     """Selector first, structural path as fallback."""

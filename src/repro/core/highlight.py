@@ -20,6 +20,12 @@ locators:
 
 Extraction (:mod:`repro.core.extraction`) tries the selector first, then
 the path.
+
+Selector derivation reads only tags, ids, classes and element positions,
+which every page filled from one :class:`~repro.htmlmodel.shape.PageShape`
+shares unless the shape has a slot in an ``id`` or ``class``.  So on a
+filled page whose shape has no such slot, the selector for a node path is
+derived once per shape.
 """
 
 from __future__ import annotations
@@ -35,6 +41,9 @@ __all__ = ["PriceAnchor", "derive_anchor", "AnchorError"]
 #: Class names too generic to disambiguate anything on their own; they are
 #: still used in combination with parent steps.
 _MAX_CHAIN_DEPTH = 5
+
+#: The attributes selector derivation reads.
+_DERIVATION_READS = frozenset({"id", "class"})
 
 
 class AnchorError(ValueError):
@@ -62,10 +71,20 @@ def derive_anchor(document: Document, element: Element) -> PriceAnchor:
     """
     if element.root is not document:
         raise AnchorError("element does not belong to the given document")
-    selector = _derive_unique_selector(document, element)
+    path = element.node_path()
+    shape = document.shape
+    if shape is None or shape.slot_attributes & _DERIVATION_READS:
+        selector = _derive_unique_selector(document, element)
+    else:
+        # Keyed by the NodePath itself, apart from extraction's tuple keys.
+        derived = shape.resolutions
+        if path in derived:
+            selector = derived[path]
+        else:
+            selector = derived[path] = _derive_unique_selector(document, element)
     return PriceAnchor(
         selector=selector,
-        node_path=str(element.node_path()),
+        node_path=str(path),
         sample_text=element.text(strip=True),
     )
 

@@ -13,13 +13,18 @@ request.  The request path a server implements:
    request (country, city, day, login cookie, session cookie, nonce),
 4. ask the pricing policy for the USD price, convert to the display
    currency at the day's mid market rate, round like a shop does,
-5. render the retailer's template -- with localized decoy prices on the
-   recommended products -- and serialize to HTML.
+5. fill the page's *shape* -- the retailer's template rendered once per
+   (product, day, logged-in user) with slot markers in place of the
+   locale tag, the currency code, the price and the localized decoy
+   prices -- with this request's strings: the HTML is joined from the
+   shape's pre-serialized fragments and a fresh tree is built from its
+   plan (:class:`~repro.htmlmodel.shape.PageShape`).  The bytes and the
+   tree are those of a plain render of the request's view.
 
 Routes: ``/`` (catalog index), product paths, ``/login`` (toy login that
 sets an auth cookie), anything else 404.
 
-Product renders go through a :class:`RenderMemo`.  A world owns one and
+Page shapes are kept in a :class:`RenderMemo`.  A world owns one and
 every server it registers shares it, so the memory the memo holds is
 bounded per world, not per retailer.
 """
@@ -46,11 +51,13 @@ from repro.ecommerce.templates import (
     ProductView,
     render_checkout_page,
     render_index_page,
+    render_shape,
+    slot_values,
 )
 from repro.ecommerce.thirdparty import ThirdParty
 from repro.fx.rates import RateService
-from repro.htmlmodel.dom import Document
 from repro.htmlmodel.serialize import to_html
+from repro.htmlmodel.shape import PageShape
 from repro.net.clock import SECONDS_PER_DAY
 from repro.net.geoip import GeoIPDatabase, GeoLocation
 from repro.net.http import HttpRequest, HttpResponse, HttpStatus, SetCookie
@@ -137,42 +144,44 @@ class PricingSignature:
     values: tuple[tuple[str, Union[str, int]], ...]
 
 
-#: A rendered product page: the tree and its serialized HTML.
-_Page = tuple[Document, str]
-
-
 class RenderMemo:
-    """Rendered product pages, shared by every server of one world.
+    """Product-page shapes, shared by every server of one world.
 
-    Templates are pure functions of the view, so two requests that price
-    identically get byte-identical pages and only the first pays the
-    render.  Keys start with a token unique to the rendering server,
-    followed by every view field that varies between its requests, so a
-    re-registered domain can never be served the replaced server's pages.
-    Cached trees and strings are shared and read-only for every consumer.
+    A shape (:class:`~repro.htmlmodel.shape.PageShape`) is a product
+    page rendered and serialized once, with slots for the strings that
+    differ between requests: the locale tag, the currency code, the price
+    and the decoy prices.  Templates place those strings verbatim and
+    never branch on them, so every request for one (product, day,
+    logged-in user) fills the same shape, and only the first renders it.
+    Keys start with a token unique to the rendering server, so a
+    re-registered domain can never be served the replaced server's
+    shapes.  A shape holds no filled tree: every request gets a fresh
+    one, freed with its response.
 
-    The memo is scoped to one day.  Every key embeds its day (through
-    the structural seed), so a page of another day is never served
-    again.  Storing a page for a new day drops the old day's LRU pages
-    and ghost keys, which would otherwise fill the LRU with pages no key
-    can reach.  The old day's FIFO pages leave as new pages push them
-    out, one per store (their keys pass through the ghost list until the
-    next day): emptying the FIFO as well made the paper campaign run 17
-    full garbage collections instead of 4, because CPython's
-    young-generation count stops at zero, so trees freed in bulk do not
-    offset the allocations that refill the FIFO.
+    The memo is scoped to one day.  Every key embeds its day, so a shape
+    of another day is never filled again.  Storing a shape for a new day
+    drops the old day's LRU shapes and ghost keys, which would otherwise
+    fill the LRU with shapes no key can reach.  The old day's FIFO shapes
+    leave as new shapes push them out, one per store (their keys pass
+    through the ghost list until the next day): emptying the FIFO in bulk
+    made the paper campaign run 17 full garbage collections instead of 4
+    when the memo held trees, because CPython's young-generation count
+    stops at zero, so objects freed in bulk do not offset the allocations
+    that refill the FIFO.
 
     Within the day, replacement is 2Q (Johnson & Shasha, VLDB 1994):
 
-    * a new key enters a FIFO of :attr:`FIFO_ENTRIES` pages, which absorbs
-      one fan-out's correlated references (at most 15 distinct views per
-      click: 14 vantages plus the user) without promoting them;
-    * a key leaving that FIFO is remembered, without its page, in a ghost
+    * a new key enters a FIFO of :attr:`FIFO_ENTRIES` shapes, which
+      absorbs correlated references (one fan-out fills one or two shapes,
+      the user's click another) without promoting them;
+    * a key leaving that FIFO is remembered, without its shape, in a ghost
       FIFO of :attr:`GHOST_KEYS` keys;
     * a miss on a remembered key enters an LRU of :attr:`LRU_ENTRIES`
-      pages -- the pages that really recur across bursts of the day.
+      shapes -- the shapes that really recur across bursts of the day.
 
-    At most ``FIFO_ENTRIES + LRU_ENTRIES`` pages are held at once.
+    At most ``FIFO_ENTRIES + LRU_ENTRIES`` shapes are held at once, each
+    with at most :attr:`PageShape.BODIES
+    <repro.htmlmodel.shape.PageShape.BODIES>` filled bodies.
     """
 
     FIFO_ENTRIES = 32
@@ -181,28 +190,28 @@ class RenderMemo:
 
     def __init__(self) -> None:
         self._day: Optional[int] = None
-        self._fifo: dict[tuple, _Page] = {}
+        self._fifo: dict[tuple, PageShape] = {}
         self._ghosts: dict[tuple, None] = {}
-        self._lru: "OrderedDict[tuple, _Page]" = OrderedDict()
+        self._lru: "OrderedDict[tuple, PageShape]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._fifo) + len(self._lru)
 
     def __iter__(self) -> Iterator[tuple]:
-        """The keys of every page held, FIFO first."""
+        """The keys of every shape held, FIFO first."""
         yield from self._fifo
         yield from self._lru
 
-    def get(self, key: tuple) -> Optional[_Page]:
-        """The page stored under ``key``, or ``None`` on a miss."""
-        page = self._lru.get(key)
-        if page is not None:
+    def get(self, key: tuple) -> Optional[PageShape]:
+        """The shape stored under ``key``, or ``None`` on a miss."""
+        shape = self._lru.get(key)
+        if shape is not None:
             self._lru.move_to_end(key)
-            return page
+            return shape
         return self._fifo.get(key)
 
-    def put(self, key: tuple, page: _Page, day: int) -> None:
-        """Store the page just rendered for a missed ``key`` on ``day``."""
+    def put(self, key: tuple, shape: PageShape, day: int) -> None:
+        """Store the shape just rendered for a missed ``key`` on ``day``."""
         if day != self._day:
             self._day = day
             self._ghosts.clear()
@@ -210,12 +219,12 @@ class RenderMemo:
         if key in self._ghosts:
             del self._ghosts[key]
             lru = self._lru
-            lru[key] = page
+            lru[key] = shape
             if len(lru) > self.LRU_ENTRIES:
                 lru.popitem(last=False)
             return
         fifo = self._fifo
-        fifo[key] = page
+        fifo[key] = shape
         if len(fifo) > self.FIFO_ENTRIES:
             oldest = next(iter(fifo))
             del fifo[oldest]
@@ -269,8 +278,9 @@ class RetailerServer:
     def render_cache_stats(self) -> dict[str, int]:
         """This server's render-memo counters (for performance reports).
 
-        Hits and misses count this server's product renders; entries are
-        the pages of this server the (shared) memo holds right now.
+        Hits and misses count this server's product pages by whether
+        their shape was in the memo (a miss renders it); entries are the
+        shapes of this server the (shared) memo holds right now.
         """
         return {
             "render_hits": self._render_hits,
@@ -491,49 +501,39 @@ class RetailerServer:
         price_text = locale.format_price(amount, decimals=decimals)
 
         recommended = self._recommended(product, pricing_ctx, locale)
-        structural_seed = stable_hash(
-            self._seed, self.retailer.domain, product.sku, ctx.day_index
-        )
+        day_index = ctx.day_index
         logged_in_user = ctx.identity if ctx.logged_in else None
 
-        # The render (and its serialization) is memoized on this server
-        # plus every view field that varies between its requests.
-        # Promo-free retailers serve byte-identical pages to a whole
-        # fan-out burst; only the first request pays the render.
-        cache_key = (
-            self._memo_token,
-            product.sku,
-            price_text,
-            tuple((pick.sku, text) for pick, text in recommended),
-            locale,
-            structural_seed,
-            logged_in_user,
-        )
+        # The shape is keyed on this server plus every view field other
+        # than the slot values (the structural seed follows from the sku
+        # and the day); only the first request of a key renders.
+        key = (self._memo_token, product.sku, day_index, logged_in_user)
         memo = self.render_memo
-        cached = memo.get(cache_key)
-        if cached is not None:
+        shape = memo.get(key)
+        if shape is not None:
             self._render_hits += 1
-            tree, html = cached
         else:
             self._render_misses += 1
-            view = ProductView(
+            shape = render_shape(self.retailer.template, ProductView(
                 retailer_name=self.retailer.name,
                 domain=self.retailer.domain,
                 product=product,
                 price_text=price_text,
-                locale=locale,
+                lang=locale.code,
+                currency_code=locale.currency.code,
                 recommended=recommended,
                 trackers=self.retailer.trackers,
-                structural_seed=structural_seed,
+                structural_seed=stable_hash(
+                    self._seed, self.retailer.domain, product.sku, day_index
+                ),
                 logged_in_user=logged_in_user,
-                day_index=ctx.day_index,
-            )
-            # Render once; serialize for the wire (the archive stays
-            # byte-faithful) and keep the tree so in-process consumers can
-            # skip re-parsing (the structured-fetch channel).
-            tree = self.retailer.template.render(view)
-            html = to_html(tree)
-            memo.put(cache_key, (tree, html), ctx.day_index)
+                day_index=day_index,
+            ))
+            memo.put(key, shape, day_index)
+        tree, html = shape.fill(slot_values(
+            locale.code, locale.currency.code, price_text,
+            [text for _, text in recommended],
+        ))
         response = HttpResponse.html(html, document=tree)
         if "session" not in request.cookies:
             session_id = f"s{stable_hash(self._seed, request.client_ip, request.timestamp) % 10**12}"

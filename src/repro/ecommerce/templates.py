@@ -15,13 +15,16 @@ So templates here are adversarial on purpose:
 * promo banners whose count varies between renders, shifting structural
   node paths while leaving semantic anchors intact.
 
-Templates build :mod:`repro.htmlmodel` DOM trees; the retailer server
-serializes them to text for the wire.
+Templates build :mod:`repro.htmlmodel` DOM trees.  The retailer server
+renders each page *shape* once (:func:`render_shape`: the render with slot
+markers in place of the view's per-request strings) and fills it per
+request (:func:`slot_values`), which yields the bytes and tree a plain
+render of the request's view would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Protocol, Sequence
 
 from repro.ecommerce.catalog import Product
@@ -29,6 +32,7 @@ from repro.ecommerce.localization import Locale
 from repro.ecommerce.thirdparty import ThirdParty
 from repro.htmlmodel.build import E, T, document
 from repro.htmlmodel.dom import Document, Element
+from repro.htmlmodel.shape import PageShape, slot_marker
 from repro.util import stable_hash, stable_rng
 
 __all__ = [
@@ -41,6 +45,8 @@ __all__ = [
     "TEMPLATE_FAMILIES",
     "template_for",
     "selector_on_day",
+    "render_shape",
+    "slot_values",
     "render_index_page",
 ]
 
@@ -48,6 +54,11 @@ __all__ = [
 @dataclass(frozen=True)
 class ProductView:
     """Everything a template needs to render one product page.
+
+    The *per-request strings* are ``lang`` (the display locale's tag, e.g.
+    ``en-US``), ``currency_code`` (its ISO code), ``price_text`` and the
+    text of each ``recommended`` decoy: the only fields that differ
+    between the requests of one page shape (:func:`render_shape`).
 
     ``day_index`` is the server-side request day.  Static template
     families ignore it (their structure only varies through
@@ -60,7 +71,8 @@ class ProductView:
     domain: str
     product: Product
     price_text: str
-    locale: Locale
+    lang: str
+    currency_code: str
     recommended: Sequence[tuple[Product, str]] = ()
     trackers: Sequence[ThirdParty] = ()
     structural_seed: int = 0
@@ -69,7 +81,14 @@ class ProductView:
 
 
 class PageTemplate(Protocol):
-    """A renderer from :class:`ProductView` to a DOM document."""
+    """A renderer from :class:`ProductView` to a DOM document.
+
+    The contract page shapes rest on: a template places each per-request
+    string of the view (``lang``, ``currency_code``, ``price_text``, the
+    decoy texts) verbatim, as the whole or a part of a text or an
+    attribute value, and never branches on one.  Every other field may
+    shape the page freely.
+    """
 
     name: str
     #: The selector that *would* robustly locate the price on this
@@ -179,7 +198,7 @@ def _page(view: ProductView, *body_children: Element) -> Document:
     for child in body_children:
         body.append(child)
     body.append(_footer(view))
-    return document(E("html", {"lang": view.locale.code}, _head(view), body))
+    return document(E("html", {"lang": view.lang}, _head(view), body))
 
 
 # ----------------------------------------------------------------------
@@ -234,7 +253,7 @@ class GridTemplate:
                    E("h2", {"class": "title"}, product.name),
                    E("div", {"class": "price-box"},
                      E("span", {"class": "currency-note"},
-                       view.locale.currency.code),
+                       view.currency_code),
                      E("span", {"class": "value"}, view.price_text)),
                    E("span", {"class": "availability in-stock"}, "In stock"),
                    E("button", {"class": "buy"}, "Buy now")))
@@ -322,6 +341,38 @@ def selector_on_day(template: PageTemplate, day_index: int) -> str:
     if chooser is not None:
         return chooser(day_index)
     return template.price_selector
+
+
+def render_shape(template: PageTemplate, view: ProductView) -> PageShape:
+    """The page shape of ``view``: ``template``'s render of it with a slot
+    marker in place of each per-request string.
+
+    Every view that differs from ``view`` only in its per-request strings
+    has this shape; :meth:`PageShape.fill` with its :func:`slot_values`
+    gives the bytes and tree of its render.
+    """
+    decoys = len(view.recommended)
+    marked = replace(
+        view,
+        lang=slot_marker(0),
+        currency_code=slot_marker(1),
+        price_text=slot_marker(2),
+        recommended=tuple(
+            (product, slot_marker(3 + index))
+            for index, (product, _) in enumerate(view.recommended)
+        ),
+    )
+    return PageShape(template.render(marked), slots=3 + decoys)
+
+
+def slot_values(
+    lang: str,
+    currency_code: str,
+    price_text: str,
+    decoy_texts: Sequence[str],
+) -> tuple[str, ...]:
+    """A view's per-request strings in the slot order of :func:`render_shape`."""
+    return (lang, currency_code, price_text, *decoy_texts)
 
 
 # ----------------------------------------------------------------------

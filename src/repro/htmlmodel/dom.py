@@ -262,9 +262,22 @@ class Element(_ParentNode):
 
 
 class Document(_ParentNode):
-    """Root of a parsed HTML document."""
+    """Root of a parsed HTML document.
 
-    __slots__ = ()
+    ``shape`` is the :class:`~repro.htmlmodel.shape.PageShape` a filled
+    page was built from, and ``None`` for every other document (parsed,
+    or built node by node).  Every page filled from one shape has the
+    same tags, element positions and attributes, except the attributes
+    the shape lists in ``slot_attributes``, so a structural fact found on
+    one of them holds on all of them.
+    """
+
+    __slots__ = ("shape",)
+
+    def __init__(self) -> None:
+        self._parent = None  # inline Node.__init__ (hot allocation path)
+        self.children = []
+        self.shape = None
 
     def __repr__(self) -> str:
         return f"Document(children={len(self.children)})"

@@ -201,6 +201,23 @@ class Selector:
                 return True
         return False
 
+    def attribute_names(self) -> frozenset[str]:
+        """The attributes this selector reads (``id`` and ``class`` included).
+
+        Matching reads nothing else of an element but its tag and its
+        position among its siblings -- never its text.
+        """
+        names: set[str] = set()
+        for group in self.groups:
+            for step in group:
+                compound = step.compound
+                if compound.ids:
+                    names.add("id")
+                if compound.classes:
+                    names.add("class")
+                names.update(test.name for test in compound.attrs)
+        return frozenset(names)
+
     # ------------------------------------------------------------------
     def select(self, root: Union[Document, Element]) -> list[Element]:
         """All elements under ``root`` (excluding root) matching, in order."""

@@ -1,0 +1,267 @@
+"""Page shapes: a page rendered once, filled per request.
+
+The copies of one product page that a synchronized burst fetches differ
+only in a few per-request strings: the locale tag, the currency code and
+the displayed prices.  A :class:`PageShape` is one render of the page with
+a *slot marker* (:func:`slot_marker`) in place of each such string.  It is
+serialized once, by :func:`~repro.htmlmodel.serialize.to_html`, and kept
+as the text fragments between the slots plus a flat plan of its tree.
+:meth:`PageShape.fill` then answers a request from the slot values alone:
+
+* the HTML is the fragments joined around the values -- the bytes
+  ``to_html`` gives for a render with those values.  Values are escaped
+  with :func:`~repro.htmlmodel.serialize.escape_text` or
+  :func:`~repro.htmlmodel.serialize.escape_attr`, exactly as ``to_html``
+  escapes them; inside ``script``/``style`` they go in raw; an attribute
+  whose whole value is an empty slot serializes as `` name``;
+* the tree is a fresh, real :class:`~repro.htmlmodel.dom.Document` built
+  from the plan, equal to the render in tags, attributes, texts and
+  element paths, whose :attr:`~repro.htmlmodel.dom.Document.shape` is the
+  shape.
+
+A marker may land only in character data or in an attribute value;
+anywhere else (a tag or attribute name) building the shape raises
+:class:`ValueError`, because no fill could reproduce such a render.
+"""
+
+from __future__ import annotations
+
+import re
+import weakref
+from typing import Optional, Sequence, Union
+
+from repro.htmlmodel.dom import Document, Element, Node, Text
+from repro.htmlmodel.parser import RAW_TEXT_ELEMENTS
+from repro.htmlmodel.serialize import escape_attr, escape_text, to_html
+
+__all__ = ["PageShape", "slot_marker"]
+
+# Private-use code points: no escape function rewrites them, and no text
+# the program renders contains them.
+_OPEN, _CLOSE = "\ue000", "\ue001"
+_MARKER_RE = re.compile(f"{_OPEN}(\\d+){_CLOSE}")
+
+#: A string with slots in it: literal text and slot indices, in order.
+_Pieces = tuple[Union[str, int], ...]
+
+# What a slot of the serialized page is: character data, raw text
+# (script/style content), or a whole attribute.
+_TEXT, _RAW, _ATTR = 0, 1, 2
+
+
+def slot_marker(index: int) -> str:
+    """The marker a shape render carries in place of slot ``index``."""
+    if index < 0:
+        raise ValueError("slot index must be >= 0")
+    return f"{_OPEN}{index}{_CLOSE}"
+
+
+def _pieces(data: str) -> Optional[_Pieces]:
+    """``data`` split around its slot markers, or ``None`` if it has none."""
+    if _OPEN not in data:
+        return None
+    split = _MARKER_RE.split(data)
+    if len(split) == 1:
+        return None
+    return tuple(
+        int(part) if i % 2 else part
+        for i, part in enumerate(split)
+        if i % 2 or part
+    )
+
+
+def _slots_of(pieces: _Pieces) -> list[int]:
+    return [piece for piece in pieces if piece.__class__ is int]
+
+
+def _join(pieces: _Pieces, values: Sequence[str]) -> str:
+    return "".join(
+        [piece if piece.__class__ is str else values[piece]  # type: ignore[index]
+         for piece in pieces]
+    )
+
+
+def _check_name(name: str, what: str) -> None:
+    if _OPEN in name or _CLOSE in name:
+        raise ValueError(f"a slot marker landed in {what} {name!r}")
+
+
+def _plan(document: Document) -> tuple[list[tuple], list[tuple]]:
+    """The build plan of ``document``'s tree and the slots of its HTML.
+
+    The plan lists every node in document order.  An element's entry is
+    ``(parent position, tag, attrs, slotted attrs, has children)``; a
+    text node's is ``(parent position, None, data or its pieces, is
+    slotted, False)``.  Positions number the document 0 and the plan's
+    elements from 1, in order.  The slots are ``(kind, slot index)`` for
+    character data and ``(_ATTR, (name, pieces))`` for an attribute, in
+    the order ``to_html`` writes them.
+    """
+    plan: list[tuple] = []
+    fills: list[tuple] = []
+    elements = 0
+
+    def visit(node: Union[Document, Element], position: int, raw: bool) -> None:
+        nonlocal elements
+        for child in node.children:
+            if isinstance(child, Element):
+                _check_name(child.tag, "tag")
+                slotted = []
+                for name, value in child.attrs.items():
+                    _check_name(name, "attribute name")
+                    pieces = _pieces(value)
+                    if pieces is not None:
+                        slotted.append((name, pieces))
+                        fills.append((_ATTR, (name, pieces)))
+                plan.append((position, child.tag, dict(child.attrs) or None,
+                             tuple(slotted), bool(child.children)))
+                elements += 1
+                visit(child, elements, child.tag in RAW_TEXT_ELEMENTS)
+            elif isinstance(child, Text):
+                pieces = _pieces(child.data)
+                if pieces is None:
+                    plan.append((position, None, child.data, False, False))
+                    continue
+                plan.append((position, None, pieces, True, False))
+                kind = _RAW if raw else _TEXT
+                fills.extend((kind, index) for index in _slots_of(pieces))
+            else:
+                raise TypeError(f"cannot shape {type(child).__name__}")
+
+    visit(document, 0, False)
+    return plan, fills
+
+
+class PageShape:
+    """One page's structure, serialized once, filled per request.
+
+    Build it from a render whose per-request strings are the markers
+    ``slot_marker(0)`` .. ``slot_marker(slots - 1)``; :meth:`fill` takes
+    one value per slot, in that order.  Equal values get one shared body
+    string: a shape keeps the bodies of its last :attr:`BODIES` distinct
+    fills, so the copies of a page that a burst archives and memoizes are
+    one object, while a retailer whose prices change on every request
+    (per-request nonce pricing) cannot grow it.  Filled trees are never
+    kept: each lives as long as its holder.
+    """
+
+    #: Distinct filled bodies a shape keeps: one fan-out's distinct views
+    #: (14 vantages plus the user) fit.
+    BODIES = 16
+
+    __slots__ = (
+        "slots", "slot_attributes", "resolutions",
+        "_plan", "_fills", "_fragments", "_bodies", "__weakref__",
+    )
+
+    def __init__(self, document: Document, slots: int) -> None:
+        if slots < 0:
+            raise ValueError("slots must be >= 0")
+        self.slots = slots
+        #: Per-shape memo of structural facts derived from a filled page,
+        #: keyed by whoever derives them (extraction keeps its anchor
+        #: resolutions here, anchor derivation its selectors).  A fact
+        #: may read only what every fill shares: tags, element positions
+        #: and the attributes outside :attr:`slot_attributes`.
+        self.resolutions: dict = {}
+        self._bodies: dict[tuple[str, ...], str] = {}
+        plan, fills = _plan(document)
+        self._plan = tuple(plan)
+        self._fills = tuple(fills)
+        #: Names of the attributes whose value carries a slot: the only
+        #: attributes that can differ between two fills.
+        self.slot_attributes = frozenset(
+            data[0] for kind, data in fills if kind == _ATTR
+        )
+        markers = [
+            index
+            for kind, data in fills
+            for index in (_slots_of(data[1]) if kind == _ATTR else [data])
+        ]
+        if any(index >= slots for index in markers):
+            raise ValueError(f"slot marker beyond the shape's {slots} slots")
+        self._fragments = self._split(to_html(document), markers)
+
+    def _split(self, html: str, markers: list[int]) -> tuple[str, ...]:
+        """Cut the serialized shape into the fragments around its fills."""
+        split = _MARKER_RE.split(html)
+        literals = split[0::2]
+        if [int(index) for index in split[1::2]] != markers:
+            raise ValueError("a slot marker landed outside text and "
+                             "attribute values")
+        fragments = [literals[0]]
+        cursor = 1
+        for kind, data in self._fills:
+            if kind != _ATTR:
+                fragments.append(literals[cursor])
+                cursor += 1
+                continue
+            # A fill rewrites the whole attribute: cut its opening from
+            # the fragment before it, and its literals and closing quote
+            # from the text after its last marker.
+            name, pieces = data
+            opening = ' {}="{}'.format(
+                name, escape_attr(pieces[0]) if pieces[0].__class__ is str else "")
+            closing = '{}"'.format(
+                escape_attr(pieces[-1]) if pieces[-1].__class__ is str else "")
+            cursor += len(_slots_of(pieces))
+            before, after = fragments[-1], literals[cursor - 1]
+            if not (before.endswith(opening) and after.startswith(closing)):
+                raise ValueError(f"cannot find attribute {name!r} in the page")
+            fragments[-1] = before[:-len(opening)]
+            fragments.append(after[len(closing):])
+        return tuple(fragments)
+
+    # ------------------------------------------------------------------
+    # Filling
+    # ------------------------------------------------------------------
+    def fill(self, values: tuple[str, ...]) -> tuple[Document, str]:
+        """A fresh tree and the HTML of the page with ``values`` in its slots."""
+        if len(values) != self.slots:
+            raise ValueError(
+                f"shape has {self.slots} slots, got {len(values)} values"
+            )
+        bodies = self._bodies
+        body = bodies.get(values)
+        if body is None:
+            body = bodies[values] = self._serialize(values)
+            if len(bodies) > self.BODIES:
+                del bodies[next(iter(bodies))]
+        return self._build(values), body
+
+    def _serialize(self, values: tuple[str, ...]) -> str:
+        fragments = self._fragments
+        parts = [fragments[0]]
+        append = parts.append
+        for index, (kind, data) in enumerate(self._fills, 1):
+            if kind == _TEXT:
+                append(escape_text(values[data]))
+            elif kind == _RAW:
+                append(values[data])
+            else:
+                name, pieces = data
+                value = _join(pieces, values)
+                append(f' {name}="{escape_attr(value)}"' if value else f" {name}")
+            append(fragments[index])
+        return "".join(parts)
+
+    def _build(self, values: tuple[str, ...]) -> Document:
+        document = Document()
+        document.shape = self
+        parents: list[Union[Document, Element]] = [document]
+        refs: list[Optional[weakref.ref]] = [weakref.ref(document)]
+        for parent, tag, payload, slotted, has_children in self._plan:
+            node: Node
+            if tag is None:
+                node = Text(_join(payload, values) if slotted else payload)
+            else:
+                node = Element(tag, payload)
+                if slotted:
+                    attrs = node.attrs
+                    for name, pieces in slotted:
+                        attrs[name] = _join(pieces, values)
+                parents.append(node)
+                refs.append(weakref.ref(node) if has_children else None)
+            node._parent = refs[parent]
+            parents[parent].children.append(node)
+        return document

@@ -220,7 +220,8 @@ class HttpResponse:
     DOM tree may attach it alongside the serialized ``body`` so in-process
     consumers (the $heriff backend fan-out) can skip re-parsing the wire
     text.  The body remains the byte-faithful archival representation; the
-    attached tree is shared and must be treated as read-only.
+    attached tree must be treated as read-only: a product page's tree is
+    filled from a page shape that extraction resolves anchors on once.
     """
 
     status: HttpStatus

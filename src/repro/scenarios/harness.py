@@ -75,10 +75,12 @@ class GridCell:
             memo += f"+audit{self.validate_fraction:g}"
         return f"{self.mode}x{self.workers}/{memo}"
 
-    def exec_config(self) -> Optional[ExecConfig]:
-        """The executor config this cell runs under (None = inline)."""
-        if self.workers == 1 and self.mode == "local":
-            return None
+    def exec_config(self) -> ExecConfig:
+        """The validated executor config this cell runs under.
+
+        A 1-worker local cell is the sequential baseline, for which
+        :meth:`ExecConfig.create` builds no executor.
+        """
         return ExecConfig(workers=self.workers, mode=self.mode)
 
 

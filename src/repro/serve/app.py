@@ -64,7 +64,7 @@ class SheriffRequestHandler(BaseHTTPRequestHandler):
     #: delayed ACK every keep-alive response stalls ~40 ms waiting for
     #: the client's ACK, swamping the serving latency it frames.
     disable_nagle_algorithm = True
-    #: Whether this request's body is still unread; only a POST has one.
+    #: Whether this request's body is still unread on the socket.
     _body_pending = False
 
     # -- plumbing -------------------------------------------------------
@@ -76,15 +76,19 @@ class SheriffRequestHandler(BaseHTTPRequestHandler):
         """Route http.server's per-request lines to our logger at DEBUG."""
         logger.debug("%s %s", self.address_string(), format % args)
 
+    def end_headers(self) -> None:
+        """End the headers, ending the connection if a body is unread."""
+        if self._body_pending:
+            # The request body is still on the socket: read as the next
+            # request line it would desync the connection, so end it.
+            self.send_header("Connection", "close")
+        super().end_headers()
+
     def _send_bytes(self, status: int, body: bytes,
                     content_type: str = "application/json") -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        if self._body_pending:
-            # The request body is still on the socket: read as the next
-            # request line it would desync the connection, so end it.
-            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -113,7 +117,15 @@ class SheriffRequestHandler(BaseHTTPRequestHandler):
 
     # -- routes ---------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        """/healthz, /jobs/<id>, /jobs/<id>/results."""
+        """/healthz, /jobs/<id>, /jobs/<id>/results.
+
+        No route reads a body; one sent anyway is left unread (whatever
+        its size) and the reply ends the connection.
+        """
+        length = (self.headers.get("Content-Length") or "0").strip()
+        self._body_pending = not (length.isdecimal() and int(length) == 0) or (
+            "Transfer-Encoding" in self.headers
+        )
         try:
             if self.path == "/healthz":
                 self._send_json(200, self.service.healthz())

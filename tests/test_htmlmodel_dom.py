@@ -8,7 +8,6 @@ import weakref
 import pytest
 
 from repro.ecommerce.catalog import generate_catalog
-from repro.ecommerce.localization import LOCALES
 from repro.ecommerce.templates import TEMPLATE_FAMILIES, ProductView
 from repro.htmlmodel.build import E, T, document
 from repro.htmlmodel.dom import Document, Element, NodePath, Text
@@ -195,7 +194,8 @@ class TestAcyclicTrees:
             domain="shop.example",
             product=catalog.products[0],
             price_text="$19.99",
-            locale=LOCALES["US"],
+            lang="en-US",
+            currency_code="USD",
             recommended=[(p, "$5.00") for p in catalog.products[1:5]],
         )
 

@@ -248,6 +248,13 @@ class TestCliErrorPaths:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["campaign", "crawl", "report", "serve"])
+    def test_default_executor_flags_run_sequentially(self, command, tiny_world):
+        """The default flags describe the sequential baseline: a config
+        whose ``create`` builds no executor."""
+        args = cli.build_parser().parse_args([command])
+        assert cli._exec_config(args).create(tiny_world) is None
+
     def test_unknown_exec_mode_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["campaign", "--scale", "tiny", "--exec-mode", "auto"])

@@ -1,0 +1,350 @@
+"""Page shapes: each product-page shape rendered once, filled per request.
+
+Pins what the shape path (:mod:`repro.htmlmodel.shape`,
+:func:`repro.ecommerce.templates.render_shape`, the retailer's render
+memo and :mod:`repro.core.extraction`) promises:
+
+* **fill equals render** -- a filled page's HTML equals ``to_html`` of a
+  plain render of the same view byte for byte, and its tree equals that
+  render in tags, attributes, texts and element paths: every template
+  family and the churning template on days 0-3, every locale, logged in
+  and out, 0-4 decoys, and slot values that need escaping or are empty;
+* **resolution equals the walk** -- extraction on a filled page returns
+  the same :class:`ExtractedPrice` as on a parse of the page's body,
+  while resolving a shape-safe anchor once per shape, and anchor
+  derivation returns the same :class:`PriceAnchor`, deriving each node's
+  selector once per shape;
+* **bounds** -- a shape keeps at most ``PageShape.BODIES`` bodies, also
+  for a retailer whose prices change with every request, and a filled
+  tree is freed once its response is dropped.
+"""
+
+from __future__ import annotations
+
+import gc
+import weakref
+from dataclasses import dataclass
+
+import pytest
+
+from repro.core import extraction
+from repro.core.extraction import extract_price_from_document
+from repro.core.highlight import PriceAnchor, derive_anchor
+from repro.ecommerce.catalog import generate_catalog
+from repro.ecommerce.localization import LOCALES
+from repro.ecommerce.pricing import PricingContext
+from repro.ecommerce.retailer import Retailer, RetailerServer
+from repro.ecommerce.templates import (
+    TEMPLATE_FAMILIES,
+    ProductView,
+    render_shape,
+    slot_values,
+)
+from repro.ecommerce.thirdparty import TRACKER_CENSUS
+from repro.fx.rates import RateService
+from repro.htmlmodel.build import E, document
+from repro.htmlmodel.dom import Element, Text
+from repro.htmlmodel.parser import parse_html
+from repro.htmlmodel.selectors import select_one
+from repro.htmlmodel.serialize import to_html
+from repro.htmlmodel.shape import PageShape, slot_marker
+from repro.net.geoip import IPAddressPlan
+from repro.net.http import Headers, HttpRequest
+from repro.net.urls import URL
+from repro.scenarios import ChurningTemplate
+
+_CATALOG = generate_catalog("shop.example", "clothing", 6, seed=1)
+
+#: (id, template, day): every family, and the churning template on the
+#: four days that rotate it through every family.
+_TEMPLATES = [(t.name, t, 0) for t in TEMPLATE_FAMILIES] + [
+    (f"churning-day{day}", ChurningTemplate(seed=5), day) for day in range(4)
+]
+
+#: Slot values that need escaping in text and attributes, or are empty.
+_HOSTILE = (
+    ('x"&<y>', "", '<b>&"1,00</b>', ("", "&amp;", '"q"', "<>")),
+    ("", "&", "", ("a&b", "", "<", ">")),
+)
+
+
+def _values(locale, decoys: int) -> tuple[str, str, str, tuple[str, ...]]:
+    return (
+        locale.code,
+        locale.currency.code,
+        locale.format_price(1234.5),
+        tuple(locale.format_price(10.0 + i) for i in range(decoys)),
+    )
+
+
+def _cases(decoys: int):
+    """Every locale's strings, then the hostile ones, for ``decoys`` decoys."""
+    for locale in LOCALES.values():
+        yield _values(locale, decoys)
+    for lang, currency, price, texts in _HOSTILE:
+        yield lang, currency, price, texts[:decoys]
+
+
+def _view(day: int, decoys: int, user, lang, currency, price, texts) -> ProductView:
+    return ProductView(
+        retailer_name="Test & Shop",
+        domain="shop.example",
+        product=_CATALOG.products[0],
+        price_text=price,
+        lang=lang,
+        currency_code=currency,
+        recommended=tuple(zip(_CATALOG.products[1:1 + decoys], texts)),
+        trackers=TRACKER_CENSUS[:3],
+        structural_seed=11 + day,
+        logged_in_user=user,
+        day_index=day,
+    )
+
+
+def assert_same_tree(filled, rendered) -> None:
+    """Equal tags, attributes (in order), texts and element paths."""
+    ours, theirs = list(filled.iter()), list(rendered.iter())
+    assert len(ours) == len(theirs)
+    for mine, other in zip(ours, theirs):
+        assert type(mine) is type(other)
+        if isinstance(mine, Element):
+            assert mine.tag == other.tag
+            assert list(mine.attrs.items()) == list(other.attrs.items())
+            assert mine.node_path() == other.node_path()
+        elif isinstance(mine, Text):
+            assert mine.data == other.data
+
+
+# ----------------------------------------------------------------------
+# Fill equals render
+# ----------------------------------------------------------------------
+class TestFillEqualsRender:
+    @pytest.mark.parametrize("template,day", [(t, d) for _, t, d in _TEMPLATES],
+                             ids=[name for name, _, _ in _TEMPLATES])
+    def test_every_locale_login_and_decoy_count(self, template, day):
+        for user in (None, "alice"):
+            for decoys in range(5):
+                first = next(_cases(decoys))
+                shape = render_shape(template, _view(day, decoys, user, *first))
+                for lang, currency, price, texts in _cases(decoys):
+                    view = _view(day, decoys, user, lang, currency, price, texts)
+                    rendered = template.render(view)
+                    filled, body = shape.fill(
+                        slot_values(lang, currency, price, texts))
+                    assert body == to_html(rendered), (lang, price, texts)
+                    assert_same_tree(filled, rendered)
+                    assert filled.shape is shape
+
+    def test_equal_values_share_one_body(self):
+        template = TEMPLATE_FAMILIES[0]
+        values = _values(LOCALES["DE"], 4)
+        shape = render_shape(template, _view(0, 4, None, *values))
+        first_tree, first = shape.fill(slot_values(*values))
+        again_tree, again = shape.fill(slot_values(*values))
+        assert again is first
+        assert again_tree is not first_tree
+
+
+class TestShapeSlots:
+    @staticmethod
+    def _page(a: str, b: str, c: str, d: str):
+        return document(E(
+            "html", {"lang": a},
+            E("head", None, E("script", None, f"var p = '{b}';"),
+              E("style", None, c)),
+            E("body", {"class": "x"},
+              E("p", {"title": d, "data-x": f"n {b} m"}, f"<{a}> & {d}"),
+              E("input", {"value": c}))))
+
+    def test_text_attribute_and_raw_slots_match_serialize(self):
+        shape = PageShape(self._page(*(slot_marker(i) for i in range(4))), 4)
+        for values in (("en", "</script>", "a{}", 'q"&'),
+                       ("", "", "", ""), ('"', "<&>", " ", "é")):
+            rendered = self._page(*values)
+            filled, body = shape.fill(values)
+            assert body == to_html(rendered)
+            assert_same_tree(filled, rendered)
+
+    def test_empty_whole_attribute_serializes_bare(self):
+        shape = PageShape(self._page(*(slot_marker(i) for i in range(4))), 4)
+        _, body = shape.fill(("", "b", "", ""))
+        assert body.startswith("<html lang>")
+        assert "<p title data-x=" in body and "<input value>" in body
+        assert shape.slot_attributes == {"lang", "title", "data-x", "value"}
+
+    def test_marker_outside_text_and_attribute_values_raises(self):
+        with pytest.raises(ValueError, match="tag"):
+            PageShape(document(E("div", None, Element(f"x{slot_marker(0)}"))), 1)
+        with pytest.raises(ValueError, match="attribute name"):
+            PageShape(document(E("div", {slot_marker(0): "v"})), 1)
+        with pytest.raises(ValueError, match="beyond"):
+            PageShape(document(E("p", None, slot_marker(2))), 2)
+
+    def test_fill_needs_one_value_per_slot(self):
+        shape = PageShape(document(E("p", None, slot_marker(0))), 1)
+        with pytest.raises(ValueError, match="1 slots"):
+            shape.fill(("a", "b"))
+
+
+# ----------------------------------------------------------------------
+# Resolution equals the walk
+# ----------------------------------------------------------------------
+def _fills(template, decoys: int = 4):
+    """One shape and its fill for every locale: (shape, [(doc, body)])."""
+    shape = render_shape(
+        template, _view(0, decoys, None, *_values(LOCALES["US"], decoys)))
+    pages = [shape.fill(slot_values(*_values(locale, decoys)))
+             for locale in LOCALES.values()]
+    return shape, pages
+
+
+def _assert_same_as_parsed(pages, anchor) -> list:
+    results = []
+    for page, body in pages:
+        ours = extract_price_from_document(page, anchor)
+        assert ours == extract_price_from_document(parse_html(body), anchor)
+        results.append(ours)
+    return results
+
+
+@pytest.fixture()
+def walks(monkeypatch):
+    """Count full resolutions (selector walk, then node-path fallback) of
+    anchors on filled pages."""
+    calls = []
+    walk = extraction._walk
+
+    def counted(document, anchor):
+        if document.shape is not None:
+            calls.append(anchor)
+        return walk(document, anchor)
+
+    monkeypatch.setattr(extraction, "_walk", counted)
+    return calls
+
+
+class TestResolutionEqualsWalk:
+    @pytest.mark.parametrize("template", TEMPLATE_FAMILIES, ids=lambda t: t.name)
+    def test_derived_anchor_resolves_once_per_shape(self, template, walks):
+        shape, pages = _fills(template)
+        first = pages[0][0]
+        anchor = derive_anchor(first, select_one(first, template.price_selector))
+        results = _assert_same_as_parsed(pages, anchor)
+        assert all(r.ok for r in results)
+        assert len(walks) == 1
+
+    def test_ambiguous_class_selector_breaks_ties_by_path(self, walks):
+        classic = TEMPLATE_FAMILIES[0]
+        shape, pages = _fills(classic)
+        price = select_one(pages[0][0], classic.price_selector)
+        anchor = PriceAnchor(selector="span.price",
+                             node_path=str(price.node_path()), sample_text="")
+        results = _assert_same_as_parsed(pages, anchor)
+        assert {r.method for r in results} == {"selector"}
+        assert results[0].raw_text == LOCALES["US"].format_price(1234.5)
+        assert len(walks) == 1
+
+    def test_selector_matching_nothing_falls_back_to_path(self, walks):
+        grid = TEMPLATE_FAMILIES[1]
+        shape, pages = _fills(grid)
+        price = select_one(pages[0][0], grid.price_selector)
+        anchor = PriceAnchor(selector="#no-such-price",
+                             node_path=str(price.node_path()), sample_text="")
+        results = _assert_same_as_parsed(pages, anchor)
+        assert {r.method for r in results} == {"node-path"}
+        assert len(walks) == 1
+
+    def test_selector_reading_a_slot_attribute_walks_every_page(self, walks):
+        classic = TEMPLATE_FAMILIES[0]
+        shape, pages = _fills(classic)
+        assert "lang" in shape.slot_attributes
+        price = select_one(pages[0][0], classic.price_selector)
+        anchor = PriceAnchor(selector='html[lang="en-US"] #product-price',
+                             node_path=str(price.node_path()), sample_text="")
+        results = _assert_same_as_parsed(pages, anchor)
+        # Only the en-US pages match the selector; the rest fall back to
+        # the path -- one shape, two outcomes.
+        assert {r.method for r in results} == {"selector", "node-path"}
+        assert len(walks) == len(pages)
+
+
+class TestDerivationEqualsWalk:
+    @pytest.mark.parametrize("template", TEMPLATE_FAMILIES, ids=lambda t: t.name)
+    def test_anchor_derived_once_per_shape(self, template, monkeypatch):
+        from repro.core import highlight
+
+        calls = []
+        derive = highlight._derive_unique_selector
+
+        def counted(document, element):
+            calls.append(element)
+            return derive(document, element)
+
+        monkeypatch.setattr(highlight, "_derive_unique_selector", counted)
+        shape, pages = _fills(template)
+        for page, body in pages:
+            parsed = parse_html(body)
+            for selector in (template.price_selector, "span, td, p"):
+                ours = derive_anchor(page, select_one(page, selector))
+                theirs = derive_anchor(parsed, select_one(parsed, selector))
+                assert ours == theirs
+        # Two highlighted nodes: each derived once on the shape, and once
+        # on every parsed page.
+        assert len(calls) == 2 + 2 * len(pages)
+
+
+# ----------------------------------------------------------------------
+# Bounds
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _NoncePricing:
+    """A price that changes with every request (the per-request nonce)."""
+
+    def signals(self):
+        return frozenset({"nonce"})
+
+    def price(self, product, ctx: PricingContext) -> float:
+        return product.base_price_usd * (1.0 + (ctx.nonce % 100_000) / 1e6)
+
+
+def _server(policy) -> tuple[RetailerServer, IPAddressPlan]:
+    plan = IPAddressPlan()
+    retailer = Retailer(
+        domain="shop.example", name="Test Shop", category="clothing",
+        catalog=_CATALOG, policy=policy, template=TEMPLATE_FAMILIES[2],
+    )
+    return RetailerServer(retailer, geoip=plan.database(),
+                          rates=RateService(), seed=1), plan
+
+
+def _get(server, plan, product, *, timestamp: float = 0.0):
+    return server.handle(HttpRequest(
+        method="GET", url=URL.parse(f"http://shop.example{product.path}"),
+        headers=Headers(), client_ip=plan.allocate("DE"), timestamp=timestamp,
+    ))
+
+
+class TestBounds:
+    def test_nonce_priced_retailer_stays_within_body_bound(self):
+        server, plan = _server(_NoncePricing())
+        product = _CATALOG.products[0]
+        bodies = {_get(server, plan, product, timestamp=float(i)).body
+                  for i in range(1000)}
+        assert len(bodies) > 10 * PageShape.BODIES  # the bound was pushed
+        (shape,) = (server.render_memo.get(key) for key in server.render_memo)
+        assert len(shape._bodies) <= PageShape.BODIES
+        stats = server.render_cache_stats()
+        assert (stats["render_hits"], stats["render_misses"]) == (999, 1)
+
+    def test_filled_document_freed_with_its_response(self):
+        server, plan = _server(_NoncePricing())
+        response = _get(server, plan, _CATALOG.products[1])
+        ref = weakref.ref(response.document)
+        assert response.document.shape is not None
+        gc.collect()
+        gc.disable()
+        try:
+            del response
+            assert ref() is None
+        finally:
+            gc.enable()

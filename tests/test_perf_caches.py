@@ -69,7 +69,8 @@ class TestParseCache:
                 domain="shop.example",
                 product=product,
                 price_text=locale.format_price(129.99),
-                locale=locale,
+                lang=locale.code,
+                currency_code=locale.currency.code,
                 structural_seed=7,
             )
             pages.append(to_html(template.render(view)))

@@ -1,10 +1,11 @@
 """RetailerServer cache machinery: the world render memo, counters, setters.
 
-The render memo is the layer *below* the burst memo: it dedupes identical
-renders.  One 2Q :class:`RenderMemo` serves every server of a world.  These
-tests pin its bound (retained trees never exceed FIFO + LRU capacity, however
-many servers render), its promotion rule, its day scope (a new day drops
-the old one's LRU pages and ghost keys, its FIFO pages age out), its
+The render memo is the layer *below* the burst memo: it holds page shapes,
+so every request of one shape renders once.  One 2Q :class:`RenderMemo`
+serves every server of a world.  These tests pin its bound (retained shapes
+never exceed FIFO + LRU capacity, however many servers render), its
+promotion rule, its day scope (a new day drops the old one's LRU shapes
+and ghost keys, its FIFO shapes age out), its
 transparency (bodies are
 byte-identical after eviction), its server-identity keying, that a dropped
 world is freed without the cycle collector, and the session-state accessor
@@ -21,6 +22,7 @@ import pytest
 
 from repro.ecommerce.retailer import RenderMemo
 from repro.ecommerce.world import WorldConfig, build_world
+from repro.htmlmodel.shape import PageShape
 
 _MAX_RESIDENT = RenderMemo.FIFO_ENTRIES + RenderMemo.LRU_ENTRIES
 
@@ -53,7 +55,8 @@ class TestWorldRenderMemo:
     def test_retained_trees_bounded_across_servers(self):
         """Two passes over every product page of a world: the second pass
         promotes remembered keys until the LRU overflows, yet the memo
-        never holds more than FIFO + LRU trees, shared by all servers."""
+        never holds more than FIFO + LRU (544) page shapes, shared by all
+        servers."""
         world = build_world(
             WorldConfig(catalog_scale=0.2, long_tail_domains=20)
         )
@@ -70,7 +73,8 @@ class TestWorldRenderMemo:
                 _render(world, server, product)
                 peak = max(peak, len(memo))
         assert all(s.render_memo is memo for s in world.servers.values())
-        assert peak == len(memo) == _MAX_RESIDENT
+        assert peak == len(memo) == _MAX_RESIDENT == 544
+        assert all(isinstance(memo.get(key), PageShape) for key in list(memo))
         assert sum(
             s.render_cache_stats()["render_entries"]
             for s in world.servers.values()

@@ -29,7 +29,6 @@ from repro.analysis.cleaning import clean_reports
 from repro.analysis.detection import DetectionScore, DomainTruth, score_detection
 from repro.core.backend import SheriffBackend
 from repro.ecommerce.catalog import generate_catalog
-from repro.ecommerce.localization import locale_for_country
 from repro.ecommerce.pricing import PricingContext, UniformPricing, signals_read
 from repro.ecommerce.retailer import Retailer
 from repro.ecommerce.templates import (
@@ -149,7 +148,7 @@ class TestChurningTemplate:
         views = [
             ProductView(
                 retailer_name="Unit", domain="www.unit.test", product=product,
-                price_text="$10.00", locale=locale_for_country("US"),
+                price_text="$10.00", lang="en-US", currency_code="USD",
                 day_index=day,
             )
             for day in (0, 1)

@@ -211,6 +211,39 @@ class TestRouteContract:
         finally:
             conn.close()
 
+    def test_get_with_body_ends_the_connection(self, served):
+        """No GET route reads a body: one sent anyway is left unread and
+        the reply ends the connection, so it is never parsed as the next
+        request, and the route still answers."""
+        _, client = served
+        conn = client.connection()
+        try:
+            conn.request("GET", "/nope",
+                         body=json.dumps({"domain": "www.digitalrev.com"}),
+                         headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            assert resp.status == 404
+            assert "no such route" in json.loads(resp.read())["error"]
+            assert resp.getheader("Connection") == "close"
+            _assert_healthz(conn)
+
+            conn.request("GET", "/healthz", body=b"{}")
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert json.loads(resp.read())["status"] == "ok"
+            assert resp.getheader("Connection") == "close"
+
+            conn.putrequest("GET", "/healthz")
+            conn.putheader("Transfer-Encoding", "chunked")
+            conn.endheaders(b"2\r\n{}\r\n0\r\n\r\n")
+            resp = conn.getresponse()
+            assert resp.status == 200
+            resp.read()
+            assert resp.getheader("Connection") == "close"
+            _assert_healthz(conn)
+        finally:
+            conn.close()
+
     def test_results_before_done_is_409(self, served):
         # Service-level (deterministic): a registered-but-unlaunched job
         # can never race to "done" under the probe.

@@ -33,7 +33,8 @@ def make_view(template_seed: int = 0, **overrides) -> ProductView:
         domain="shop.example",
         product=product,
         price_text="$19.99",
-        locale=LOCALES["US"],
+        lang="en-US",
+        currency_code="USD",
         recommended=recommended,
         trackers=TRACKER_CENSUS[:2],
         structural_seed=template_seed,
