@@ -145,7 +145,7 @@ class SheriffBackend:
         # Burst memo (repro.core.burstcache): whole-fan-out memoization for
         # signature-pure retailers.  Always constructed so executors can
         # toggle ``enabled`` per task; pass an instance to configure
-        # validation sampling or LRU size.
+        # validation sampling.
         self.burst_cache = (
             burst_cache
             if burst_cache is not None

@@ -47,6 +47,12 @@ Soundness is layered, never assumed:
   :class:`BurstCacheDivergence` on any byte difference -- the sampled
   self-audit for long campaigns.
 
+The memo lives one check day.  Keys embed the day the check starts, so
+no later day can read an entry again; the first check planned on a new
+day drops the old day's entries and per-vantage signature elements.
+Residency is therefore bounded by one day's distinct bursts, however
+long the run.
+
 What a hit deliberately does not do: no requests are built, no cookie
 jars are read or written, no server counters advance.  That is safe
 precisely because the retailer was proven signature-pure -- none of that
@@ -57,8 +63,7 @@ below their live-path values when the memo is on.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.ecommerce.retailer import RetailerServer
@@ -169,7 +174,7 @@ class BurstPlan:
 
 @dataclass
 class _DomainState:
-    """Per-retailer memo state: the server, the key projection, entries."""
+    """Per-retailer memo classification: the server and the key projection."""
 
     server: Optional[RetailerServer]
     key_signals: frozenset[str] = frozenset()
@@ -179,14 +184,6 @@ class _DomainState:
     #: checkpoint / another worker proved it) rather than by structural
     #: classification -- only evidence propagates across caches.
     demoted: bool = False
-    entries: "OrderedDict[tuple, BurstEntry]" = field(
-        default_factory=OrderedDict
-    )
-    #: (vantage name, ip, server day) -> composed signature key element.
-    #: A vantage's signature is a pure function of (ip, browser, day), so
-    #: a day's worth of bursts shares 14 cached tuples instead of paying
-    #: geo lookups and tuple assembly per check.
-    signature_cache: dict[tuple, tuple] = field(default_factory=dict)
 
     @property
     def live_only(self) -> bool:
@@ -201,7 +198,7 @@ class BurstCache:
     never bytes).  ``enabled=False`` keeps the object inert so executors
     can toggle the memo per task without rebuilding backends;
     ``validate_fraction`` samples that fraction of hits for a live
-    re-run; ``max_entries_per_domain`` caps each retailer's LRU.
+    re-run.
     """
 
     def __init__(
@@ -209,18 +206,22 @@ class BurstCache:
         *,
         enabled: bool = True,
         validate_fraction: float = 0.0,
-        max_entries_per_domain: int = 1024,
-        seed: int = 0,
     ) -> None:
         if not 0.0 <= validate_fraction <= 1.0:
             raise ValueError("validate_fraction must be in [0, 1]")
-        if max_entries_per_domain < 1:
-            raise ValueError("max_entries_per_domain must be >= 1")
         self.enabled = enabled
         self.validate_fraction = validate_fraction
-        self.max_entries_per_domain = max_entries_per_domain
-        self._seed = seed
         self._domains: dict[str, _DomainState] = {}
+        #: The check day the two dicts below belong to.
+        self._day: Optional[int] = None
+        #: domain -> memo key -> entry, for the current check day.
+        self._entries: dict[str, dict[tuple, BurstEntry]] = {}
+        #: domain -> (vantage name, ip, server day) -> composed signature
+        #: key element.  A vantage's signature is a pure function of (ip,
+        #: browser, day), so a day's worth of bursts shares 14 cached
+        #: tuples instead of paying geo lookups and tuple assembly per
+        #: check.
+        self._signatures: dict[str, dict[tuple, tuple]] = {}
         self._hits = 0
         self._misses = 0
         self._stores = 0
@@ -230,9 +231,8 @@ class BurstCache:
         self._bypass_live_only = 0
         self._bypass_unreachable = 0
         self._bypass_non_product = 0
-        # Sharing journals (see "Sharing caches across processes"): what
-        # this cache learned since the last drain_updates() call.
-        self._journal_entries: list[tuple[str, tuple]] = []
+        # Sharing journal (see "Sharing across processes"): demotions
+        # this cache caught since the last drain_updates() call.
         self._journal_demotions: dict[str, str] = {}
         self._counter_base: dict[str, int] = self._counters()
 
@@ -252,7 +252,16 @@ class BurstCache:
         (stateful pricing, login support, non-retailer servers) and for
         bursts the memo cannot represent (non-product URLs, vantages lost
         through all retries).
+
+        The first check of a new day drops the old day's entries and
+        signature elements: keys embed the check day, so no later check
+        could read them.
         """
+        check_day = int(sched.start_ts // SECONDS_PER_DAY)
+        if check_day != self._day:
+            self._day = check_day
+            self._entries.clear()
+            self._signatures.clear()
         state = self._domain_state(backend, url.host)
         if state.live_only:
             self._bypass_live_only += 1
@@ -272,9 +281,7 @@ class BurstCache:
             self._bypass_unreachable += 1
             return None
         signatures = []
-        signature_cache = state.signature_cache
-        if len(signature_cache) > 8192:  # long campaigns: drop stale days
-            signature_cache.clear()
+        signature_cache = self._signatures.setdefault(url.host, {})
         for vantage, (request_ts, _) in zip(fleet, timeline):
             day = int(request_ts // SECONDS_PER_DAY)
             cache_key = (vantage.name, vantage.ip, day)
@@ -294,13 +301,13 @@ class BurstCache:
         anchor = sched.request.anchor
         key = (
             str(url),
-            int(sched.start_ts // SECONDS_PER_DAY),
+            check_day,
             "crawler" if sched.request.origin == "crawler" else "user",
             anchor.selector,
             anchor.node_path,
             tuple(signatures),
         )
-        entry = state.entries.get(key)
+        entry = self._entries.get(url.host, {}).get(key)
         plan = BurstPlan(
             domain=url.host,
             server=server,
@@ -312,12 +319,9 @@ class BurstCache:
         if entry is None:
             self._misses += 1
         else:
-            state.entries.move_to_end(key)
             self._hits += 1
             if self.validate_fraction > 0.0:
-                draw = stable_hash(
-                    self._seed, sched.check_id, "burst-validate"
-                ) / 2**64
+                draw = stable_hash(0, sched.check_id, "burst-validate") / 2**64
                 plan.validate = draw < self.validate_fraction
         return plan
 
@@ -399,12 +403,8 @@ class BurstCache:
                 if obs.ok and obs.currency is not None
             ),
         )
-        state.entries[plan.key] = entry
-        state.entries.move_to_end(plan.key)
-        while len(state.entries) > self.max_entries_per_domain:
-            state.entries.popitem(last=False)
+        self._entries.setdefault(plan.domain, {})[plan.key] = entry
         self._stores += 1
-        self._journal_entries.append((plan.domain, plan.key))
 
     def _burst_is_clean(
         self,
@@ -458,7 +458,7 @@ class BurstCache:
         state.server = None
         state.live_reason = reason
         state.demoted = True
-        state.entries.clear()
+        self._entries.pop(domain, None)
         self._demotions += 1
         self._journal_demotions[domain] = reason
 
@@ -476,15 +476,17 @@ class BurstCache:
             self.fold_demotion(domain, reason)
 
     # ------------------------------------------------------------------
-    # Sharing caches across processes
+    # Sharing across processes
     # ------------------------------------------------------------------
-    # A shard worker's cache and the coordinator's master cache stay in
-    # sync through three primitives: the worker *drains* what it learned
-    # (new entries, demotions, counter deltas), the coordinator *folds*
-    # entries/demotions into the master (and later ships them to other
-    # workers, demotions first), and *absorbs* the counter deltas so its
-    # own ``stats()`` reports fleet-wide truth.  Folding never journals
-    # or bumps counters -- every store, hit, and demotion is counted
+    # Entries stay in the cache that stored them: keys embed the check
+    # day, campaigns and crawls submit one batch per day, and a batch
+    # puts each domain on one worker, so a same-day repeat reaches the
+    # worker holding the entry.  Evidence and telemetry travel: a worker
+    # *drains* its demotions and counter deltas, and the coordinator
+    # *folds* the demotions into its own cache (shipping them on to the
+    # other workers) and *absorbs* the counter deltas, so its own
+    # ``stats()`` counters report the fleet.  Folding never journals or
+    # bumps counters -- every store, hit, and demotion is counted
     # exactly once, by the cache where it actually happened.
     _COUNTER_ATTRS = {
         "hits": "_hits",
@@ -519,73 +521,30 @@ class BurstCache:
         return not self._domain_state(backend, domain).live_only
 
     def drain_updates(self) -> dict:
-        """Everything this cache learned since the last drain.
+        """What this cache learned since the last drain that must travel.
 
-        Returns ``{"entries": [(domain, key, entry), ...], "demotions":
-        {domain: reason}, "counters": {name: delta}}`` and resets the
-        journals.  Journaled entries evicted or demoted away in the
-        meantime are silently dropped (they are recomputable; shipping
-        them would resurrect state the LRU or a probe already killed).
+        Returns ``{"demotions": {domain: reason}, "counters": {name:
+        delta}}`` and resets the journal.
         """
-        entries: list[tuple[str, tuple, BurstEntry]] = []
-        emitted: set[tuple[str, tuple]] = set()
-        for domain, key in self._journal_entries:
-            if (domain, key) in emitted:
-                continue
-            state = self._domains.get(domain)
-            if state is None or state.live_only:
-                continue
-            entry = state.entries.get(key)
-            if entry is None:
-                continue
-            emitted.add((domain, key))
-            entries.append((domain, key, entry))
         counters = self._counters()
-        deltas = {
-            name: counters[name] - self._counter_base.get(name, 0)
-            for name in counters
-        }
         updates = {
-            "entries": entries,
             "demotions": dict(self._journal_demotions),
-            "counters": {k: v for k, v in deltas.items() if v},
+            "counters": {
+                name: value - self._counter_base[name]
+                for name, value in counters.items()
+                if value != self._counter_base[name]
+            },
         }
-        self._journal_entries.clear()
         self._journal_demotions.clear()
         self._counter_base = counters
         return updates
 
-    def fold_entry(
-        self,
-        backend: "SheriffBackend",
-        domain: str,
-        key: tuple,
-        entry: BurstEntry,
-    ) -> bool:
-        """Import an entry another cache verified live (no counters).
-
-        Respects this cache's own view: a disabled cache or a domain it
-        classifies (or has demoted to) live-only rejects the import --
-        demotions always win over entries, which is why callers must
-        fold a batch's demotions first.  The per-domain LRU cap applies
-        as if the entry had been stored locally.
-        """
-        if not self.enabled:
-            return False
-        state = self._domain_state(backend, domain)
-        if state.live_only:
-            return False
-        state.entries[key] = entry
-        state.entries.move_to_end(key)
-        while len(state.entries) > self.max_entries_per_domain:
-            state.entries.popitem(last=False)
-        return True
-
     def fold_demotion(self, domain: str, reason: str) -> None:
         """Apply a demotion proven elsewhere (worker drain or checkpoint).
 
-        Does not bump the demotion counter -- the cache that caught the
-        policy already counted it; this is propagation, not discovery.
+        Drops the domain's entries and blocks new stores.  Does not bump
+        the demotion counter -- the cache that caught the policy already
+        counted it; this is propagation, not discovery.
         """
         state = self._domains.get(domain)
         if state is None:
@@ -595,8 +554,8 @@ class BurstCache:
         elif not state.live_only:
             state.server = None
             state.live_reason = reason
-            state.entries.clear()
             state.demoted = True
+            self._entries.pop(domain, None)
         else:
             state.demoted = True
 
@@ -621,13 +580,6 @@ class BurstCache:
             if state.demoted
         }
 
-    def entries_for(self, domain: str) -> list[tuple[tuple, BurstEntry]]:
-        """Snapshot of one domain's entries in LRU order (oldest first)."""
-        state = self._domains.get(domain)
-        if state is None or state.live_only:
-            return []
-        return list(state.entries.items())
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -640,22 +592,18 @@ class BurstCache:
         }
 
     def stats(self) -> dict[str, int]:
-        """Counters for performance reports (all integers)."""
+        """Counters for performance reports (all integers).
+
+        Safe to call from another thread while checks run: each table is
+        read once, by one C-level copy, so a domain added meanwhile cannot
+        break the iteration.
+        """
+        states = list(self._domains.values())
         return {
-            "hits": self._hits,
-            "misses": self._misses,
-            "stores": self._stores,
-            "store_skips": self._store_skips,
-            "validations": self._validations,
-            "demotions": self._demotions,
-            "bypass_live_only": self._bypass_live_only,
-            "bypass_unreachable": self._bypass_unreachable,
-            "bypass_non_product": self._bypass_non_product,
-            "entries": sum(
-                len(state.entries) for state in self._domains.values()
-            ),
-            "domains": len(self._domains),
+            **self._counters(),
+            "entries": sum(map(len, list(self._entries.values()))),
+            "domains": len(states),
             "domains_live_only": sum(
-                1 for state in self._domains.values() if state.live_only
+                1 for state in states if state.live_only
             ),
         }

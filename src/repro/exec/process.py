@@ -15,21 +15,25 @@ cross the process boundary.  Instead it receives:
   vantage point's cookies for the domain plus the retailer server's
   :meth:`~repro.ecommerce.retailer.RetailerServer.session_state` dict)
   only for domains whose state changed since the worker last saw them,
-  and the master burst memo's new entries/demotions for the shard's
-  domains.
+  and the burst-memo demotions for the shard's domains that the worker
+  has not seen yet.
 
 Because every stochastic draw in the simulation is keyed by request
 identity rather than arrival order (see ``docs/ARCHITECTURE.md``), the
 rebuilt world plus the restored session state reproduce each check
 bit-for-bit.  The worker sends back reports, archives in compact form
-(page bodies travel once per worker, by content hash), the post-batch
-session-state *deltas*, and what its burst cache learned --
-new entries, demotions, counter deltas.  The coordinator folds the
-session state into its own world, folds the memo updates into the master
+(page bodies travel once per worker and day, by content hash), the
+post-batch session-state *deltas*, and its burst cache's drained
+demotions and counter deltas.  The coordinator folds the session state
+into its own world, folds the demotions into its own
 :class:`~repro.core.burstcache.BurstCache` (so the next batch ships them
-to every other worker and ``stats()`` counts the whole fleet), and
-replays archives in plan order: the next day's batch starts from exactly
-the history a sequential run would have written.
+to every other worker), absorbs the counters (so ``stats()`` counts the
+whole fleet), and replays archives in plan order: the next day's batch
+starts from exactly the history a sequential run would have written.
+Memo entries never cross the boundary: their keys embed the check day,
+campaigns and crawls submit one batch per day, and a batch puts each
+domain on one worker, so the worker that stored an entry is the one
+whose checks can replay it.
 
 Supervision
 -----------
@@ -41,9 +45,9 @@ fatal: the coordinator discards the failed attempt wholesale, respawns a
 replacement worker, and re-dispatches the same shard batch to it.  A
 fresh worker starts with an empty ledger, so the ordinary delta payload
 naturally degenerates to the **full** state ship -- spec, every session
-blob, every memo entry/demotion for the shard's domains -- and because a
-dead worker's partial journals and counters died unfolded, the re-run
-counts every hit/miss/store exactly once.  Output stays byte-identical
+blob, every demotion for the shard's domains -- and because a dead
+worker's partial journals and counters died unfolded, the re-run counts
+every hit/miss/store exactly once.  Output stays byte-identical
 to the fault-free run; the chaos harness (``tests/test_worker_chaos.py``)
 proves it under arbitrary fault schedules.  Each shard carries a bounded
 restart budget with exponential backoff; a shard that keeps killing its
@@ -75,6 +79,7 @@ from repro.checkpoint.barriers import WORKER_RESPAWN, barrier
 from repro.ecommerce.world import WorldSpec
 from repro.exec.local import merge_in_plan_order
 from repro.exec.plan import CostAwarePlanner, ExecError, predicted_batch_cost
+from repro.net.clock import SECONDS_PER_DAY
 from repro.net.urls import URL
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -107,8 +112,8 @@ _WORKER_WORLDS: dict[WorldSpec, tuple] = {}
 _WORLDS_BUILT = 0
 
 #: Worker side of the archive dedup: content hashes already shipped to
-#: the coordinator.  A page body crosses the boundary at most once per
-#: worker process; later archives reference it by hash.
+#: the coordinator this day.  A page body crosses the boundary at most
+#: once per worker and day; later archives reference it by hash.
 _SHIPPED_HASHES: set[bytes] = set()
 
 #: Worker side of the session-state dedup: domain -> last blob this
@@ -251,25 +256,20 @@ def _run_shard(payload: dict) -> dict:
                                "this worker ever received one")
     else:
         _CURRENT_SPEC = spec
+    if payload["fresh_pages"]:
+        _SHIPPED_HASHES.clear()
     tasks: list = payload["tasks"]
     domains: list[str] = payload["domains"]
     world, backend = _worker_world(spec)
     fleet = world.vantage_points
-    # Mirror the coordinator's burst-memo configuration; entries and
-    # demotions arrive as explicit deltas below.
+    # Mirror the coordinator's burst-memo configuration and fold the
+    # demotions other caches proved for this shard's domains.
     memo = payload["burst_memo"]
     cache = backend.burst_cache
     cache.enabled = memo["enabled"]
     cache.validate_fraction = memo["validate_fraction"]
-    cache.max_entries_per_domain = memo["max_entries_per_domain"]
-
-    # Fold the master cache's news -- demotions strictly first, so an
-    # entry can never survive (or arrive for) a domain another worker
-    # proved impure.
     for domain, reason in payload["memo_demotions"].items():
         cache.fold_demotion(domain, reason)
-    for domain, key, entry in payload["memo_entries"]:
-        cache.fold_entry(backend, domain, key, entry)
 
     # Install the session-state deltas; untouched domains already hold
     # exactly the state this worker left (or reported) last batch.
@@ -379,20 +379,19 @@ def _worker_main(conn) -> None:
 class _WorkerHandle:
     """The coordinator's ledger of exactly what one worker holds."""
 
-    __slots__ = ("proc", "conn", "session", "held_keys", "demotions",
-                 "worlds_built", "spec_sent")
+    __slots__ = ("proc", "conn", "session", "demotions", "worlds_built",
+                 "spec_sent", "pages_epoch")
 
     def __init__(self, proc, conn) -> None:
         self.proc = proc
         self.conn = conn
         #: whether the worker has received the world spec (first batch).
         self.spec_sent = False
+        #: the coordinator's page epoch the worker's shipped hashes
+        #: belong to (0: none yet).
+        self.pages_epoch = 0
         #: domain -> session blob the worker currently holds.
         self.session: dict[str, bytes] = {}
-        #: domain -> memo keys the worker is believed to hold.  An LRU
-        #: eviction on the worker can make this optimistic; the cost of
-        #: being wrong is one redundant live fan-out, never wrong bytes.
-        self.held_keys: dict[str, set] = {}
         #: demotions the worker already knows about.
         self.demotions: set[str] = set()
         self.worlds_built = 0
@@ -553,8 +552,13 @@ class ProcessExecutor:
             raise
         self._closed = False
         # Coordinator side of the archive dedup: content hash -> body,
-        # across every worker and every batch of this executor.
+        # across every worker and every batch of one day.  A batch of a
+        # new day starts a new epoch with an empty map, and each worker
+        # forgets what it shipped before its first batch of the epoch,
+        # so the map holds one day's bodies, however long the run.
         self._pages: dict[bytes, str] = {}
+        self._pages_day: Optional[int] = None
+        self._pages_epoch = 0
         self._batches = 0
         self._payload_ms = 0.0
         self._fold_ms = 0.0
@@ -624,7 +628,12 @@ class ProcessExecutor:
                 "ProcessExecutor can only fan out over the world's own "
                 "vantage fleet (workers rebuild that fleet from the spec)"
             )
-        cache = backend.burst_cache
+        if scheduled:
+            day = int(scheduled[0].start_ts // SECONDS_PER_DAY)
+            if day != self._pages_day:
+                self._pages_day = day
+                self._pages_epoch += 1
+                self._pages.clear()
         shards = self.plan.partition_batch(backend, scheduled)
         merged: dict[int, tuple["PriceCheckReport", list[dict]]] = {}
         t0 = time.perf_counter()
@@ -644,7 +653,7 @@ class ProcessExecutor:
 
         for shard_index, shard, dispatched_at, deadline_s in pending:
             self._collect_supervised(
-                backend, shard_index, shard, fleet, cache, merged,
+                backend, shard_index, shard, fleet, merged,
                 dispatched_at, deadline_s,
             )
         self._batches += 1
@@ -658,11 +667,9 @@ class ProcessExecutor:
 
         A fresh (just-respawned) handle has an empty ledger, so the same
         delta logic degenerates to the full state ship recovery needs:
-        spec, every session blob, every memo entry and demotion for the
-        shard's domains.
+        spec, every session blob, every demotion for the shard's domains.
         """
         cache = backend.burst_cache
-        demoted = cache.demoted_domains()
         domains = sorted(
             {URL.parse(sched.request.url).host for sched in shard}
         )
@@ -673,20 +680,14 @@ class ProcessExecutor:
                 session[domain] = blob
                 handle.session[domain] = blob
         memo_demotions: dict[str, str] = {}
-        memo_entries: list[tuple] = []
         if cache.enabled:
+            demoted = cache.demoted_domains()
             for domain in domains:
-                if domain in demoted:
-                    if domain not in handle.demotions:
-                        memo_demotions[domain] = demoted[domain]
-                        handle.demotions.add(domain)
-                        handle.held_keys.pop(domain, None)
-                    continue
-                held = handle.held_keys.setdefault(domain, set())
-                for key, entry in cache.entries_for(domain):
-                    if key not in held:
-                        memo_entries.append((domain, key, entry))
-                        held.add(key)
+                if domain in demoted and domain not in handle.demotions:
+                    memo_demotions[domain] = demoted[domain]
+                    handle.demotions.add(domain)
+        fresh_pages = handle.pages_epoch != self._pages_epoch
+        handle.pages_epoch = self._pages_epoch
         fault = None
         if _fault_hook is not None:
             fault = _fault_hook(shard_index, self._batches)
@@ -698,11 +699,10 @@ class ProcessExecutor:
             "burst_memo": {
                 "enabled": cache.enabled,
                 "validate_fraction": cache.validate_fraction,
-                "max_entries_per_domain": cache.max_entries_per_domain,
             },
             "session": session,
             "memo_demotions": memo_demotions,
-            "memo_entries": memo_entries,
+            "fresh_pages": fresh_pages,
             "fault": fault,
         }
 
@@ -770,7 +770,7 @@ class ProcessExecutor:
             raise _WorkerFailure("died", str(exc)) from None
 
     def _collect_supervised(self, backend, shard_index, shard, fleet,
-                            cache, merged, dispatched_at, deadline_s):
+                            merged, dispatched_at, deadline_s):
         state: Optional[tuple[float, float]] = (dispatched_at, deadline_s)
         while True:
             if state is None:
@@ -792,9 +792,9 @@ class ProcessExecutor:
                 state = None
                 continue
             break
-        self._fold(backend, handle, shard, fleet, cache, merged, blob)
+        self._fold(backend, handle, shard, fleet, merged, blob)
 
-    def _fold(self, backend, handle, shard, fleet, cache, merged, blob):
+    def _fold(self, backend, handle, shard, fleet, merged, blob):
         """Fold one worker reply into coordinator state (exactly once)."""
         self._recv_bytes += len(blob)
         t1 = time.perf_counter()
@@ -826,18 +826,13 @@ class ProcessExecutor:
                 fleet, self._world.servers, domain, state_blob
             )
             handle.session[domain] = state_blob
-        # Fold the worker's memo news into the master cache:
-        # demotions first (they kill entries), then entries, then
-        # counters -- after which the coordinator's stats() speak
-        # for the whole fleet.
+        # Fold the worker's demotions and counters into the
+        # coordinator's cache, whose stats() then speak for the fleet.
         memo = result["memo"]
+        cache = backend.burst_cache
         for domain, reason in memo["demotions"].items():
             cache.fold_demotion(domain, reason)
             handle.demotions.add(domain)
-            handle.held_keys.pop(domain, None)
-        for domain, key, entry in memo["entries"]:
-            if cache.fold_entry(backend, domain, key, entry):
-                handle.held_keys.setdefault(domain, set()).add(key)
         cache.absorb_counters(memo["counters"])
         handle.worlds_built = result["worlds_built"]
         self._fold_ms += (time.perf_counter() - t1) * 1000.0
@@ -892,9 +887,9 @@ class ProcessExecutor:
     def _run_inline(self, backend, shard, fleet, merged) -> None:
         """Run a quarantined shard on the coordinator (LocalExecutor-style).
 
-        Counters and memo stores land directly in the master cache --
-        the same totals the worker path reaches by drain + fold -- so
-        fleet-wide stats stay exact.
+        Counters land directly in the coordinator's cache -- the same
+        totals the worker path reaches by drain + absorb -- so fleet-wide
+        stats stay exact.
         """
         for sched in shard:
             archives: list[dict] = []

@@ -291,10 +291,10 @@ def check_invariants(
     # supposedly memoizable behaviour regressed, turning the memo-on vs
     # memo-off comparison vacuous), and the memo actually served hits
     # whenever the scenario has memoizable retailers.  Process cells are
-    # inspectable too: workers drain their cache's entries, demotions,
-    # and counters back through the shard results, and the coordinator
-    # folds them into its master cache -- so its stats speak for the
-    # fleet.
+    # inspectable too: workers drain their cache's demotions and counter
+    # deltas back through the shard results, and the coordinator folds
+    # them into its own cache -- so its counters speak for the fleet
+    # (entries stay in the worker that stored them).
     memoizable = set(scenario.crawl_domains) - set(scenario.live_only_domains)
     for result in results:
         if not result.cell.burst_memo:

@@ -412,11 +412,10 @@ class TestCampaignScalePlumbing:
             "domains": [],
             "session": {},
             "memo_demotions": {},
-            "memo_entries": [],
+            "fresh_pages": True,
             "burst_memo": {
                 "enabled": True,
                 "validate_fraction": 0.25,
-                "max_entries_per_domain": 77,
             },
         }
         try:
@@ -425,24 +424,8 @@ class TestCampaignScalePlumbing:
             cache = worker_backend.burst_cache
             assert cache.enabled is True
             assert cache.validate_fraction == 0.25
-            assert cache.max_entries_per_domain == 77
         finally:
             _WORKER_WORLDS.pop(spec, None)
-
-    def test_page_store_keeps_every_fetch_and_first_bodies(self):
-        """Every fetch keeps its metadata; only the first
-        ``html_per_domain`` fetches of a domain keep their body."""
-        from repro.core.store import PageStore
-
-        store = PageStore(html_per_domain=2)
-        for i in range(6):
-            store.archive(
-                check_id=f"c{i}", url="http://shop.example/x",
-                domain="shop.example", vantage="v", timestamp=float(i),
-                html="<html>same</html>",
-            )
-        assert len(store) == 6
-        assert [p.check_id for p in store if p.retained] == ["c0", "c1"]
 
 
 # ----------------------------------------------------------------------
@@ -481,10 +464,9 @@ class TestCrossValidation:
         )
         backend.check(request)
         # Corrupt the stored entry: validation must notice the tampering.
-        cache = backend.burst_cache
-        state = cache._domains[domain]
-        (key, entry), = state.entries.items()
-        state.entries[key] = BurstEntry(
+        entries = backend.burst_cache._entries[domain]
+        (key, entry), = entries.items()
+        entries[key] = BurstEntry(
             observations=entry.observations,
             htmls=("<html>tampered</html>",) * len(entry.htmls),
             currencies=entry.currencies,
@@ -606,6 +588,9 @@ class TestDriftAcrossDayBoundaries:
         assert stats["hits"] == 2
         assert stats["misses"] == 2
         assert stats["stores"] == 2
+        # The day-41 store dropped the day-40 entry: the memo lives one
+        # check day.
+        assert stats["entries"] == 1
 
     def test_drift_actually_moved_the_price_between_days(self):
         """Guard the guard: if drift ever stopped repricing across this
@@ -629,3 +614,61 @@ class TestDriftAcrossDayBoundaries:
         assert all(
             b > a + 86000 for a, b in zip(first_day_hit, second_day_hit)
         )
+
+
+# ----------------------------------------------------------------------
+# Residency and concurrent reads
+# ----------------------------------------------------------------------
+class TestDayScope:
+    def test_multi_day_crawl_holds_only_the_last_days_entries(self):
+        world = _world()
+        backend = SheriffBackend(
+            world.network, world.vantage_points, world.rates
+        )
+        plan = build_plan(
+            world, domains=world.crawled_domains[:5], products_per_retailer=3
+        )
+        dataset = run_crawl(world, backend, plan, CrawlConfig(days=3))
+        cache = backend.burst_cache
+        held_days = {
+            key[1] for entries in cache._entries.values() for key in entries
+        }
+        last_day = dataset.reports[-1].day_index
+        assert last_day > dataset.reports[0].day_index
+        assert held_days == {last_day}
+        assert 0 < cache.stats()["entries"] < cache.stats()["stores"]
+
+    def test_stats_poll_while_domains_are_added(self):
+        """Serve reads ``stats()`` from request threads while a check
+        (or a job's campaign) adds domains on another thread."""
+        import sys
+        import threading
+
+        cache = BurstCache()
+        for i in range(2000):
+            cache.fold_demotion(f"warm{i}.example", "probe")
+        errors: list[BaseException] = []
+        done = threading.Event()
+
+        def poll():
+            while not done.is_set():
+                try:
+                    cache.stats()
+                except RuntimeError as exc:
+                    errors.append(exc)
+                    return
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        poller = threading.Thread(target=poll)
+        try:
+            poller.start()
+            for i in range(20000):
+                cache.fold_demotion(f"new{i}.example", "probe")
+        finally:
+            done.set()
+            poller.join(timeout=60)
+            sys.setswitchinterval(previous)
+        assert not poller.is_alive()
+        assert not errors, errors[0]
+        assert cache.stats()["domains"] == 22000

@@ -189,6 +189,8 @@ class TestPageStore:
             )
         assert len(store) == 4
         assert store.retained_html_count() == 1
+        # The first bodies are the retained ones.
+        assert [p.check_id for p in store if p.retained] == ["c0"]
 
     def test_domains_listing_and_clear(self):
         store = PageStore()

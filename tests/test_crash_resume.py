@@ -128,12 +128,11 @@ class TestMultiWorkerKillInterplay:
     """PR-8 interplay: kill a multi-worker checkpointed day mid-flight,
     resume under a *different* worker count.
 
-    Dedicated worker processes, the coordinator-folded shared memo, and
-    the delta boundary must leave nothing on disk that a
-    differently-sharded resume could read differently -- worker-held
-    state (session blobs, memo entries, shipped-page hashes) dies with
-    the kill, and the resume regrows all of it from the committed
-    prefix.
+    Dedicated worker processes, their burst memos, and the delta
+    boundary must leave nothing on disk that a differently-sharded
+    resume could read differently -- worker-held state (session blobs,
+    memo entries, shipped-page hashes) dies with the kill, and the
+    resume regrows all of it from the committed prefix.
     """
 
     def test_cross_width_resume_byte_identical(self, tmp_path: Path):

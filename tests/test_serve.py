@@ -304,13 +304,39 @@ _JOB = {"scale": "tiny", "seed": 2013, "n_checks": 40, "end_day": 12}
 
 
 class TestCampaignJobs:
-    def test_job_runs_to_byte_identical_results(self, served, tmp_path):
-        _, client = served
+    def test_job_runs_to_byte_identical_results(
+        self, served, tmp_path, monkeypatch
+    ):
+        import weakref
+
+        from repro.serve import service as service_module
+
+        service, client = served
+        # Weak references to the job's world and backend: a finished job
+        # must not keep either alive.
+        held = []
+
+        def tracked(factory):
+            def build(*args, **kwargs):
+                obj = factory(*args, **kwargs)
+                held.append(weakref.ref(obj))
+                return obj
+            return build
+
+        monkeypatch.setattr(service_module, "build_world",
+                            tracked(service_module.build_world))
+        monkeypatch.setattr(service_module, "SheriffBackend",
+                            tracked(service_module.SheriffBackend))
         status, body = client.post("/campaigns", _JOB)
         assert status == 202
         job_id = json.loads(body)["id"]
         state = client.wait_done(job_id)
         assert state["status"] == "done", state
+        thread = service._threads[job_id]
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(held) == 2
+        assert [ref() for ref in held] == [None, None]
         assert state["checks"] == {"done": 40, "total": 40}
         assert state["rows"] == _JOB["n_checks"]  # records, not file lines
         assert state["memo"]["hits"] + state["memo"]["misses"] > 0
