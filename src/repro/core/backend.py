@@ -13,10 +13,12 @@ point that stays unreachable yields a failed observation rather than
 aborting the check.
 
 Performance notes (the parse-once fan-out): simulated retailers attach
-their rendered DOM to the response (the *structured-fetch channel*,
+their page's document to the response (the *structured-fetch channel*,
 ``HttpResponse.document``), so :meth:`SheriffBackend._observe` extracts
-straight from the tree and never re-parses the serialized body it just
-archived.  String-only pages (crowd uploads, store replays) fall back to a
+straight from it and never re-parses the serialized body it just
+archived; on a page filled from a shape whose anchor is resolved, it
+reads the price text from the shape's plan and builds no tree.
+String-only pages (crowd uploads, store replays) fall back to a
 content-hash-keyed parse cache.  :meth:`SheriffBackend.check_batch` is the
 primitive -- :meth:`SheriffBackend.check` is a batch of one -- and
 amortizes URL parsing and the FX ``max_gap_ratio`` guard across a day's
@@ -465,9 +467,9 @@ class SheriffBackend:
 
         locale = locale_for_country(location.country_code)
         if response.document is not None:
-            # Structured-fetch fast path: the retailer rendered this tree;
-            # the serialized body was archived above, but there is nothing
-            # to learn from re-parsing it.
+            # Structured-fetch fast path: the retailer attached this
+            # page's document; the serialized body was archived above, but
+            # there is nothing to learn from re-parsing it.
             self._structured_fetch_hits += 1
             extracted = extract_price_from_document(
                 response.document, anchor, locale_hint=locale

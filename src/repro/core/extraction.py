@@ -17,9 +17,11 @@ have shifted.  Extraction therefore:
 A page filled from a :class:`~repro.htmlmodel.shape.PageShape` shares its
 tags, element positions and attributes with every other fill of the shape,
 except the shape's slot attributes, and selectors never read text.  So an
-anchor is resolved once per shape, by the rule above, and each page reaches
-the resolved node by its path.  An anchor whose selector reads a slot
-attribute is resolved on every page.
+anchor is resolved once per shape, by the rule above, on a tree the first
+page builds; the resolution keeps the node's text as the shape's pieces
+(:meth:`~repro.htmlmodel.shape.PageShape.text_pieces`), and every page
+reads its text from them and its slot values, with no tree built.  An
+anchor whose selector reads a slot attribute is resolved on every page.
 
 Failures return an :class:`ExtractedPrice` with ``ok=False`` and a reason
 rather than raising: a fan-out must tolerate one bad vantage page.
@@ -131,11 +133,14 @@ def extract_price_from_document(
     *,
     locale_hint: Optional[Locale] = None,
 ) -> ExtractedPrice:
-    """Extract from an already-parsed document (crawler fast path)."""
-    element, method = _resolve(document, anchor)
-    if element is None:
+    """Extract from an already-parsed document (crawler fast path).
+
+    On a filled page whose shape has resolved ``anchor``, the anchored
+    text is read without building the page's tree.
+    """
+    text, method = _anchored_text(document, anchor)
+    if text is None:
         return ExtractedPrice.failure("anchor matched nothing")
-    text = element.text(strip=True)
     if not text:
         return ExtractedPrice.failure(f"anchored node is empty (via {method})")
     try:
@@ -151,13 +156,14 @@ def extract_price_from_document(
     )
 
 
-def _resolve(
+def _anchored_text(
     document: Document, anchor: PriceAnchor
-) -> tuple[Optional[Element], str]:
-    """The anchored element and how it was found, once per page shape."""
+) -> tuple[Optional[str], str]:
+    """The anchored element's stripped text (``None`` when nothing matched)
+    and how the element was found, resolved once per page shape."""
     shape = document.shape
     if shape is None:
-        return _walk(document, anchor)
+        return _walked_text(document, anchor)
     resolutions = shape.resolutions
     key = (anchor.selector, anchor.node_path)
     resolved = resolutions.get(key)
@@ -171,17 +177,27 @@ def _resolve(
             resolved = _PER_PAGE
         else:
             element, method = _walk(document, anchor)
-            path = element.node_path() if element is not None else None
-            resolved = (path, method)
+            pieces = (
+                shape.text_pieces(element.node_path())
+                if element is not None else None
+            )
+            resolved = (method, pieces)
         if len(resolutions) >= _SHAPE_ANCHORS:
             resolutions.clear()
         resolutions[key] = resolved
     if resolved is _PER_PAGE:
-        return _walk(document, anchor)
-    path, method = resolved
-    if path is None:
+        return _walked_text(document, anchor)
+    method, pieces = resolved
+    if pieces is None:
         return None, method
-    return document.find_by_path(path), method
+    return document.join(pieces).strip(), method
+
+
+def _walked_text(
+    document: Document, anchor: PriceAnchor
+) -> tuple[Optional[str], str]:
+    element, method = _walk(document, anchor)
+    return (None if element is None else element.text(strip=True)), method
 
 
 def _walk(

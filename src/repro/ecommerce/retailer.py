@@ -17,9 +17,10 @@ request.  The request path a server implements:
    (product, day, logged-in user) with slot markers in place of the
    locale tag, the currency code, the price and the localized decoy
    prices -- with this request's strings: the HTML is joined from the
-   shape's pre-serialized fragments and a fresh tree is built from its
-   plan (:class:`~repro.htmlmodel.shape.PageShape`).  The bytes and the
-   tree are those of a plain render of the request's view.
+   shape's pre-serialized fragments, and the page's document builds its
+   tree from the shape's plan when something first walks it
+   (:class:`~repro.htmlmodel.shape.PageShape`).  The bytes and the tree
+   are those of a plain render of the request's view.
 
 Routes: ``/`` (catalog index), product paths, ``/login`` (toy login that
 sets an auth cookie), anything else 404.
@@ -155,8 +156,9 @@ class RenderMemo:
     logged-in user) fills the same shape, and only the first renders it.
     Keys start with a token unique to the rendering server, so a
     re-registered domain can never be served the replaced server's
-    shapes.  A shape holds no filled tree: every request gets a fresh
-    one, freed with its response.
+    shapes.  A shape holds no filled document: every request gets its
+    own, which builds a tree only if walked and is freed with its
+    response.
 
     The memo is scoped to one day.  Every key embeds its day, so a shape
     of another day is never filled again.  Storing a shape for a new day

@@ -14,10 +14,17 @@ as the text fragments between the slots plus a flat plan of its tree.
   :func:`~repro.htmlmodel.serialize.escape_attr`, exactly as ``to_html``
   escapes them; inside ``script``/``style`` they go in raw; an attribute
   whose whole value is an empty slot serializes as `` name``;
-* the tree is a fresh, real :class:`~repro.htmlmodel.dom.Document` built
-  from the plan, equal to the render in tags, attributes, texts and
-  element paths, whose :attr:`~repro.htmlmodel.dom.Document.shape` is the
-  shape.
+* the document is a :class:`FilledDocument`: a real
+  :class:`~repro.htmlmodel.dom.Document` whose
+  :attr:`~repro.htmlmodel.dom.Document.shape` is the shape and whose tree
+  is built from the plan on its first structural read (the first access
+  to ``children``), equal to the render in tags, attributes, texts and
+  element paths.  A page nobody walks never builds one.
+
+The text of an element, as :meth:`~repro.htmlmodel.dom.Element.text`
+reads it, is the same pieces on every fill with only the slot values
+differing, so :meth:`PageShape.text_pieces` finds it once per shape and
+:meth:`FilledDocument.join` reads it on any fill without a tree.
 
 A marker may land only in character data or in an attribute value;
 anywhere else (a tag or attribute name) building the shape raises
@@ -30,11 +37,11 @@ import re
 import weakref
 from typing import Optional, Sequence, Union
 
-from repro.htmlmodel.dom import Document, Element, Node, Text
+from repro.htmlmodel.dom import Document, Element, Node, NodePath, Text
 from repro.htmlmodel.parser import RAW_TEXT_ELEMENTS
 from repro.htmlmodel.serialize import escape_attr, escape_text, to_html
 
-__all__ = ["PageShape", "slot_marker"]
+__all__ = ["FilledDocument", "PageShape", "slot_marker"]
 
 # Private-use code points: no escape function rewrites them, and no text
 # the program renders contains them.
@@ -141,8 +148,9 @@ class PageShape:
     string: a shape keeps the bodies of its last :attr:`BODIES` distinct
     fills, so the copies of a page that a burst archives and memoizes are
     one object, while a retailer whose prices change on every request
-    (per-request nonce pricing) cannot grow it.  Filled trees are never
-    kept: each lives as long as its holder.
+    (per-request nonce pricing) cannot grow it.  Filled documents are
+    never kept: each, and the tree it may build, lives as long as its
+    holder.
     """
 
     #: Distinct filled bodies a shape keeps: one fan-out's distinct views
@@ -215,8 +223,11 @@ class PageShape:
     # ------------------------------------------------------------------
     # Filling
     # ------------------------------------------------------------------
-    def fill(self, values: tuple[str, ...]) -> tuple[Document, str]:
-        """A fresh tree and the HTML of the page with ``values`` in its slots."""
+    def fill(self, values: tuple[str, ...]) -> tuple[FilledDocument, str]:
+        """The document and the HTML of the page with ``values`` in its slots.
+
+        The document builds its tree on its first structural read.
+        """
         if len(values) != self.slots:
             raise ValueError(
                 f"shape has {self.slots} slots, got {len(values)} values"
@@ -227,7 +238,7 @@ class PageShape:
             body = bodies[values] = self._serialize(values)
             if len(bodies) > self.BODIES:
                 del bodies[next(iter(bodies))]
-        return self._build(values), body
+        return FilledDocument(self, values), body
 
     def _serialize(self, values: tuple[str, ...]) -> str:
         fragments = self._fragments
@@ -245,9 +256,10 @@ class PageShape:
             append(fragments[index])
         return "".join(parts)
 
-    def _build(self, values: tuple[str, ...]) -> Document:
-        document = Document()
-        document.shape = self
+    def _build(self, document: FilledDocument) -> None:
+        """Build ``document``'s tree from the plan, its values in the slots."""
+        values = document.values
+        document.children = []
         parents: list[Union[Document, Element]] = [document]
         refs: list[Optional[weakref.ref]] = [weakref.ref(document)]
         for parent, tag, payload, slotted, has_children in self._plan:
@@ -264,4 +276,79 @@ class PageShape:
                 refs.append(weakref.ref(node) if has_children else None)
             node._parent = refs[parent]
             parents[parent].children.append(node)
-        return document
+
+    # ------------------------------------------------------------------
+    # Reading without a tree
+    # ------------------------------------------------------------------
+    def text_pieces(self, path: NodePath) -> Optional[_Pieces]:
+        """The text of the element at ``path``, as pieces, or ``None``.
+
+        ``None`` when no element is at ``path`` (where
+        :meth:`~repro.htmlmodel.dom.Document.find_by_path` finds none).
+        Otherwise :meth:`FilledDocument.join` of the pieces equals
+        ``find_by_path(path).text()`` on any fill's tree: the character
+        data of every descendant text node in document order, with the
+        contents of descendant ``script`` and ``style`` elements skipped.
+        """
+        plan = self._plan
+        # The element children of each position, and each element's
+        # index in the plan.
+        children: list[list[int]] = [[]]
+        entry = [-1]
+        for index, (parent, tag, _, _, _) in enumerate(plan):
+            if tag is not None:
+                children[parent].append(len(children))
+                children.append([])
+                entry.append(index)
+        position = 0
+        for step in path.steps:
+            if step >= len(children[position]):
+                return None
+            position = children[position][step]
+        if position == 0:
+            return None
+        # Text counts when its parent is the element or a counted
+        # descendant; a script or style descendant is not counted.
+        counted = {position}
+        element = position
+        pieces: list[Union[str, int]] = []
+        for parent, tag, payload, slotted, _ in plan[entry[position] + 1:]:
+            if tag is None:
+                if parent in counted:
+                    pieces.extend(payload if slotted else (payload,))
+                continue
+            element += 1
+            if parent in counted and tag not in ("script", "style"):
+                counted.add(element)
+        return tuple(pieces)
+
+
+class FilledDocument(Document):
+    """A page filled from a :class:`PageShape`; its tree is built on demand.
+
+    :attr:`values` are the slot values of the fill.  The tree is built
+    from the shape's plan on the first access to ``children``, which every
+    walk, find, text read and ``repr`` makes, and is then an ordinary
+    tree.  Until then the page costs its values: a reader that needs only
+    an element's text calls :meth:`join` with the element's
+    :meth:`PageShape.text_pieces`.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, shape: PageShape, values: tuple[str, ...]) -> None:
+        # ``children`` stays unset until :meth:`__getattr__` builds it.
+        self._parent = None
+        self.shape = shape
+        self.values = values
+
+    def __getattr__(self, name: str):
+        if name != "children":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.shape._build(self)
+        return self.children
+
+    def join(self, pieces: _Pieces) -> str:
+        """``pieces`` with this fill's values in their slots."""
+        return _join(pieces, self.values)

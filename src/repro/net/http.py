@@ -220,8 +220,11 @@ class HttpResponse:
     DOM tree may attach it alongside the serialized ``body`` so in-process
     consumers (the $heriff backend fan-out) can skip re-parsing the wire
     text.  The body remains the byte-faithful archival representation; the
-    attached tree must be treated as read-only: a product page's tree is
-    filled from a page shape that extraction resolves anchors on once.
+    attached tree must be treated as read-only.  A product page's document
+    is a :class:`~repro.htmlmodel.shape.FilledDocument`: filled from a page
+    shape, it builds its tree on the first structural read, and
+    extraction, which resolves an anchor once per shape, reads the
+    anchored text from the shape's plan without one.
     """
 
     status: HttpStatus

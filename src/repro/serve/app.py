@@ -64,6 +64,10 @@ class SheriffRequestHandler(BaseHTTPRequestHandler):
     #: delayed ACK every keep-alive response stalls ~40 ms waiting for
     #: the client's ACK, swamping the serving latency it frames.
     disable_nagle_algorithm = True
+    #: Seconds a socket read or write may wait before http.server ends the
+    #: connection.  Without it a client that connects and sends nothing
+    #: holds its handler thread for as long as it keeps the socket open.
+    timeout = 30
     #: Whether this request's body is still unread on the socket.
     _body_pending = False
 
@@ -140,6 +144,8 @@ class SheriffRequestHandler(BaseHTTPRequestHandler):
             raise NotFound(f"no such route GET {self.path}")
         except ServiceError as exc:
             self._send_error_json(exc.status, str(exc))
+        except TimeoutError:
+            raise  # a stalled client: http.server ends the connection
         except Exception:  # noqa: BLE001 - connection isolation boundary
             logger.exception("GET %s failed", self.path)
             self._send_error_json(500, "internal error")
@@ -159,6 +165,8 @@ class SheriffRequestHandler(BaseHTTPRequestHandler):
             raise NotFound(f"no such route POST {self.path}")
         except ServiceError as exc:
             self._send_error_json(exc.status, str(exc))
+        except TimeoutError:
+            raise  # a stalled client: http.server ends the connection
         except Exception:  # noqa: BLE001 - connection isolation boundary
             logger.exception("POST %s failed", self.path)
             self._send_error_json(500, "internal error")

@@ -14,9 +14,14 @@ memo and :mod:`repro.core.extraction`) promises:
   while resolving a shape-safe anchor once per shape, and anchor
   derivation returns the same :class:`PriceAnchor`, deriving each node's
   selector once per shape;
+* **lazy trees** -- a filled page builds its tree only when something
+  walks it: an element's text read from the shape's plan equals its text
+  on the built tree for every element path, a campaign builds one tree
+  per prepared click (the user's page), and a backend check on a shape
+  whose anchor is resolved builds none;
 * **bounds** -- a shape keeps at most ``PageShape.BODIES`` bodies, also
   for a retailer whose prices change with every request, and a filled
-  tree is freed once its response is dropped.
+  document, built or not, is freed once its response is dropped.
 """
 
 from __future__ import annotations
@@ -27,9 +32,13 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.analysis.personal import derive_anchor_for_domain
 from repro.core import extraction
+from repro.core.backend import CheckRequest, SheriffBackend
+from repro.core.extension import SheriffExtension
 from repro.core.extraction import extract_price_from_document
 from repro.core.highlight import PriceAnchor, derive_anchor
+from repro.crowd.campaign import CampaignConfig, run_campaign
 from repro.ecommerce.catalog import generate_catalog
 from repro.ecommerce.localization import LOCALES
 from repro.ecommerce.pricing import PricingContext
@@ -41,9 +50,10 @@ from repro.ecommerce.templates import (
     slot_values,
 )
 from repro.ecommerce.thirdparty import TRACKER_CENSUS
+from repro.ecommerce.world import WorldConfig, build_world
 from repro.fx.rates import RateService
 from repro.htmlmodel.build import E, document
-from repro.htmlmodel.dom import Element, Text
+from repro.htmlmodel.dom import Document, Element, NodePath, Text
 from repro.htmlmodel.parser import parse_html
 from repro.htmlmodel.selectors import select_one
 from repro.htmlmodel.serialize import to_html
@@ -102,10 +112,15 @@ def _view(day: int, decoys: int, user, lang, currency, price, texts) -> ProductV
 
 
 def assert_same_tree(filled, rendered) -> None:
-    """Equal tags, attributes (in order), texts and element paths."""
+    """Equal tags, attributes (in order), texts and element paths.
+
+    The roots are both documents: a filled page's is a
+    :class:`FilledDocument`, the subclass that builds its tree on demand.
+    """
     ours, theirs = list(filled.iter()), list(rendered.iter())
     assert len(ours) == len(theirs)
-    for mine, other in zip(ours, theirs):
+    assert isinstance(ours[0], Document) and isinstance(theirs[0], Document)
+    for mine, other in zip(ours[1:], theirs[1:]):
         assert type(mine) is type(other)
         if isinstance(mine, Element):
             assert mine.tag == other.tag
@@ -294,6 +309,134 @@ class TestDerivationEqualsWalk:
 
 
 # ----------------------------------------------------------------------
+# Lazy trees
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def builds(monkeypatch):
+    """Count the trees filled pages build, one entry per build."""
+    calls = []
+    build = PageShape._build
+
+    def counted(shape, *args):
+        calls.append(shape)
+        return build(shape, *args)
+
+    monkeypatch.setattr(PageShape, "_build", counted)
+    return calls
+
+
+class TestLazyTrees:
+    @pytest.mark.parametrize("template,day", [(t, d) for _, t, d in _TEMPLATES],
+                             ids=[name for name, _, _ in _TEMPLATES])
+    def test_plan_text_equals_tree_text(self, template, day, builds):
+        walked = 0
+        for user in (None, "alice"):
+            for decoys in range(5):
+                first = next(_cases(decoys))
+                shape = render_shape(template, _view(day, decoys, user, *first))
+                pieces: dict = {}
+                for case in _cases(decoys):
+                    values = slot_values(*case)
+                    tree, _ = shape.fill(values)
+                    page, _ = shape.fill(values)
+                    walked += 1
+                    for element in tree.iter_elements():
+                        path = element.node_path()
+                        if path not in pieces:
+                            pieces[path] = shape.text_pieces(path)
+                        text = page.join(pieces[path])
+                        assert text == element.text(), (path, case)
+                        assert text.strip() == (
+                            tree.find_by_path(path).text(strip=True))
+                for path in (NodePath(()), NodePath((5,)),
+                             max(pieces, key=lambda p: p.depth).child(0)):
+                    assert tree.find_by_path(path) is None
+                    assert shape.text_pieces(path) is None
+        # Reading text from the plan built none of the read pages' trees.
+        assert len(builds) == walked
+
+    def test_plan_text_skips_script_and_style(self, builds):
+        page = TestShapeSlots._page
+        shape = PageShape(page(*(slot_marker(i) for i in range(4))), 4)
+        for values in (("en", "</script>", "a{}", 'q"&'),
+                       ("", "", "", ""), ('"', "<&>", " ", "é")):
+            filled, _ = shape.fill(values)
+            for element in page(*values).iter_elements():
+                pieces = shape.text_pieces(element.node_path())
+                assert filled.join(pieces) == element.text()
+        assert builds == []
+
+    def test_extraction_reads_stripped_text_without_scripts(self, builds):
+        def page(price: str):
+            return document(E("html", None, E("body", None, E(
+                "div", {"id": "price"}, "\n  ", E("script", None, "var p = 9;"),
+                E("b", None, price), E("style", None, "b {}"), " EUR \n"))))
+
+        shape = PageShape(page(slot_marker(0)), 1)
+        anchor = PriceAnchor(selector="#price", node_path="/0/0/0",
+                             sample_text="")
+        for price in ("12,50", "7,00", "1.234,00"):
+            filled, body = shape.fill((price,))
+            ours = extract_price_from_document(filled, anchor)
+            assert ours == extract_price_from_document(parse_html(body), anchor)
+            assert ours.raw_text == f"{price} EUR"
+        assert len(builds) == 1
+
+    def test_built_tree_equals_render(self, builds):
+        template = TEMPLATE_FAMILIES[0]
+        values = _values(LOCALES["JP"], 4)
+        view = _view(0, 4, "alice", *values)
+        page, _ = render_shape(template, view).fill(slot_values(*values))
+        assert builds == []
+        assert_same_tree(page, template.render(view))
+        assert builds == [page.shape]
+
+    def test_campaign_builds_one_tree_per_prepared_click(
+            self, builds, monkeypatch):
+        counts = {"prepared": 0, "fills": 0}
+        prepare, fill = SheriffExtension.prepare_check, PageShape.fill
+
+        def counted_prepare(extension, *args, **kwargs):
+            counts["prepared"] += 1
+            return prepare(extension, *args, **kwargs)
+
+        def counted_fill(shape, values):
+            counts["fills"] += 1
+            return fill(shape, values)
+
+        monkeypatch.setattr(SheriffExtension, "prepare_check", counted_prepare)
+        monkeypatch.setattr(PageShape, "fill", counted_fill)
+        world = build_world(WorldConfig(catalog_scale=0.15, long_tail_domains=10))
+        backend = SheriffBackend(world.network, world.vantage_points, world.rates)
+        dataset = run_campaign(
+            world, backend,
+            CampaignConfig(n_checks=40, population_size=20, seed=11))
+        assert counts["prepared"] == 40
+        assert sum(record.report is not None for record in dataset) > 30
+        assert counts["fills"] > 10 * counts["prepared"]
+        # The user's page is walked (highlight, anchor derivation); every
+        # vantage page is read from its shape's plan.
+        assert len(builds) == counts["prepared"]
+
+    def test_check_on_a_resolved_shape_builds_no_tree(self, builds):
+        world = build_world(WorldConfig(catalog_scale=0.15, long_tail_domains=0))
+        backend = SheriffBackend(world.network, world.vantage_points,
+                                 world.rates, burst_memo=False)
+        domain = "www.digitalrev.com"
+        product = world.retailer(domain).catalog.products[0]
+        request = CheckRequest(url=f"http://{domain}{product.path}",
+                               anchor=derive_anchor_for_domain(world, domain))
+        builds.clear()
+        backend.check(request)
+        assert len(builds) == 1  # the shape's first resolution walks a tree
+        builds.clear()
+        report = backend.check(request)
+        assert len(report.observations) == 14
+        assert all(obs.ok for obs in report.observations)
+        assert builds == []
+
+
+# ----------------------------------------------------------------------
 # Bounds
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -337,14 +480,20 @@ class TestBounds:
         assert (stats["render_hits"], stats["render_misses"]) == (999, 1)
 
     def test_filled_document_freed_with_its_response(self):
+        """An unbuilt document, and a built one with every node of its
+        tree, are freed by reference counting alone."""
         server, plan = _server(_NoncePricing())
-        response = _get(server, plan, _CATALOG.products[1])
-        ref = weakref.ref(response.document)
-        assert response.document.shape is not None
-        gc.collect()
-        gc.disable()
-        try:
-            del response
-            assert ref() is None
-        finally:
-            gc.enable()
+        for built in (False, True):
+            response = _get(server, plan, _CATALOG.products[1])
+            assert response.document.shape is not None
+            refs = [weakref.ref(response.document)]
+            if built:
+                refs = [weakref.ref(node) for node in response.document.iter()]
+                assert len(refs) > 50
+            gc.collect()
+            gc.disable()
+            try:
+                del response
+                assert [ref for ref in refs if ref() is not None] == []
+            finally:
+                gc.enable()

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -26,6 +28,7 @@ import pytest
 
 from tests.crashkit import run_to_completion, run_until_killed
 from repro.serve import JobSpec, ServeConfig, build_app
+from repro.serve.app import SheriffRequestHandler
 
 
 # ----------------------------------------------------------------------
@@ -243,6 +246,37 @@ class TestRouteContract:
             _assert_healthz(conn)
         finally:
             conn.close()
+
+    def test_idle_connections_are_closed(self, served, monkeypatch):
+        """A client that connects and sends nothing, or stops halfway
+        through a request body, is disconnected after the handler's
+        timeout without a reply, and its handler thread ends, while a
+        keep-alive client that keeps talking stays served."""
+        assert SheriffRequestHandler.timeout is not None
+        monkeypatch.setattr(SheriffRequestHandler, "timeout", 0.5)
+        _, client = served
+        baseline = set(threading.enumerate())
+        idle = [socket.create_connection(("127.0.0.1", client.port), timeout=10)
+                for _ in range(6)]
+        idle[-1].sendall(b"POST /checks HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: 40\r\n\r\n{\"domain\":")
+        try:
+            conn = client.connection()
+            try:
+                for _ in range(4):
+                    _assert_healthz(conn)
+                    time.sleep(0.2)
+            finally:
+                conn.close()
+            for sock in idle:
+                assert sock.recv(1) == b""
+        finally:
+            for sock in idle:
+                sock.close()
+        deadline = time.monotonic() + 10
+        while set(threading.enumerate()) - baseline:
+            assert time.monotonic() < deadline, "handler threads still alive"
+            time.sleep(0.02)
 
     def test_results_before_done_is_409(self, served):
         # Service-level (deterministic): a registered-but-unlaunched job
