@@ -62,6 +62,11 @@ perfbench:
 	$(PYTHON) perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) \
 		--seconds 15 --trace $(TRACE)
 
+# Show a run's output on stderr and pass its last line, the JSON result,
+# on.  awk writes the copy through the inherited fd 2: `tee /dev/stderr`
+# would reopen the file behind it and truncate a redirected log.
+PERFBENCH_LAST = awk '{ print > "/dev/stderr"; last = $$0 } END { print last }'
+
 # Record one benchmark result in the committed trajectory,
 # benchmarks/BENCH_perfbench.jsonl.  A run that ends correct with no
 # failed operations appends one line {commit, workload, seed, nproc,
@@ -80,7 +85,7 @@ PERFBENCH_RECORD = $(PYTHON) -c 'import json, os, subprocess, sys; \
 	open(sys.argv[3], "a").write(json.dumps(line, sort_keys=True) + "\n")'
 perfbench-record:
 	$(PYTHON) perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) \
-		--seconds 15 --trace 0 | tee /dev/stderr | tail -n 1 | \
+		--seconds 15 --trace 0 | $(PERFBENCH_LAST) | \
 		$(PERFBENCH_RECORD) $(WORKLOAD) $(SEED) benchmarks/BENCH_perfbench.jsonl
 
 # Benchmark smoke (CI's PR gate): short traced serve, campaign, job and
@@ -94,13 +99,13 @@ PERFBENCH_OK = $(PYTHON) -c 'import json, sys; \
 	sys.exit(not (r["correct"] is True and r["failed"] == 0))'
 perfbench-smoke:
 	$(PYTHON) perfbench/run.py --workload serve --seed 1 --seconds 2 \
-		--trace 1 | tee /dev/stderr | tail -n 1 | $(PERFBENCH_OK)
+		--trace 1 | $(PERFBENCH_LAST) | $(PERFBENCH_OK)
 	$(PYTHON) perfbench/run.py --workload campaign --seed 1 --seconds 2 \
-		--trace 1 | tee /dev/stderr | tail -n 1 | $(PERFBENCH_OK)
+		--trace 1 | $(PERFBENCH_LAST) | $(PERFBENCH_OK)
 	$(PYTHON) perfbench/run.py --workload job --seed 1 --seconds 2 \
-		--trace 1 | tee /dev/stderr | tail -n 1 | $(PERFBENCH_OK)
+		--trace 1 | $(PERFBENCH_LAST) | $(PERFBENCH_OK)
 	$(PYTHON) perfbench/run.py --workload analyze --seed 1 --seconds 2 \
-		--trace 1 | tee /dev/stderr | tail -n 1 | $(PERFBENCH_OK)
+		--trace 1 | $(PERFBENCH_LAST) | $(PERFBENCH_OK)
 
 # Serving smoke: boot the real service, run a scripted request session
 # (check, campaign job to completion, results download, health), then

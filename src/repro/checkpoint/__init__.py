@@ -2,10 +2,12 @@
 
 Campaigns and crawls passed a ``checkpoint_dir`` spill each completed
 day-segment to disk (columnar JSONL, the :mod:`repro.io` layout) behind a
-fsync'd manifest; ``resume=True`` regrows the world from its
-:class:`~repro.ecommerce.world.WorldSpec`, restores every mutable cursor
-(:mod:`repro.checkpoint.state`), skips committed segments, and continues
-to output byte-identical to an uninterrupted run.  See
+fsync'd manifest, with what the day changed of the run state;
+``resume=True`` regrows the world from its
+:class:`~repro.ecommerce.world.WorldSpec`, folds the committed state
+files and restores every mutable cursor (:mod:`repro.checkpoint.state`),
+skips committed segments, and continues to output byte-identical to an
+uninterrupted run.  See
 ``docs/ARCHITECTURE.md`` (checkpoint/manifest contract) and
 ``docs/TESTING.md`` (the crash-injection harness that proves it).
 """
@@ -33,6 +35,7 @@ from repro.checkpoint.state import (
     capture_run_state,
     decode_state,
     encode_state,
+    fold_run_state,
     restore_run_state,
 )
 
@@ -54,6 +57,7 @@ __all__ = [
     "capture_run_state",
     "decode_state",
     "encode_state",
+    "fold_run_state",
     "install_barrier_hook",
     "restore_run_state",
     "run_fingerprint",

@@ -3,7 +3,8 @@
 A checkpoint directory holds one ``manifest.jsonl`` whose first line is a
 header (format, version, run kind, run fingerprint) and whose every
 further line commits one day-segment: the segment file's name and SHA-256
-digest, the row count, and the post-segment state file's name and digest.
+digest, the row count, and the name and digest of the state file holding
+what the segment changed of the run state.
 A segment *exists* exactly when its manifest line is durable -- the
 commit order (segment file, then state file, then manifest record, each
 fsync'd) makes the manifest line the atomic commit point.
@@ -46,7 +47,10 @@ __all__ = [
 ]
 
 FORMAT_NAME = "repro-checkpoint"
-FORMAT_VERSION = 1
+#: Version 2: each state file holds only what its segment changed, so a
+#: resume folds them all.  A version-1 directory kept only its newest
+#: state file and cannot be read this way; it is refused.
+FORMAT_VERSION = 2
 
 #: Fields every committed segment record must carry, with their types.
 _RECORD_FIELDS = {

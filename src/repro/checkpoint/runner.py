@@ -4,7 +4,7 @@ One :class:`RunCheckpoint` owns one checkpoint directory::
 
     manifest.jsonl      the fsync'd commit log (header + one line/segment)
     seg-00000.jsonl     day-segment 0, columnar dataset layout (repro.io)
-    state-00000.json    run state captured *after* segment 0
+    state-00000.json    what segment 0 changed of the run state
     ...
 
 Commit protocol, per completed day-segment (each step durable before the
@@ -12,22 +12,25 @@ next starts):
 
 1. the segment's dataset is written to ``seg-K.jsonl.tmp``, fsync'd, and
    renamed into place;
-2. the post-segment run state (:mod:`repro.checkpoint.state`) is written
-   the same way;
+2. what the segment changed of the run state
+   (:mod:`repro.checkpoint.state`; the first state file is a full
+   snapshot) is written the same way;
 3. one manifest line recording both files' SHA-256 digests is appended
    and fsync'd -- the atomic commit point.
 
 A kill before step 3 leaves orphan files the next resume overwrites; a
 kill *during* step 3 leaves a torn manifest line the loader truncates;
-after step 3 the segment is permanent.  Superseded state files (only the
-latest is ever needed) are pruned after each commit.
+after step 3 the segment is permanent.  Every committed state file is
+kept: each holds only its own day's changes, so a day's commit costs
+what the day changed, not what the run holds.
 
 Resume verifies the manifest fingerprint against the new run's world and
 config (:meth:`RunCheckpoint.open`), then :meth:`RunCheckpoint.resume_into`
 checks the committed days against the run's day schedule, replays
 committed segments into the live dataset one at a time through
-``append_segment`` (peak memory: spine + one segment), and hands the last
-state snapshot to :func:`repro.checkpoint.state.restore_run_state`.
+``append_segment`` (peak memory: spine + one segment), folds every
+committed state file in order (:meth:`RunCheckpoint.load_state`) and
+hands the result to :func:`repro.checkpoint.state.restore_run_state`.
 Any missing or digest-mismatched file fails loudly with a named
 :class:`~repro.checkpoint.manifest.CheckpointError` subclass.
 """
@@ -54,7 +57,12 @@ from repro.checkpoint.manifest import (
     file_sha256,
     promote_tmp,
 )
-from repro.checkpoint.state import decode_state, encode_state, restore_run_state
+from repro.checkpoint.state import (
+    decode_state,
+    encode_state,
+    fold_run_state,
+    restore_run_state,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.backend import SheriffBackend
@@ -98,6 +106,10 @@ class RunCheckpoint:
             )
         self.directory = directory
         self.manifest = manifest
+        #: Each server's session state as of the last commit, the
+        #: baseline :func:`~repro.checkpoint.state.capture_run_state`
+        #: diffs against; ``None`` until a commit is made or folded.
+        self.committed_servers: Optional[dict[str, dict]] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -181,19 +193,11 @@ class RunCheckpoint:
             "state_sha256": file_sha256(state_path),
         }
         self.manifest.append_segment(record)
+        if self.committed_servers is None:
+            self.committed_servers = {}
+        self.committed_servers.update(state["servers"])
         barrier(SEGMENT_COMMITTED)
-        self._prune_stale_state()
         return record
-
-    def _prune_stale_state(self) -> None:
-        """Drop state files superseded by a newer commit (only the last
-        segment's snapshot is ever read again)."""
-        for record in self.manifest.records[:-1]:
-            stale = self.directory / record["state_file"]
-            try:
-                stale.unlink()
-            except FileNotFoundError:
-                pass
 
     # ------------------------------------------------------------------
     # Resume path
@@ -235,15 +239,21 @@ class RunCheckpoint:
             dataset.append_segment(segment)
         return len(self.manifest.records)
 
-    def load_last_state(self) -> Optional[dict]:
-        """The run state captured after the last committed segment."""
-        if not self.manifest.records:
-            return None
-        record = self.manifest.records[-1]
-        path = self._verified_path(
-            record["state_file"], record["state_sha256"]
-        )
-        return decode_state(json.loads(path.read_text(encoding="utf-8")))
+    def load_state(self) -> Optional[dict]:
+        """The run state as of the last commit (``None`` before the first).
+
+        Every committed state file is digest-verified and folded in commit
+        order (:func:`~repro.checkpoint.state.fold_run_state`): the first
+        is a full snapshot, each later one what its day changed.
+        """
+        state = None
+        for record in self.manifest.records:
+            path = self._verified_path(
+                record["state_file"], record["state_sha256"]
+            )
+            later = decode_state(json.loads(path.read_bytes()))
+            state = later if state is None else fold_run_state(state, later)
+        return state
 
     def resume_into(
         self,
@@ -260,10 +270,11 @@ class RunCheckpoint:
         segments must cover exactly its first days, in order; anything
         else is a checkpoint of a different run and raises
         :class:`CheckpointMismatchError`.  The prefix is folded into
-        ``dataset`` (:meth:`fold_into`) and the last snapshot restored
-        into the freshly built ``world`` and ``backend``
-        (``state_kwargs`` go to :func:`restore_run_state`).  Returns how
-        many leading days are done.
+        ``dataset`` (:meth:`fold_into`) and the folded state
+        (:meth:`load_state`) restored into the freshly built ``world``
+        and ``backend`` (``state_kwargs`` go to
+        :func:`restore_run_state`).  Returns how many leading days are
+        done.
         """
         committed = self.manifest.records
         if len(committed) > len(days):
@@ -278,7 +289,8 @@ class RunCheckpoint:
                     f"{record['day']}, the {self.kind} expects day {day}"
                 )
         self.fold_into(dataset)
-        state = self.load_last_state()
+        state = self.load_state()
         if state is not None:
             restore_run_state(state, world, backend, **state_kwargs)
+            self.committed_servers = state["servers"]
         return len(committed)

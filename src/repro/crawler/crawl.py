@@ -165,7 +165,10 @@ def run_crawl(
                 checkpoint.commit_segment(
                     day=day,
                     dataset=staging,
-                    state=capture_run_state(world, backend),
+                    state=capture_run_state(
+                        world, backend,
+                        committed_servers=checkpoint.committed_servers,
+                    ),
                 )
             dataset.append_segment(staging)
     finally:

@@ -267,7 +267,9 @@ def run_campaign(
                     day=day,
                     dataset=staging,
                     state=capture_run_state(
-                        world, backend, rng=rng, user_clients=user_clients
+                        world, backend,
+                        committed_servers=checkpoint.committed_servers,
+                        rng=rng, user_clients=user_clients,
                     ),
                 )
             dataset.append_segment(staging)

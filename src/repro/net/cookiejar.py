@@ -9,8 +9,8 @@ methodology must suppress).  The jar is per-client, host-scoped, and honors
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional
 
 from repro.net.http import HttpResponse, SetCookie
 from repro.net.urls import URL
@@ -46,17 +46,23 @@ class CookieJar:
     """Host-scoped cookie store for one simulated client.
 
     ``_cookies`` holds every cookie in insertion order -- the order
-    :meth:`snapshot` exports and checkpoint state bytes depend on.
-    ``_by_host`` indexes the same cookies by host, so the per-request
-    operations (:meth:`header_for`, :meth:`get`, ``clear(host)``) touch
-    only the request host's cookies however many shops the client has
-    visited.  Every mutation keeps both in step: a host's bucket lists its
-    cookies in the same relative order as ``_cookies``.
+    :meth:`snapshot` exports.  ``_by_host`` indexes the same cookies by
+    host, so the per-request operations (:meth:`header_for`, :meth:`get`,
+    ``clear(host)``) and :meth:`take_changes` touch only the hosts they
+    name however many shops the client has visited.  Every mutation keeps
+    both in step: a host's bucket lists its cookies in the same relative
+    order as ``_cookies``, the per-host order checkpoint state bytes
+    depend on.
+
+    ``_changed`` names the hosts a store, discard or clear touched since
+    the last :meth:`take_changes`.  It is ``None`` until that method is
+    first called, so a jar nobody checkpoints records nothing.
     """
 
     def __init__(self) -> None:
         self._cookies: dict[tuple[str, str, str], StoredCookie] = {}
         self._by_host: dict[str, dict[tuple[str, str], StoredCookie]] = {}
+        self._changed: Optional[set[str]] = None
 
     def __len__(self) -> int:
         return len(self._cookies)
@@ -68,10 +74,14 @@ class CookieJar:
         if bucket is None:
             bucket = self._by_host[host] = {}
         bucket[(cookie.name, cookie.path)] = cookie
+        if self._changed is not None:
+            self._changed.add(host)
 
     def _discard(self, host: str, name: str, path: str) -> None:
         if self._cookies.pop((host, name, path), None) is None:
             return
+        if self._changed is not None:
+            self._changed.add(host)
         bucket = self._by_host[host]
         del bucket[(name, path)]
         if not bucket:
@@ -115,22 +125,25 @@ class CookieJar:
     def clear(self, host: Optional[str] = None) -> None:
         """Forget all cookies, or only those of ``host``."""
         if host is None:
+            if self._changed is not None:
+                self._changed.update(self._by_host)
             self._cookies.clear()
             self._by_host.clear()
             return
-        for name, path in self._by_host.pop(host, {}):
+        bucket = self._by_host.pop(host, None)
+        if bucket is None:
+            return
+        if self._changed is not None:
+            self._changed.add(host)
+        for name, path in bucket:
             del self._cookies[(host, name, path)]
 
     # ------------------------------------------------------------------
-    # State transfer (the shard executors' session hand-off)
+    # State transfer (the shard executors' session hand-off and the
+    # checkpoint's per-day changes)
     # ------------------------------------------------------------------
-    def snapshot(self, hosts: Optional[set[str]] = None) -> list[dict]:
-        """Export cookies as picklable dicts, optionally for ``hosts`` only.
-
-        Together with :meth:`restore` this moves per-domain session state
-        between a coordinator and a shard worker without shipping the jar
-        object itself.  Insertion order is preserved.
-        """
+    @staticmethod
+    def _export(cookies: Iterable[StoredCookie]) -> list[dict]:
         return [
             {
                 "host": c.host,
@@ -140,14 +153,50 @@ class CookieJar:
                 "expires_at": c.expires_at,
                 "secure": c.secure,
             }
-            for c in self._cookies.values()
-            if hosts is None or c.host in hosts
+            for c in cookies
         ]
+
+    def snapshot(self, hosts: Optional[set[str]] = None) -> list[dict]:
+        """Export cookies as picklable dicts, optionally for ``hosts`` only.
+
+        Together with :meth:`restore` this moves per-domain session state
+        between a coordinator and a shard worker without shipping the jar
+        object itself.  Insertion order is preserved.
+        """
+        return self._export(
+            c for c in self._cookies.values()
+            if hosts is None or c.host in hosts
+        )
 
     def restore(self, snapshot: list[dict]) -> None:
         """Install cookies exported by :meth:`snapshot` (upserting by key)."""
         for item in snapshot:
             self._store(StoredCookie(**item))
+
+    def take_changes(self) -> dict[str, list[dict]]:
+        """``{host: that host's cookies now}`` for every host changed since
+        the last call, in :meth:`snapshot` form.
+
+        A host whose cookies all went maps to ``[]``.  The first call names
+        every host the jar holds and starts the record; later calls name
+        only the hosts a store, discard or clear touched in between.
+        :meth:`apply_changes` installs the result in another jar.
+        """
+        changed = self._by_host if self._changed is None else sorted(self._changed)
+        self._changed = set()
+        by_host = self._by_host
+        return {
+            host: self._export(by_host[host].values()) if host in by_host else []
+            for host in changed
+        }
+
+    def apply_changes(self, changes: Mapping[str, list[dict]]) -> None:
+        """Install a :meth:`take_changes` result: each named host's cookies
+        are replaced by the listed ones (its own order kept); other hosts
+        are untouched."""
+        for host, cookies in changes.items():
+            self.clear(host)
+            self.restore(cookies)
 
     # ------------------------------------------------------------------
     def header_for(self, url: URL, *, now: float = 0.0) -> Optional[str]:

@@ -70,6 +70,22 @@ def crawl_bytes(dataset, path: Path) -> bytes:
     return path.read_bytes()
 
 
+def jar_hosts(jar) -> dict[str, list[dict]]:
+    """A jar's cookies per host, each host's in the jar's order."""
+    hosts: dict[str, list[dict]] = {}
+    for cookie in jar.snapshot():
+        hosts.setdefault(cookie["host"], []).append(cookie)
+    return hosts
+
+
+def world_state(world) -> tuple[dict, dict]:
+    """Every vantage jar host by host, and every server's session state."""
+    return (
+        {vp.name: jar_hosts(vp.jar) for vp in world.vantage_points},
+        {domain: s.session_state() for domain, s in world.servers.items()},
+    )
+
+
 class InterruptRun(Exception):
     """Stands in for SIGKILL in in-process tests."""
 
@@ -224,8 +240,8 @@ class TestManifest:
             {"format": "other", "version": 1, "kind": "campaign", "fingerprint": {}},
             {"format": "repro-checkpoint", "version": 99, "kind": "campaign",
              "fingerprint": {}},
-            {"format": "repro-checkpoint", "version": 1, "fingerprint": {}},
-            {"format": "repro-checkpoint", "version": 1, "kind": "campaign"},
+            {"format": "repro-checkpoint", "version": 2, "fingerprint": {}},
+            {"format": "repro-checkpoint", "version": 2, "kind": "campaign"},
         ],
     )
     def test_bad_headers_are_errors(self, tmp_path: Path, header: dict):
@@ -325,7 +341,8 @@ class TestRunCheckpoint:
     def test_fresh_directory_without_resume_only_once(self, tmp_path: Path):
         checkpoint = self.open_fresh(tmp_path)
         assert checkpoint.committed == []
-        assert checkpoint.load_last_state() is None
+        assert checkpoint.load_state() is None
+        assert checkpoint.committed_servers is None
         with pytest.raises(CheckpointError, match="already holds"):
             self.open_fresh(tmp_path)
 
@@ -344,18 +361,33 @@ class TestRunCheckpoint:
                 resume=True,
             )
 
-    def test_commit_verify_fold_and_state_pruning(self, tmp_path: Path):
+    def test_commit_verify_fold_keeps_every_state_file(self, tmp_path: Path):
         world, backend = fresh_pair()
         full = run_campaign(world, backend, CAMPAIGN_CONFIG)
         checkpoint = self.open_fresh(tmp_path)
         # Commit the whole campaign as one segment, then a second one.
-        state = capture_run_state(world, backend)
-        record = checkpoint.commit_segment(day=0, dataset=full, state=state)
+        first = capture_run_state(world, backend)
+        record = checkpoint.commit_segment(day=0, dataset=full, state=first)
         assert record["seq"] == 0 and record["rows"] == len(full)
-        checkpoint.commit_segment(day=1, dataset=full, state=state)
+        assert checkpoint.committed_servers == first["servers"]
+        # The first capture names every server and every jar's hosts; the
+        # next names only what changed since: one new host.
+        assert set(first["servers"]) == set(world.servers)
+        jar = world.vantage_points[0].jar
+        jar.put("www.new-host.example", "k", "v")
+        second = capture_run_state(
+            world, backend, committed_servers=checkpoint.committed_servers
+        )
+        assert second["servers"] == {}
+        assert second["vantage_jars"] == {
+            world.vantage_points[0].name: {
+                "www.new-host.example": jar.snapshot({"www.new-host.example"}),
+            },
+        }
+        checkpoint.commit_segment(day=1, dataset=full, state=second)
         assert [r["seq"] for r in checkpoint.committed] == [0, 1]
-        # Only the newest state file survives a commit.
-        assert not (tmp_path / "ckpt" / "state-00000.json").exists()
+        # Every state file survives its successors' commits.
+        assert (tmp_path / "ckpt" / "state-00000.json").exists()
         assert (tmp_path / "ckpt" / "state-00001.json").exists()
         # Folding replays both committed segments, segment by segment.
         from repro.crowd.dataset import CrowdDataset
@@ -363,7 +395,17 @@ class TestRunCheckpoint:
         merged = CrowdDataset()
         assert checkpoint.fold_into(merged) == 2
         assert len(merged) == 2 * len(full)
-        assert checkpoint.load_last_state() is not None
+        # The state files fold into the world's state as of the last
+        # commit: restored into a fresh world, every jar matches host by
+        # host and every server's session state.
+        fresh_world, fresh_backend = fresh_pair()
+        restore_run_state(checkpoint.load_state(), fresh_world, fresh_backend)
+        assert world_state(fresh_world) == world_state(world)
+        # The first state file is load-bearing now: damage fails loudly.
+        state0 = tmp_path / "ckpt" / "state-00000.json"
+        state0.write_bytes(state0.read_bytes() + b" ")
+        with pytest.raises(SegmentDigestError):
+            checkpoint.load_state()
 
     def test_missing_and_corrupt_segments_fail_loudly(self, tmp_path: Path):
         world, backend = fresh_pair()
@@ -431,6 +473,191 @@ class TestRunState:
         chain = backend.store.archive_chain
         backend.store.restore_archive_chain(chain)
         assert backend.store.archive_chain == chain
+
+
+# ----------------------------------------------------------------------
+# State files hold what their day changed
+# ----------------------------------------------------------------------
+DELTA_CONFIG = CampaignConfig(
+    n_checks=120, population_size=30, seed=7, start_day=0, end_day=12
+)
+
+
+def state_file(directory: Path, seq: int) -> dict:
+    path = directory / f"state-{seq:05d}.json"
+    return decode_state(json.loads(path.read_bytes()))
+
+
+class TestStateDeltas:
+    def test_state_files_name_only_what_their_day_changed(
+        self, tmp_path: Path, clean_hook, monkeypatch
+    ):
+        """State file K names exactly the jar hosts and servers that
+        changed on day K; the first names everything the world holds."""
+        from repro.crowd import campaign as campaign_module
+
+        users = []
+        build_population = campaign_module.build_population
+
+        def recording_population(*args, **kwargs):
+            users.extend(build_population(*args, **kwargs))
+            return users
+
+        monkeypatch.setattr(
+            campaign_module, "build_population", recording_population
+        )
+        world, backend = fresh_pair()
+        commits = []  # per commit: (jars host by host, server states)
+
+        def record_commit(name: str) -> None:
+            if name != SEGMENT_COMMITTED:
+                return
+            jars = {
+                ("vantage_jars", vp.name): jar_hosts(vp.jar)
+                for vp in world.vantage_points
+            }
+            jars.update(
+                (("user_jars", user.user_id), jar_hosts(user.client.jar))
+                for user in users
+            )
+            servers = {d: s.session_state() for d, s in world.servers.items()}
+            commits.append((jars, servers))
+
+        install_barrier_hook(record_commit)
+        run_campaign(
+            world, backend, DELTA_CONFIG, checkpoint_dir=tmp_path / "c"
+        )
+        assert len(commits) > 5
+        before = ({}, {})
+        for seq, (jars, servers) in enumerate(commits):
+            named = state_file(tmp_path / "c", seq)
+            for (kind, owner), hosts in jars.items():
+                old = before[0].get((kind, owner), {})
+                changed = {
+                    host for host in set(hosts) | set(old)
+                    if hosts.get(host, []) != old.get(host, [])
+                }
+                delta = named[kind].get(owner, {})
+                assert set(delta) == changed, (seq, owner)
+                for host, cookies in delta.items():
+                    assert cookies == hosts.get(host, []), (seq, owner, host)
+            assert named["servers"] == {
+                domain: state for domain, state in servers.items()
+                if before[1].get(domain) != state
+            }, seq
+            before = (jars, servers)
+
+    def test_resumed_run_writes_the_uninterrupted_state_files(
+        self, tmp_path: Path, clean_hook
+    ):
+        """After a resume every jar records changes from the restored
+        state on, so the next state files name only their own day's
+        changes: the same bytes an uninterrupted run writes."""
+        world, backend = fresh_pair()
+        run_campaign(
+            world, backend, DELTA_CONFIG, checkpoint_dir=tmp_path / "ref"
+        )
+        install_barrier_hook(interrupt_after_segments(3))
+        world, backend = fresh_pair()
+        with pytest.raises(InterruptRun):
+            run_campaign(
+                world, backend, DELTA_CONFIG, checkpoint_dir=tmp_path / "cut"
+            )
+        install_barrier_hook(None)
+        world, backend = fresh_pair()
+        run_campaign(
+            world, backend, DELTA_CONFIG,
+            checkpoint_dir=tmp_path / "cut", resume=True,
+        )
+        reference = sorted((tmp_path / "ref").glob("state-*.json"))
+        resumed = sorted((tmp_path / "cut").glob("state-*.json"))
+        assert [p.name for p in resumed] == [p.name for p in reference]
+        for ref, got in zip(reference, resumed):
+            assert got.read_bytes() == ref.read_bytes(), got.name
+
+    def test_state_file_size_does_not_grow_with_the_day(
+        self, tmp_path: Path
+    ):
+        world, backend = fresh_pair()
+        run_campaign(
+            world, backend, DELTA_CONFIG, checkpoint_dir=tmp_path / "c"
+        )
+        sizes = [
+            path.stat().st_size
+            for path in sorted((tmp_path / "c").glob("state-*.json"))
+        ]
+        assert len(sizes) > 8
+        # A full snapshot grows with every host the jars have seen; a
+        # day's changes do not.
+        assert max(sizes[-4:]) <= max(sizes[1:5]), sizes
+
+    @pytest.mark.parametrize("earlier", ["plain", "checkpointed"])
+    def test_resume_into_fresh_world_after_an_earlier_run(
+        self, tmp_path: Path, clean_hook, earlier: str
+    ):
+        """The first state file is a full snapshot of a world that ran
+        before the checkpoint opened -- plainly, or under a checkpoint
+        of its own that already took its jars' changes -- so a resume
+        into a freshly built world continues where the uninterrupted
+        run did.
+
+        The later run is a crawl: a campaign's users take addresses from
+        the world's IP plan, which no run state records, so a second
+        campaign on one world draws other addresses than on a fresh one.
+        """
+        crawl_config = CrawlConfig(days=4, start_day=6)
+
+        def campaign_then_crawl(tag: str, *, interrupt: bool):
+            world, backend = fresh_pair()
+            plan = tiny_plan(world)  # on a fresh world, as a resume builds it
+            run_campaign(
+                world, backend, CAMPAIGN_CONFIG,
+                checkpoint_dir=(
+                    tmp_path / f"{tag}-campaign"
+                    if earlier == "checkpointed" else None
+                ),
+            )
+            if interrupt:
+                install_barrier_hook(interrupt_after_segments(2))
+            crawl = run_crawl(
+                world, backend, plan, crawl_config,
+                checkpoint_dir=tmp_path / f"{tag}-crawl",
+            )
+            return world, crawl
+
+        world, crawl = campaign_then_crawl("ref", interrupt=False)
+        reference = crawl_bytes(crawl, tmp_path / "ref.jsonl")
+        with pytest.raises(InterruptRun):
+            campaign_then_crawl("cut", interrupt=True)
+        install_barrier_hook(None)
+        fresh_world, fresh_backend = fresh_pair()
+        resumed = run_crawl(
+            fresh_world, fresh_backend, tiny_plan(fresh_world), crawl_config,
+            checkpoint_dir=tmp_path / "cut-crawl", resume=True,
+        )
+        assert crawl_bytes(resumed, tmp_path / "resumed.jsonl") == reference
+        assert world_state(fresh_world) == world_state(world)
+
+    def test_version_1_checkpoint_is_refused(self, tmp_path: Path):
+        """Version 1 kept only the newest state file, a full snapshot:
+        folding its files would silently drop state, so it is refused."""
+        world, backend = fresh_pair()
+        run_campaign(
+            world, backend, CAMPAIGN_CONFIG, checkpoint_dir=tmp_path / "c"
+        )
+        manifest = tmp_path / "c" / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        header = json.loads(lines[0])
+        assert header["version"] == 2
+        header["version"] = 1
+        lines[0] = json.dumps(header, separators=(",", ":"), sort_keys=True)
+        manifest.write_text("\n".join(lines) + "\n")
+        world, backend = fresh_pair()
+        with pytest.raises(ManifestError, match="unsupported version 1"):
+            run_campaign(
+                world, backend, CAMPAIGN_CONFIG,
+                checkpoint_dir=tmp_path / "c", resume=True,
+            )
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,12 @@ bit-flip, delete, doctor manifest fields -- resuming either
 
 An exception escaping that is *not* a CheckpointError, or a clean run
 with different bytes, fails the property.
+
+Beside the seeded random corruptions, three pinned ones keep both fates
+covered whatever the random draws hit: a torn manifest tail and a
+deleted manifest must be redone to the same bytes, and a bit flip in the
+first state file -- which every resume folds -- must raise
+:class:`~repro.checkpoint.SegmentDigestError`.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.checkpoint import CheckpointError
+from repro.checkpoint import CheckpointError, SegmentDigestError
 from repro.core.backend import SheriffBackend
 from repro.crowd.campaign import CampaignConfig, run_campaign
 from repro.ecommerce.world import WorldConfig, build_world
@@ -120,6 +126,48 @@ def _corrupt(directory: Path, rng: random.Random) -> str:
     return op(target, rng)
 
 
+def _tear_manifest_tail(directory: Path) -> str:
+    path = directory / "manifest.jsonl"
+    data = path.read_bytes()
+    path.write_bytes(data[:-10])
+    return f"tear manifest.jsonl to {len(data) - 10}B"
+
+
+def _delete_manifest(directory: Path) -> str:
+    return _delete(directory / "manifest.jsonl", random.Random(0))
+
+
+def _flip_first_state_file(directory: Path) -> str:
+    return _flip_bit(directory / "state-00000.json", random.Random(0))
+
+
+#: Pinned corruptions and the fate each must meet.
+_PINNED = (
+    (_tear_manifest_tail, None),
+    (_delete_manifest, None),
+    (_flip_first_state_file, SegmentDigestError),
+)
+
+
+def _resume_fate(work: Path, expected: bytes, what: str):
+    """Resume ``work``: the CheckpointError raised, or None when the run
+    completed with the uninterrupted run's bytes."""
+    world, backend = fresh_pair()
+    try:
+        resumed = run_campaign(
+            world, backend, CAMPAIGN_CONFIG, checkpoint_dir=work, resume=True,
+        )
+    except CheckpointError as exc:
+        assert str(exc), f"{what}: empty error message"
+        return exc
+    out = work / "resumed.jsonl"
+    save_crowd_dataset(resumed, out)
+    assert out.read_bytes() == expected, (
+        f"{what}: resumed to DIFFERENT bytes -- silent wrong resume"
+    )
+    return None
+
+
 class TestCorruptCheckpointFuzz:
     def test_corrupted_checkpoints_never_resume_silently_wrong(
         self, reference, tmp_path: Path
@@ -131,24 +179,19 @@ class TestCorruptCheckpointFuzz:
             work = tmp_path / f"case{case}"
             shutil.copytree(ckpt_dir, work)
             what = _corrupt(work, rng)
-            world, backend = fresh_pair()
-            try:
-                resumed = run_campaign(
-                    world, backend, CAMPAIGN_CONFIG,
-                    checkpoint_dir=work, resume=True,
-                )
-            except CheckpointError as exc:
-                assert str(exc), f"{what}: empty error message"
-                outcomes["error"] += 1
-                continue
-            out = work / "resumed.jsonl"
-            save_crowd_dataset(resumed, out)
-            assert out.read_bytes() == expected, (
-                f"case {case} ({what}): resumed to DIFFERENT bytes -- "
-                f"silent wrong resume"
-            )
-            outcomes["redone"] += 1
-        # The fuzzer must actually exercise both fates.
+            fate = _resume_fate(work, expected, f"case {case} ({what})")
+            outcomes["redone" if fate is None else "error"] += 1
+        for pinned, (corrupt, expected_error) in enumerate(_PINNED):
+            work = tmp_path / f"pinned{pinned}"
+            shutil.copytree(ckpt_dir, work)
+            what = corrupt(work)
+            fate = _resume_fate(work, expected, f"pinned: {what}")
+            if expected_error is None:
+                assert fate is None, f"{what}: {fate!r}, expected a redo"
+            else:
+                assert isinstance(fate, expected_error), (what, fate)
+            outcomes["redone" if fate is None else "error"] += 1
+        # The corruptions must actually exercise both fates.
         assert outcomes["error"] > 0
         assert outcomes["redone"] > 0
 

@@ -7,12 +7,21 @@ a plain dict model keyed by (host, name, path).  The model is scanned in
 full on every check, so each path that maintains the jar's per-host index
 is checked against a plain scan -- including the insertion order
 ``snapshot()`` exports and ``get()`` resolves by.
+
+A shadow jar follows the live one the way a checkpoint's state files do:
+at random points the live jar's ``take_changes()`` is applied to the
+shadow, which must then hold the live jar's cookies host by host.
 """
 
 from __future__ import annotations
 
 from hypothesis import settings
-from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 from hypothesis import strategies as st
 
 from repro.net.cookiejar import CookieJar
@@ -24,6 +33,14 @@ _NAMES = ("session", "auth", "bucket")
 _PATHS = ("/", "/shop")
 
 
+def by_host(jar: CookieJar) -> dict[str, list[dict]]:
+    """A jar's cookies per host, each host's in the jar's order."""
+    hosts: dict[str, list[dict]] = {}
+    for cookie in jar.snapshot():
+        hosts.setdefault(cookie["host"], []).append(cookie)
+    return hosts
+
+
 class CookieJarMachine(RuleBasedStateMachine):
     """Model-based test: CookieJar == dict[(host, name, path) -> value]."""
 
@@ -32,6 +49,10 @@ class CookieJarMachine(RuleBasedStateMachine):
         self.jar = CookieJar()
         self.model: dict[tuple[str, str, str], tuple[str, float | None]] = {}
         self.now = 0.0
+        # The shadow holds what the applied changes carried; ``taken`` is
+        # the live jar's content at the last take, which it must equal.
+        self.shadow = CookieJar()
+        self.taken: dict[str, list[dict]] = {}
 
     @rule(
         host=st.sampled_from(_HOSTS),
@@ -57,6 +78,14 @@ class CookieJarMachine(RuleBasedStateMachine):
         self.jar.set(host, SetCookie(name, "", path=path, max_age=0), now=self.now)
         self.model.pop((host, name, path), None)
 
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def delete_existing_cookie(self, data):
+        """Max-Age=0 on a cookie the jar holds (the discard that counts)."""
+        host, name, path = data.draw(st.sampled_from(sorted(self.model)))
+        self.jar.set(host, SetCookie(name, "", path=path, max_age=0), now=self.now)
+        del self.model[(host, name, path)]
+
     @rule(
         host=st.sampled_from(_HOSTS),
         name=st.sampled_from(_NAMES),
@@ -79,10 +108,26 @@ class CookieJarMachine(RuleBasedStateMachine):
 
     @rule()
     def transfer_to_fresh_jar(self):
-        """The executors' hand-off: a new jar restored from a snapshot."""
+        """The executors' hand-off: a new jar restored from a snapshot.
+
+        The new jar has never been asked for changes, so its first take
+        names every host: a full snapshot, which a fresh shadow takes.
+        """
         fresh = CookieJar()
         fresh.restore(self.jar.snapshot())
         self.jar = fresh
+        self.shadow = CookieJar()
+        self.taken = {}
+
+    @rule()
+    def take_changes_into_shadow(self):
+        """A checkpoint commit: the changes since the last take, applied."""
+        changes = self.jar.take_changes()
+        live = by_host(self.jar)
+        for host, cookies in changes.items():
+            assert cookies == live.get(host, [])
+        self.shadow.apply_changes(changes)
+        self.taken = live
 
     @rule(host=st.sampled_from(_HOSTS))
     def restore_own_host(self, host):
@@ -143,6 +188,11 @@ class CookieJarMachine(RuleBasedStateMachine):
             assert [c["name"] for c in self.jar.snapshot({host})] == [
                 name for (h, name, _) in self.model if h == host
             ]
+
+
+    @invariant()
+    def shadow_matches_last_take_host_by_host(self):
+        assert by_host(self.shadow) == self.taken
 
 
 TestCookieJarMachine = CookieJarMachine.TestCase

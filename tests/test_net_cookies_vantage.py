@@ -77,6 +77,43 @@ class TestCookieJar:
         assert header == "narrow=2; broad=1"
 
 
+    def test_take_changes_names_each_host_a_mutation_touched(self):
+        jar = CookieJar()
+        jar.put("a.example", "x", "1")
+        jar.put("b.example", "y", "2")
+        # The first take names every host the jar holds.
+        assert jar.take_changes() == {
+            "a.example": jar.snapshot({"a.example"}),
+            "b.example": jar.snapshot({"b.example"}),
+        }
+        assert jar.take_changes() == {}
+        jar.put("c.example", "z", "3")  # store
+        jar.set("a.example", SetCookie("x", "", max_age=0))  # discard
+        jar.set("a.example", SetCookie("gone", "", max_age=0))  # no-op
+        assert jar.take_changes() == {
+            "a.example": [], "c.example": jar.snapshot({"c.example"}),
+        }
+        jar.clear("b.example")
+        jar.clear("nowhere.example")  # held nothing: no change
+        assert jar.take_changes() == {"b.example": []}
+        jar.clear()
+        assert jar.take_changes() == {"c.example": []}
+
+    def test_apply_changes_replaces_named_hosts_in_their_order(self):
+        live, shadow = CookieJar(), CookieJar()
+        live.put("a.example", "x", "1")
+        live.put("a.example", "y", "2")
+        shadow.apply_changes(live.take_changes())
+        live.put("a.example", "x", "3")  # updated in place: order kept
+        live.put("b.example", "z", "4")
+        shadow.put("b.example", "stale", "0")
+        shadow.put("c.example", "other", "5")
+        shadow.apply_changes(live.take_changes())
+        for host in ("a.example", "b.example"):
+            assert shadow.snapshot({host}) == live.snapshot({host})
+        assert shadow.get("c.example", "other") == "5"  # not named: kept
+
+
 class TestBrowserProfiles:
     def test_standard_profiles_complete(self):
         assert set(STANDARD_PROFILES) == {
