@@ -37,7 +37,8 @@ chaos:
 	$(PYTHON) -m pytest tests/test_worker_chaos.py -x -q -m "not slow"
 
 # The adversarial scenario matrix: every scenario across the full
-# executor x burst-memo grid (same code the slow test tier runs).
+# execution grid -- inline memo cells and memo-free executor cells (same
+# code the slow test tier runs).
 scenarios:
 	$(PYTHON) -m repro.scenarios --grid
 

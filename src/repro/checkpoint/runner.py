@@ -26,8 +26,9 @@ what the day changed, not what the run holds.
 
 Resume verifies the manifest fingerprint against the new run's world and
 config (:meth:`RunCheckpoint.open`), then :meth:`RunCheckpoint.resume_into`
-checks the committed days against the run's day schedule, replays
-committed segments into the live dataset one at a time through
+refuses a backend that holds a burst memo (no memo state is
+checkpointed), checks the committed days against the run's day schedule,
+replays committed segments into the live dataset one at a time through
 ``append_segment`` (peak memory: spine + one segment), folds every
 committed state file in order (:meth:`RunCheckpoint.load_state`) and
 hands the result to :func:`repro.checkpoint.state.restore_run_state`.
@@ -81,10 +82,10 @@ def run_fingerprint(kind: str, world_config, run_config, **extra) -> dict:
     """The identity of a run: what must match for a resume to be valid.
 
     World and run configs are frozen dataclasses of primitives, so their
-    ``asdict`` forms compare structurally.  Executor and memo settings
-    are deliberately *excluded* -- both are byte-neutral (the
-    determinism contract), so a run may resume under a different worker
-    count or memo toggle.
+    ``asdict`` forms compare structurally.  Executor settings are
+    deliberately *excluded* -- they are byte-neutral (the determinism
+    contract), so a run may resume under a different worker count or
+    executor mode.
     """
     fingerprint = {
         "kind": kind,
@@ -266,6 +267,9 @@ class RunCheckpoint:
     ) -> int:
         """Pick a run up where its committed prefix ends.
 
+        Checkpointed runs carry no burst memo: a ``backend`` that holds
+        one raises :class:`~repro.exec.ExecError` before anything is
+        read, as :class:`~repro.exec.ProcessExecutor` does.
         ``days`` is the run's whole day-segment schedule.  The committed
         segments must cover exactly its first days, in order; anything
         else is a checkpoint of a different run and raises
@@ -276,6 +280,13 @@ class RunCheckpoint:
         :func:`restore_run_state`).  Returns how many leading days are
         done.
         """
+        if backend.burst_cache is not None:
+            from repro.exec import ExecError
+
+            raise ExecError(
+                f"a checkpointed {self.kind} cannot carry a burst memo "
+                f"across a kill; build the backend without burst_cache"
+            )
         committed = self.manifest.records
         if len(committed) > len(days):
             raise CheckpointMismatchError(

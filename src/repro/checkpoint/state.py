@@ -7,16 +7,21 @@ the part of those cursors the day changed:
 
 * the world clock and the backend's check-id counter,
 * the page store's archive hash chain (stream identity, not the window),
-* the burst memo's live-only demotions (evidence, not cache entries),
 * the campaign RNG's ``getstate()``,
 
-all five in full (they are small), plus
+all four in full (they are small), plus
 
 * the hosts whose cookies changed in each vantage point's and -- for
   campaigns -- each crowd user's jar (:meth:`CookieJar.take_changes`),
 * the retailer servers whose ``session_state()`` (request counters, plus
   whatever stateful scenario servers add) differs from its last
   committed value.
+
+No burst memo state is recorded: a checkpointed run holds no memo
+(:meth:`~repro.checkpoint.runner.RunCheckpoint.resume_into` refuses a
+backend that does).  A state file an older version wrote may still
+carry a ``burst_live_only`` scalar; it folds like any scalar and is
+ignored.
 
 A checkpoint's first capture is a full snapshot: every host of every jar
 and every server, whatever the world ran before.  :func:`fold_run_state`
@@ -156,7 +161,6 @@ def capture_run_state(
             if (changes := _jar_changes(vp.jar, full))
         },
         "servers": servers,
-        "burst_live_only": backend.burst_cache.live_only_domains(),
     }
     if rng is not None:
         state["rng"] = rng.getstate()
@@ -236,7 +240,6 @@ def restore_run_state(
         jar.take_changes()  # the record starts at the installed state
     if rng is not None and "rng" in state:
         rng.setstate(state["rng"])
-    backend.burst_cache.restore_live_only(state["burst_live_only"])
     backend.store.restore_archive_chain(state["archive_chain"])
     backend.next_check_number = state["next_check_number"]
     world.clock.advance_to(state["clock"])

@@ -282,7 +282,12 @@ def _cmd_crawl_scenario(args: argparse.Namespace) -> int:
         )
     reset_fleet_health()
     _exec_config(args)  # validate the executor flags like every command
-    cell = GridCell(mode=args.exec_mode, workers=args.workers)
+    # The process executor refuses a burst memo, so a process cell runs
+    # memo-free; an inline cell keeps the memo and its soundness checks.
+    cell = GridCell(
+        mode=args.exec_mode, workers=args.workers,
+        burst_memo=args.exec_mode != "process",
+    )
     result = run_cell(scenario, cell, seed=args.seed, keep_dataset=True)
     print(
         f"scenario {scenario.name} [{cell.label}]: "
@@ -291,14 +296,12 @@ def _cmd_crawl_scenario(args: argparse.Namespace) -> int:
     )
     for line in result.score.summary_lines():
         print(f"  {line}")
-    # Fleet-wide memo telemetry: under --exec-mode process the workers
-    # drain their cache counters back through the shard results and the
-    # coordinator absorbs them, so these numbers cover every worker.
-    stats = result.memo_stats
-    print(
-        f"  memo: {stats['hits']} hits / {stats['misses']} misses; "
-        f"live-only: {sorted(result.live_only) or 'none'}"
-    )
+    if cell.burst_memo:
+        stats = result.memo_stats
+        print(
+            f"  memo: {stats['hits']} hits / {stats['misses']} misses; "
+            f"live-only: {sorted(result.live_only) or 'none'}"
+        )
     _print_fleet_health()
     problems = check_invariants(scenario, [result])
     for line in problems:

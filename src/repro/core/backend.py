@@ -130,7 +130,6 @@ class SheriffBackend:
         rates: RateService,
         *,
         store: Optional[PageStore] = None,
-        burst_memo: bool = True,
         burst_cache: Optional[BurstCache] = None,
     ) -> None:
         if not vantage_points:
@@ -145,14 +144,9 @@ class SheriffBackend:
         # checks over the same retailers recomputes it constantly otherwise.
         self._guard_cache: dict[tuple[int, frozenset[str]], float] = {}
         # Burst memo (repro.core.burstcache): whole-fan-out memoization for
-        # signature-pure retailers.  Always constructed so executors can
-        # toggle ``enabled`` per task; pass an instance to configure
-        # validation sampling.
-        self.burst_cache = (
-            burst_cache
-            if burst_cache is not None
-            else BurstCache(enabled=burst_memo)
-        )
+        # signature-pure retailers, only where a caller hands one in (the
+        # serving backend); None runs every check live.
+        self.burst_cache = burst_cache
         self._structured_fetch_hits = 0
 
     # ------------------------------------------------------------------
@@ -286,7 +280,7 @@ class SheriffBackend:
         day_index = int(sched.start_ts // SECONDS_PER_DAY)
         cache = self.burst_cache
         plan: Optional[BurstPlan] = None
-        if cache.enabled:
+        if cache is not None:
             plan = cache.plan(self, sched, url, fleet)
             if plan is not None and plan.entry is not None and not plan.validate:
                 return self._cached_burst_report(
@@ -401,15 +395,17 @@ class SheriffBackend:
         those, so a 0.0 parse-cache hit rate next to a large
         ``structured_fetch_hits`` means the parser had nothing to do, not
         that a cache failed.  The guard, store, and ``burst_*`` counters
-        are this instance's own.
+        are this instance's own; a backend without a burst memo has no
+        ``burst_*`` keys.
         """
         stats = {f"parse_cache_{k}": v for k, v in parse_cache_stats().items()}
         stats["structured_fetch_hits"] = self._structured_fetch_hits
         stats["guard_cache_entries"] = len(self._guard_cache)
         stats.update(self.store.dedup_stats())
-        stats.update(
-            {f"burst_{k}": v for k, v in self.burst_cache.stats().items()}
-        )
+        if self.burst_cache is not None:
+            stats.update(
+                {f"burst_{k}": v for k, v in self.burst_cache.stats().items()}
+            )
         return stats
 
     # ------------------------------------------------------------------

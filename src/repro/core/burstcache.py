@@ -18,6 +18,14 @@ vector)``
 
 and replays cache hits without touching a single server.
 
+Only a backend handed a :class:`BurstCache` memoizes, and only one
+production caller hands it one: ``repro serve``'s on-demand check
+backend, whose clients ask about the same hot products again and again.
+Campaigns, crawls, reports and served jobs check each ``(url, day)``
+about once, so they run without a memo -- and the process executor and
+checkpointed runs refuse a backend that holds one, so memo state never
+has to cross a process boundary or survive a kill.
+
 Soundness is layered, never assumed:
 
 * **Declaration.**  Each pricing policy declares the signals it reads
@@ -174,16 +182,11 @@ class BurstPlan:
 
 @dataclass
 class _DomainState:
-    """Per-retailer memo classification: the server and the key projection."""
+    """Per-retailer memo classification: the server and its verify set."""
 
     server: Optional[RetailerServer]
-    key_signals: frozenset[str] = frozenset()
     verify_signals: frozenset[str] = frozenset()
     live_reason: str = ""
-    #: True when live-only by *evidence* (a probe caught the policy, or a
-    #: checkpoint / another worker proved it) rather than by structural
-    #: classification -- only evidence propagates across caches.
-    demoted: bool = False
 
     @property
     def live_only(self) -> bool:
@@ -194,22 +197,14 @@ class BurstCache:
     """Per-retailer memo of whole fan-out bursts (see module docstring).
 
     One instance belongs to one :class:`~repro.core.backend.SheriffBackend`
-    (shard workers each grow their own -- cache warmth affects speed,
-    never bytes).  ``enabled=False`` keeps the object inert so executors
-    can toggle the memo per task without rebuilding backends;
+    that is handed it; a backend built without one runs every check live.
     ``validate_fraction`` samples that fraction of hits for a live
     re-run.
     """
 
-    def __init__(
-        self,
-        *,
-        enabled: bool = True,
-        validate_fraction: float = 0.0,
-    ) -> None:
+    def __init__(self, *, validate_fraction: float = 0.0) -> None:
         if not 0.0 <= validate_fraction <= 1.0:
             raise ValueError("validate_fraction must be in [0, 1]")
-        self.enabled = enabled
         self.validate_fraction = validate_fraction
         self._domains: dict[str, _DomainState] = {}
         #: The check day the two dicts below belong to.
@@ -231,10 +226,6 @@ class BurstCache:
         self._bypass_live_only = 0
         self._bypass_unreachable = 0
         self._bypass_non_product = 0
-        # Sharing journal (see "Sharing across processes"): demotions
-        # this cache caught since the last drain_updates() call.
-        self._journal_demotions: dict[str, str] = {}
-        self._counter_base: dict[str, int] = self._counters()
 
     # ------------------------------------------------------------------
     # The per-check decision
@@ -340,18 +331,15 @@ class BurstCache:
         if resolved is not None and not isinstance(resolved, RetailerServer):
             resolved, reason = None, "not a retailer server"
         server = resolved
-        key_signals: frozenset[str] = frozenset()
         verify_signals: frozenset[str] = frozenset()
         if server is not None:
             profile = server.signature_profile()
             if profile is None:
                 server, reason = None, "state-dependent responses"
             else:
-                key_signals = profile.signals
                 verify_signals = profile.verify_signals
         state = _DomainState(
             server=server,
-            key_signals=key_signals,
             verify_signals=verify_signals,
             live_reason=reason,
         )
@@ -457,128 +445,8 @@ class BurstCache:
         state = self._domains[domain]
         state.server = None
         state.live_reason = reason
-        state.demoted = True
         self._entries.pop(domain, None)
         self._demotions += 1
-        self._journal_demotions[domain] = reason
-
-    def restore_live_only(self, demoted: dict[str, str]) -> None:
-        """Re-apply live-only verdicts captured by a checkpoint.
-
-        A resumed run starts with a cold cache (entries are recomputable
-        and deliberately not checkpointed), but demotions are *evidence*
-        -- a policy was caught reading past its declaration -- and
-        forgetting them would let the resumed run briefly serve entries an
-        uninterrupted run never would have.  Restoring them keeps the
-        memo's trust decisions monotone across a kill.
-        """
-        for domain, reason in demoted.items():
-            self.fold_demotion(domain, reason)
-
-    # ------------------------------------------------------------------
-    # Sharing across processes
-    # ------------------------------------------------------------------
-    # Entries stay in the cache that stored them: keys embed the check
-    # day, campaigns and crawls submit one batch per day, and a batch
-    # puts each domain on one worker, so a same-day repeat reaches the
-    # worker holding the entry.  Evidence and telemetry travel: a worker
-    # *drains* its demotions and counter deltas, and the coordinator
-    # *folds* the demotions into its own cache (shipping them on to the
-    # other workers) and *absorbs* the counter deltas, so its own
-    # ``stats()`` counters report the fleet.  Folding never journals or
-    # bumps counters -- every store, hit, and demotion is counted
-    # exactly once, by the cache where it actually happened.
-    _COUNTER_ATTRS = {
-        "hits": "_hits",
-        "misses": "_misses",
-        "stores": "_stores",
-        "store_skips": "_store_skips",
-        "validations": "_validations",
-        "demotions": "_demotions",
-        "bypass_live_only": "_bypass_live_only",
-        "bypass_unreachable": "_bypass_unreachable",
-        "bypass_non_product": "_bypass_non_product",
-    }
-
-    def _counters(self) -> dict[str, int]:
-        return {
-            name: getattr(self, attr)
-            for name, attr in self._COUNTER_ATTRS.items()
-        }
-
-    def predicts_hits(self, backend: "SheriffBackend", domain: str) -> bool:
-        """Planner hook: would repeats of one burst against ``domain`` hit?
-
-        True exactly when the cache would consider storing for the
-        domain -- enabled, a reachable retailer server, a pure signature
-        profile, not demoted.  Classification is the same (memoized)
-        :meth:`plan` uses, so asking is cheap and side-effect-free
-        beyond populating the domain-state table a real check would
-        populate anyway.
-        """
-        if not self.enabled:
-            return False
-        return not self._domain_state(backend, domain).live_only
-
-    def drain_updates(self) -> dict:
-        """What this cache learned since the last drain that must travel.
-
-        Returns ``{"demotions": {domain: reason}, "counters": {name:
-        delta}}`` and resets the journal.
-        """
-        counters = self._counters()
-        updates = {
-            "demotions": dict(self._journal_demotions),
-            "counters": {
-                name: value - self._counter_base[name]
-                for name, value in counters.items()
-                if value != self._counter_base[name]
-            },
-        }
-        self._journal_demotions.clear()
-        self._counter_base = counters
-        return updates
-
-    def fold_demotion(self, domain: str, reason: str) -> None:
-        """Apply a demotion proven elsewhere (worker drain or checkpoint).
-
-        Drops the domain's entries and blocks new stores.  Does not bump
-        the demotion counter -- the cache that caught the policy already
-        counted it; this is propagation, not discovery.
-        """
-        state = self._domains.get(domain)
-        if state is None:
-            self._domains[domain] = _DomainState(
-                server=None, live_reason=reason, demoted=True
-            )
-        elif not state.live_only:
-            state.server = None
-            state.live_reason = reason
-            state.demoted = True
-            self._entries.pop(domain, None)
-        else:
-            state.demoted = True
-
-    def absorb_counters(self, deltas: dict) -> None:
-        """Add a drained counter delta to this cache's own counters."""
-        for name, delta in deltas.items():
-            attr = self._COUNTER_ATTRS.get(name)
-            if attr is not None:
-                setattr(self, attr, getattr(self, attr) + int(delta))
-
-    def demoted_domains(self) -> dict[str, str]:
-        """domain -> reason, for evidence-based demotions only.
-
-        The propagation-worthy subset of :meth:`live_only_domains`:
-        structurally live-only retailers are reclassified identically by
-        every cache on its own, but demotions are evidence that must
-        travel.
-        """
-        return {
-            domain: state.live_reason
-            for domain, state in sorted(self._domains.items())
-            if state.demoted
-        }
 
     # ------------------------------------------------------------------
     # Introspection
@@ -600,7 +468,15 @@ class BurstCache:
         """
         states = list(self._domains.values())
         return {
-            **self._counters(),
+            "hits": self._hits,
+            "misses": self._misses,
+            "stores": self._stores,
+            "store_skips": self._store_skips,
+            "validations": self._validations,
+            "demotions": self._demotions,
+            "bypass_live_only": self._bypass_live_only,
+            "bypass_unreachable": self._bypass_unreachable,
+            "bypass_non_product": self._bypass_non_product,
             "entries": sum(map(len, list(self._entries.values()))),
             "domains": len(states),
             "domains_live_only": sum(

@@ -98,10 +98,10 @@ def run_crawl(
     is created here and closed when the crawl ends); ``executor`` passes a
     caller-owned executor instead (the caller closes it -- benchmarks use
     this to keep one process pool warm across many crawls).  Either way
-    the dataset is byte-identical to the sequential run -- as it is with
-    the backend's burst memo on or off (:mod:`repro.core.burstcache`):
-    repeated checks of a signature-pure retailer's product on one day
-    serve from the memo, byte-for-byte including archive timestamps.
+    the dataset is byte-identical to the sequential run.  A crawl checks
+    each ``(url, day)`` once, so its backend needs no burst memo
+    (:mod:`repro.core.burstcache`); the process executor and a
+    checkpointed crawl refuse a backend that holds one.
 
     ``checkpoint_dir`` makes the crawl kill-safe: each completed day is
     also durably committed (dataset shard + run state) before the next

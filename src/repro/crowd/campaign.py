@@ -111,8 +111,10 @@ def run_campaign(
     *freshly built* world restores the last committed state and
     continues.  The schedule is the same with or without a checkpoint,
     so plain, checkpointed, resumed and served runs of one world and
-    config return byte-identical datasets, at any worker count, memo on
-    or off.
+    config return byte-identical datasets, at any worker count.  The
+    backend needs no burst memo (a campaign rarely repeats a
+    ``(url, day)``); the process executor and a checkpointed campaign
+    refuse a backend that holds one.
     """
     config = config or CampaignConfig()
     rng = stable_rng(config.seed, "campaign")

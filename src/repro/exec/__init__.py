@@ -7,7 +7,7 @@ to the sequential loop:
 
 * :class:`~repro.exec.plan.CostAwarePlanner` -- the shard planner:
   partitions the batch by retailer, bin-packing retailers onto shards so
-  predicted per-shard cost (live fan-outs vs memo hits) equalizes;
+  per-shard check counts equalize;
 * :class:`~repro.exec.plan.ExecConfig` -- the ``workers``/``mode`` knob
   carried by :func:`repro.crawler.run_crawl`,
   :func:`repro.crowd.run_campaign`, and the CLI's ``--workers`` /
@@ -17,7 +17,8 @@ to the sequential loop:
 * :class:`~repro.exec.process.ProcessExecutor` -- multiprocessing
   execution; workers regrow the world from its picklable
   :class:`~repro.ecommerce.world.WorldSpec` instead of pickling live
-  simulation objects.  A supervision layer recovers dead or hung
+  simulation objects, and run without a burst memo (a backend that
+  holds one is refused).  A supervision layer recovers dead or hung
   workers (respawn + full re-ship + deterministic re-run) and
   quarantines poison shards to inline execution after
   ``--max-worker-restarts`` failures; :func:`~repro.exec.process.

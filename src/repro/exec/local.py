@@ -66,7 +66,7 @@ class LocalExecutor:
     ) -> list["PriceCheckReport"]:
         """Execute every schedule entry, shard by shard, and merge."""
         merged: dict[int, tuple["PriceCheckReport", list[dict]]] = {}
-        for shard in self.plan.partition_batch(backend, scheduled):
+        for shard in self.plan.partition_batch(scheduled):
             for sched in shard:
                 archives: list[dict] = []
                 report = backend.run_scheduled_check(

@@ -11,11 +11,9 @@ owns its retailer; because archives and reports are merged back in plan
 order, **any** retailer-respecting partition produces byte-identical
 output, which frees the planner to chase wall clock instead of safety.
 
-:class:`CostAwarePlanner` implements the ``partition_batch(backend,
-scheduled)`` seam executors call: it predicts each retailer's cost for
-*this* batch (live fan-outs are ~:data:`LIVE_CHECK_COST`; repeats of an
-already-seen ``(url, day)`` burst on a memoizable retailer are
-~:data:`MEMO_HIT_COST`) and bin-packs retailers onto shards so predicted
+:class:`CostAwarePlanner` implements the ``partition_batch(scheduled)``
+seam executors call: a retailer's cost for *this* batch is the number of
+checks the batch sends it, and retailers are bin-packed onto shards so
 shard costs equalize.
 
 :class:`ExecConfig` is the user-facing knob: ``workers`` and ``mode``
@@ -28,97 +26,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.net.clock import SECONDS_PER_DAY
 from repro.net.urls import URL
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.backend import ScheduledCheck, SheriffBackend
+    from repro.core.backend import ScheduledCheck
     from repro.ecommerce.world import World
 
 __all__ = [
     "CostAwarePlanner",
     "ExecConfig",
     "ExecError",
-    "LIVE_CHECK_COST",
-    "MEMO_HIT_COST",
-    "predicted_batch_cost",
 ]
 
 _MODES = ("local", "process")
 
-#: Relative cost of a full live fan-out (render + serialize + archive +
-#: extract, times the fleet) vs replaying a memo hit.  Only the *ratio*
-#: matters -- the planner equalizes relative shard loads, never absolute
-#: seconds.
-LIVE_CHECK_COST = 20.0
-MEMO_HIT_COST = 1.0
-
 
 class ExecError(RuntimeError):
-    """Raised when a shard executor cannot honor its determinism contract."""
-
-
-def _check_costs(
-    backend: "SheriffBackend",
-    scheduled: Sequence["ScheduledCheck"],
-):
-    """Yield ``(domain, predicted cost)`` per scheduled check.
-
-    The one pricing rule shared by the cost planner and the supervisor's
-    hang deadlines: a retailer the burst memo will serve pays
-    :data:`LIVE_CHECK_COST` only for the first check of each
-    ``(url, day)`` burst and :data:`MEMO_HIT_COST` for repeats; everyone
-    else pays full price every time.
-    """
-    cache = backend.burst_cache
-    seen: set[tuple[str, str, int]] = set()
-    for sched in scheduled:
-        host = URL.parse(sched.request.url).host
-        if cache.predicts_hits(backend, host):
-            burst = (host, sched.request.url,
-                     int(sched.start_ts // SECONDS_PER_DAY))
-            if burst in seen:
-                yield host, MEMO_HIT_COST
-                continue
-            seen.add(burst)
-        yield host, LIVE_CHECK_COST
-
-
-def predicted_batch_cost(
-    backend: "SheriffBackend",
-    scheduled: Sequence["ScheduledCheck"],
-) -> float:
-    """Total predicted cost of a batch slice (one planned shard).
-
-    :class:`~repro.exec.process.ProcessExecutor` scales its per-shard
-    hang deadline by this number, so a shard full of live fan-outs gets
-    proportionally more wall clock than one replaying memo hits before
-    the supervisor declares its worker hung.
-    """
-    return sum(cost for _, cost in _check_costs(backend, scheduled))
+    """Raised when a run's execution setup cannot honor its determinism
+    contract: a foreign vantage fleet, or a burst memo where memo state
+    cannot live (a worker process, a checkpointed run)."""
 
 
 class CostAwarePlanner:
-    """Bin-pack retailers onto shards by predicted batch cost.
+    """Bin-pack retailers onto shards by their checks in the batch.
 
-    Per batch, every retailer's checks are priced from two facts the
-    coordinator already knows:
-
-    * **class** -- a retailer the burst memo will serve (reachable
-      retailer server, pure :meth:`~repro.ecommerce.retailer.
-      RetailerServer.signature_profile`, not demoted, memo enabled) pays
-      :data:`LIVE_CHECK_COST` only for the *first* check of each
-      ``(url, day)`` burst; repeats replay at :data:`MEMO_HIT_COST`.
-      Live-only retailers pay full price every time.
-    * **volume** -- how many scheduled checks the batch actually sends
-      each retailer.
-
-    Retailers are then assigned largest-cost-first to the least-loaded
-    shard (LPT bin packing), with deterministic tie-breaks (domain name,
-    then lowest shard index), so coordinator runs agree across machines.
-    Byte identity never depends on the assignment -- merge-in-plan-order
-    guarantees it for any retailer-respecting partition -- so a bad cost
-    prediction costs time, never correctness.
+    A retailer's cost is how many scheduled checks the batch sends it:
+    every check is one live fan-out.  Retailers are assigned
+    largest-cost-first to the least-loaded shard (LPT bin packing), with
+    deterministic tie-breaks (domain name, then lowest shard index), so
+    coordinator runs agree across machines.  Byte identity never depends
+    on the assignment -- merge-in-plan-order guarantees it for any
+    retailer-respecting partition -- so a bad cost prediction costs
+    time, never correctness.
     """
 
     def __init__(self, workers: int) -> None:
@@ -128,14 +67,13 @@ class CostAwarePlanner:
 
     # ------------------------------------------------------------------
     def predicted_costs(
-        self,
-        backend: "SheriffBackend",
-        scheduled: Sequence["ScheduledCheck"],
-    ) -> dict[str, float]:
-        """domain -> predicted cost of this batch's checks against it."""
-        costs: dict[str, float] = {}
-        for host, cost in _check_costs(backend, scheduled):
-            costs[host] = costs.get(host, 0.0) + cost
+        self, scheduled: Sequence["ScheduledCheck"]
+    ) -> dict[str, int]:
+        """domain -> how many of this batch's checks go to it."""
+        costs: dict[str, int] = {}
+        for sched in scheduled:
+            host = URL.parse(sched.request.url).host
+            costs[host] = costs.get(host, 0) + 1
         return costs
 
     def assign(self, costs: dict[str, float]) -> dict[str, int]:
@@ -149,9 +87,7 @@ class CostAwarePlanner:
         return assignment
 
     def partition_batch(
-        self,
-        backend: "SheriffBackend",
-        scheduled: Sequence["ScheduledCheck"],
+        self, scheduled: Sequence["ScheduledCheck"]
     ) -> list[list["ScheduledCheck"]]:
         """Split schedule entries into cost-balanced per-shard slices.
 
@@ -159,7 +95,7 @@ class CostAwarePlanner:
         preserves the per-domain request sequence (and with it cookie and
         nonce evolution) exactly as the sequential loop would produce it.
         """
-        assignment = self.assign(self.predicted_costs(backend, scheduled))
+        assignment = self.assign(self.predicted_costs(scheduled))
         shards: list[list["ScheduledCheck"]] = [[] for _ in range(self.workers)]
         for sched in scheduled:
             host = URL.parse(sched.request.url).host

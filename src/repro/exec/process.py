@@ -14,40 +14,33 @@ cross the process boundary.  Instead it receives:
 * **deltas** of everything stateful: per-domain session state (each
   vantage point's cookies for the domain plus the retailer server's
   :meth:`~repro.ecommerce.retailer.RetailerServer.session_state` dict)
-  only for domains whose state changed since the worker last saw them,
-  and the burst-memo demotions for the shard's domains that the worker
-  has not seen yet.
+  only for domains whose state changed since the worker last saw them.
 
 Because every stochastic draw in the simulation is keyed by request
 identity rather than arrival order (see ``docs/ARCHITECTURE.md``), the
 rebuilt world plus the restored session state reproduce each check
 bit-for-bit.  The worker sends back reports, archives in compact form
-(page bodies travel once per worker and day, by content hash), the
-post-batch session-state *deltas*, and its burst cache's drained
-demotions and counter deltas.  The coordinator folds the session state
-into its own world, folds the demotions into its own
-:class:`~repro.core.burstcache.BurstCache` (so the next batch ships them
-to every other worker), absorbs the counters (so ``stats()`` counts the
-whole fleet), and replays archives in plan order: the next day's batch
-starts from exactly the history a sequential run would have written.
-Memo entries never cross the boundary: their keys embed the check day,
-campaigns and crawls submit one batch per day, and a batch puts each
-domain on one worker, so the worker that stored an entry is the one
-whose checks can replay it.
+(page bodies travel once per worker and day, by content hash), and the
+post-batch session-state *deltas*.  The coordinator folds the session
+state into its own world and replays archives in plan order: the next
+day's batch starts from exactly the history a sequential run would have
+written.
+
+Batch runs carry no burst memo (:mod:`repro.core.burstcache`), so no
+memo state crosses the boundary: :meth:`ProcessExecutor.run` refuses a
+backend that holds one.
 
 Supervision
 -----------
 
 Worker death (pipe EOF / broken pipe / process exit) and hangs (a shard
-blowing through a deadline scaled by
-:func:`~repro.exec.plan.predicted_batch_cost`) are *recovered*, not
-fatal: the coordinator discards the failed attempt wholesale, respawns a
-replacement worker, and re-dispatches the same shard batch to it.  A
-fresh worker starts with an empty ledger, so the ordinary delta payload
-naturally degenerates to the **full** state ship -- spec, every session
-blob, every demotion for the shard's domains -- and because a dead
-worker's partial journals and counters died unfolded, the re-run counts
-every hit/miss/store exactly once.  Output stays byte-identical
+blowing through a deadline scaled by its check count) are *recovered*,
+not fatal: the coordinator discards the failed attempt wholesale,
+respawns a replacement worker, and re-dispatches the same shard batch
+to it.  A fresh worker starts with an empty ledger, so the ordinary
+delta payload naturally degenerates to the **full** state ship -- spec
+and every session blob for the shard's domains -- and nothing of the
+dead worker's partial batch was folded.  Output stays byte-identical
 to the fault-free run; the chaos harness (``tests/test_worker_chaos.py``)
 proves it under arbitrary fault schedules.  Each shard carries a bounded
 restart budget with exponential backoff; a shard that keeps killing its
@@ -78,7 +71,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 from repro.checkpoint.barriers import WORKER_RESPAWN, barrier
 from repro.ecommerce.world import WorldSpec
 from repro.exec.local import merge_in_plan_order
-from repro.exec.plan import CostAwarePlanner, ExecError, predicted_batch_cost
+from repro.exec.plan import CostAwarePlanner, ExecError
 from repro.net.clock import SECONDS_PER_DAY
 from repro.net.urls import URL
 
@@ -233,9 +226,8 @@ def _run_shard(payload: dict) -> dict:
     """Execute one shard batch in a worker process.
 
     Returns reports with compact archives (``(vantage, timestamp,
-    content hash)`` triples plus any page bodies not yet shipped), the
-    post-batch session-state deltas, and the worker cache's drained
-    updates.
+    content hash)`` triples plus any page bodies not yet shipped) and
+    the post-batch session-state deltas.
     """
     global _CURRENT_SPEC
     fault = payload.get("fault")
@@ -262,14 +254,6 @@ def _run_shard(payload: dict) -> dict:
     domains: list[str] = payload["domains"]
     world, backend = _worker_world(spec)
     fleet = world.vantage_points
-    # Mirror the coordinator's burst-memo configuration and fold the
-    # demotions other caches proved for this shard's domains.
-    memo = payload["burst_memo"]
-    cache = backend.burst_cache
-    cache.enabled = memo["enabled"]
-    cache.validate_fraction = memo["validate_fraction"]
-    for domain, reason in payload["memo_demotions"].items():
-        cache.fold_demotion(domain, reason)
 
     # Install the session-state deltas; untouched domains already hold
     # exactly the state this worker left (or reported) last batch.
@@ -307,14 +291,13 @@ def _run_shard(payload: dict) -> dict:
             session_out[domain] = blob
             _SESSION_BLOBS[domain] = blob
     if fault == "after-batch":
-        # Every task ran, every journal is full -- and none of it will
-        # ever reach the coordinator.
+        # Every task ran -- and none of it will ever reach the
+        # coordinator.
         _die()
     return {
         "results": results,
         "pages": new_pages,
         "session": session_out,
-        "memo": cache.drain_updates(),
         "worlds_built": _WORLDS_BUILT,
     }
 
@@ -342,9 +325,7 @@ def _worker_main(conn) -> None:
 
     Exceptions travel back pickled (falling back to a stringified
     traceback when the exception itself will not pickle) so the
-    coordinator re-raises the real type --
-    :class:`~repro.core.burstcache.BurstCacheDivergence` stays loud
-    across the boundary.
+    coordinator re-raises the real type.
     """
     _reset_worker_state()
     try:
@@ -379,7 +360,7 @@ def _worker_main(conn) -> None:
 class _WorkerHandle:
     """The coordinator's ledger of exactly what one worker holds."""
 
-    __slots__ = ("proc", "conn", "session", "demotions", "worlds_built",
+    __slots__ = ("proc", "conn", "session", "worlds_built",
                  "spec_sent", "pages_epoch")
 
     def __init__(self, proc, conn) -> None:
@@ -392,8 +373,6 @@ class _WorkerHandle:
         self.pages_epoch = 0
         #: domain -> session blob the worker currently holds.
         self.session: dict[str, bytes] = {}
-        #: demotions the worker already knows about.
-        self.demotions: set[str] = set()
         self.worlds_built = 0
 
 
@@ -506,10 +485,13 @@ class ProcessExecutor:
     * ``restart_backoff_s`` -- base of the exponential backoff slept
       before each respawn (``base * 2**(failures-1)``, capped at 2 s;
       0 disables -- tests do);
-    * ``min_deadline_s`` / ``deadline_per_cost_s`` -- a shard's hang
-      deadline is ``min + per_cost *``
-      :func:`~repro.exec.plan.predicted_batch_cost`, so live-heavy
-      shards get proportionally more wall clock.
+    * ``min_deadline_s`` / ``deadline_per_check_s`` -- a shard's hang
+      deadline is ``min + per_check * len(shard)``, so larger shards get
+      proportionally more wall clock.
+
+    The backend must hold no burst memo (``backend.burst_cache is
+    None``): :meth:`run` raises :class:`~repro.exec.plan.ExecError`
+    otherwise, before any dispatch.
     """
 
     def __init__(
@@ -521,7 +503,7 @@ class ProcessExecutor:
         max_restarts: int = 3,
         restart_backoff_s: float = 0.05,
         min_deadline_s: float = 300.0,
-        deadline_per_cost_s: float = 0.05,
+        deadline_per_check_s: float = 1.0,
     ) -> None:
         if max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
@@ -531,7 +513,7 @@ class ProcessExecutor:
         self.max_restarts = max_restarts
         self.restart_backoff_s = restart_backoff_s
         self.min_deadline_s = min_deadline_s
-        self.deadline_per_cost_s = deadline_per_cost_s
+        self.deadline_per_check_s = deadline_per_check_s
         # fork is the fast path (no re-import) but is only safe where it
         # is the platform default; macOS deliberately switched to spawn
         # (fork-without-exec crashes), so prefer it only on Linux.
@@ -622,6 +604,11 @@ class ProcessExecutor:
             raise
 
     def _run(self, backend, scheduled, fleet, sink):
+        if backend.burst_cache is not None:
+            raise ExecError(
+                "ProcessExecutor cannot carry a burst memo across the "
+                "process boundary; build the backend without burst_cache"
+            )
         expected = [vp.name for vp in self._world.vantage_points]
         if [vp.name for vp in fleet] != expected:
             raise ExecError(
@@ -634,7 +621,7 @@ class ProcessExecutor:
                 self._pages_day = day
                 self._pages_epoch += 1
                 self._pages.clear()
-        shards = self.plan.partition_batch(backend, scheduled)
+        shards = self.plan.partition_batch(scheduled)
         merged: dict[int, tuple["PriceCheckReport", list[dict]]] = {}
         t0 = time.perf_counter()
         pending: list[tuple[int, list, float, float]] = []
@@ -662,14 +649,13 @@ class ProcessExecutor:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _build_payload(self, handle, shard_index, shard, backend, fleet):
+    def _build_payload(self, handle, shard_index, shard, fleet):
         """The shard's delta payload against this handle's ledger.
 
         A fresh (just-respawned) handle has an empty ledger, so the same
         delta logic degenerates to the full state ship recovery needs:
-        spec, every session blob, every demotion for the shard's domains.
+        spec and every session blob for the shard's domains.
         """
-        cache = backend.burst_cache
         domains = sorted(
             {URL.parse(sched.request.url).host for sched in shard}
         )
@@ -679,13 +665,6 @@ class ProcessExecutor:
             if handle.session.get(domain) != blob:
                 session[domain] = blob
                 handle.session[domain] = blob
-        memo_demotions: dict[str, str] = {}
-        if cache.enabled:
-            demoted = cache.demoted_domains()
-            for domain in domains:
-                if domain in demoted and domain not in handle.demotions:
-                    memo_demotions[domain] = demoted[domain]
-                    handle.demotions.add(domain)
         fresh_pages = handle.pages_epoch != self._pages_epoch
         handle.pages_epoch = self._pages_epoch
         fault = None
@@ -696,17 +675,12 @@ class ProcessExecutor:
             "spec": None if handle.spec_sent else self._spec,
             "tasks": shard,
             "domains": domains,
-            "burst_memo": {
-                "enabled": cache.enabled,
-                "validate_fraction": cache.validate_fraction,
-            },
             "session": session,
-            "memo_demotions": memo_demotions,
             "fresh_pages": fresh_pages,
             "fault": fault,
         }
 
-    def _dispatch(self, backend, shard_index, shard, fleet):
+    def _dispatch(self, shard_index, shard, fleet):
         """Send one shard to its worker; returns (dispatched_at, deadline_s).
 
         Ledger updates made while building the payload are safe even if
@@ -714,9 +688,7 @@ class ProcessExecutor:
         handle's empty ledger re-ships everything.
         """
         handle = self._handles[shard_index]
-        payload = self._build_payload(
-            handle, shard_index, shard, backend, fleet
-        )
+        payload = self._build_payload(handle, shard_index, shard, fleet)
         blob = pickle.dumps(payload, protocol=_PROTOCOL)
         self._ship_bytes += len(blob)
         try:
@@ -728,7 +700,7 @@ class ProcessExecutor:
             ) from None
         handle.spec_sent = True
         deadline_s = self.min_deadline_s + (
-            self.deadline_per_cost_s * predicted_batch_cost(backend, shard)
+            self.deadline_per_check_s * len(shard)
         )
         return time.monotonic(), deadline_s
 
@@ -737,7 +709,7 @@ class ProcessExecutor:
         """Dispatch with recovery; ``None`` means quarantined + ran inline."""
         while True:
             try:
-                return self._dispatch(backend, shard_index, shard, fleet)
+                return self._dispatch(shard_index, shard, fleet)
             except _WorkerFailure as failure:
                 if not self._recover(
                     backend, shard_index, shard, fleet, merged, failure
@@ -792,9 +764,9 @@ class ProcessExecutor:
                 state = None
                 continue
             break
-        self._fold(backend, handle, shard, fleet, merged, blob)
+        self._fold(handle, shard, fleet, merged, blob)
 
-    def _fold(self, backend, handle, shard, fleet, merged, blob):
+    def _fold(self, handle, shard, fleet, merged, blob):
         """Fold one worker reply into coordinator state (exactly once)."""
         self._recv_bytes += len(blob)
         t1 = time.perf_counter()
@@ -826,14 +798,6 @@ class ProcessExecutor:
                 fleet, self._world.servers, domain, state_blob
             )
             handle.session[domain] = state_blob
-        # Fold the worker's demotions and counters into the
-        # coordinator's cache, whose stats() then speak for the fleet.
-        memo = result["memo"]
-        cache = backend.burst_cache
-        for domain, reason in memo["demotions"].items():
-            cache.fold_demotion(domain, reason)
-            handle.demotions.add(domain)
-        cache.absorb_counters(memo["counters"])
         handle.worlds_built = result["worlds_built"]
         self._fold_ms += (time.perf_counter() - t1) * 1000.0
 
@@ -848,8 +812,8 @@ class ProcessExecutor:
         dispatches to the fresh worker) or ``False`` after a quarantine
         (the shard already ran inline; nothing left to do).  Nothing of
         the failed attempt was folded -- the dead worker's partial
-        results, journals, and counters died with it -- so the re-run
-        starts from exactly the coordinator's pre-batch state.
+        results and session state died with it -- so the re-run starts
+        from exactly the coordinator's pre-batch state.
         """
         t0 = time.perf_counter()
         self._failures[shard_index] = self._failures.get(shard_index, 0) + 1
@@ -885,12 +849,7 @@ class ProcessExecutor:
         return True
 
     def _run_inline(self, backend, shard, fleet, merged) -> None:
-        """Run a quarantined shard on the coordinator (LocalExecutor-style).
-
-        Counters land directly in the coordinator's cache -- the same
-        totals the worker path reaches by drain + absorb -- so fleet-wide
-        stats stay exact.
-        """
+        """Run a quarantined shard on the coordinator (LocalExecutor-style)."""
         for sched in shard:
             archives: list[dict] = []
             report = backend.run_scheduled_check(
@@ -907,7 +866,7 @@ class ProcessExecutor:
 
         ``payload_ms`` is time spent building + serializing + sending
         payloads; ``fold_ms`` is time spent deserializing and folding
-        results (session state, memo updates, archive reconstruction);
+        results (session state, archive reconstruction);
         ``ship_bytes``/``recv_bytes`` are the raw pickle traffic.
         Divide by ``batches`` for per-day overhead.
         """

@@ -5,7 +5,7 @@ controls -- a plain geo discriminator the pipeline *must* keep finding
 (recall) and an honest shop it *must* keep clearing (precision) -- and
 records the ground truth the harness scores against.  Worlds are tiny on
 purpose: a handful of retailers with small catalogs, no long tail, built
-in milliseconds, so the full scenario × executor × memo grid stays
+in milliseconds, so the full scenario × execution grid stays
 affordable.
 
 Domains use the reserved ``.test`` TLD: these shops exist to attack the

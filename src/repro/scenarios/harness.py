@@ -2,12 +2,15 @@
 
 For a given scenario this module runs the full pipeline -- crowd
 campaign, (re-anchoring) crawl, cleaning, detection -- under every cell
-of the **executor × burst-memo grid** and checks the load-bearing
-invariants in one place:
+of the **execution grid** and checks the load-bearing invariants in one
+place.  The grid's memo cells run inline, as the serving backend does;
+its executor cells run memo-free, as every batch run does (the process
+executor refuses a memo).
 
 * **Byte identity.**  Every cell's crawl dataset, campaign dataset, and
-  page store serialize to exactly the baseline's bytes -- local or
-  process executors, 1 or 2 workers, memo on or off.
+  page store serialize to exactly the baseline's bytes -- the inline
+  memo cell, local or process executors at 1 or 2 workers without a
+  memo, and a fully audited memo cell.
 * **Memo soundness.**  Retailers whose behaviour a fan-out signature
   cannot capture are demoted to the live path (the scenario says which
   ones); a fully cross-validated cell (every memo hit re-run live)
@@ -59,7 +62,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridCell:
-    """One point of the executor × memo grid."""
+    """One point of the execution grid.
+
+    ``burst_memo`` hands the cell's backend a
+    :class:`~repro.core.burstcache.BurstCache`; only local cells may,
+    since the process executor refuses a memo.
+    """
 
     mode: str = "local"
     workers: int = 1
@@ -84,14 +92,18 @@ class GridCell:
         return ExecConfig(workers=self.workers, mode=self.mode)
 
 
-#: The acceptance grid: executor(local/process, N in {1, 2}) × memo
-#: on/off, plus a fully cross-validated memo cell auditing every hit.
-DEFAULT_GRID: tuple[GridCell, ...] = tuple(
-    GridCell(mode=mode, workers=workers, burst_memo=memo)
-    for memo in (True, False)
-    for mode in ("local", "process")
-    for workers in (1, 2)
-) + (GridCell(burst_memo=True, validate_fraction=1.0),)
+#: The acceptance grid: the inline memo cell (the baseline), memo-free
+#: executor(local/process, N in {1, 2}) cells, and an inline memo cell
+#: cross-validating every hit.
+DEFAULT_GRID: tuple[GridCell, ...] = (
+    (GridCell(),)
+    + tuple(
+        GridCell(mode=mode, workers=workers, burst_memo=False)
+        for mode in ("local", "process")
+        for workers in (1, 2)
+    )
+    + (GridCell(validate_fraction=1.0),)
+)
 
 
 @dataclass
@@ -105,6 +117,8 @@ class CellResult:
     campaign_blob: str
     score: DetectionScore
     drop_counts: dict[str, int]
+    #: The memo's counters and live-only verdicts (empty in a memo-free
+    #: cell).
     memo_stats: dict[str, int]
     live_only: dict[str, str]
     n_reports: int
@@ -210,12 +224,13 @@ def run_cell(
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     world = scenario.build_world(seed)
+    cache = (
+        BurstCache(validate_fraction=cell.validate_fraction)
+        if cell.burst_memo
+        else None
+    )
     backend = SheriffBackend(
-        world.network, world.vantage_points, world.rates,
-        burst_cache=BurstCache(
-            enabled=cell.burst_memo,
-            validate_fraction=cell.validate_fraction,
-        ),
+        world.network, world.vantage_points, world.rates, burst_cache=cache
     )
     exec_config = cell.exec_config()
     campaign = run_campaign(
@@ -245,8 +260,8 @@ def run_cell(
         campaign_blob=_campaign_blob(campaign),
         score=score,
         drop_counts=dict(clean.dropped),
-        memo_stats=backend.burst_cache.stats(),
-        live_only=backend.burst_cache.live_only_domains(),
+        memo_stats=cache.stats() if cache is not None else {},
+        live_only=cache.live_only_domains() if cache is not None else {},
         n_reports=len(crawl),
         crawl_dataset=crawl if keep_dataset else None,
     )
@@ -290,11 +305,7 @@ def check_invariants(
     # demoted to the live path (an unexpected demotion means a
     # supposedly memoizable behaviour regressed, turning the memo-on vs
     # memo-off comparison vacuous), and the memo actually served hits
-    # whenever the scenario has memoizable retailers.  Process cells are
-    # inspectable too: workers drain their cache's demotions and counter
-    # deltas back through the shard results, and the coordinator folds
-    # them into its own cache -- so its counters speak for the fleet
-    # (entries stay in the worker that stored them).
+    # whenever the scenario has memoizable retailers.
     memoizable = set(scenario.crawl_domains) - set(scenario.live_only_domains)
     for result in results:
         if not result.cell.burst_memo:
@@ -356,8 +367,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument(
         "--grid", action="store_true",
-        help="run the full executor x memo grid per scenario "
-             "(default: the inline memo-on cell only)",
+        help="run the full execution grid per scenario "
+             "(default: the inline memo cell only)",
     )
     parser.add_argument("--seed", type=int, default=2013)
     args = parser.parse_args(argv)

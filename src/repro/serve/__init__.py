@@ -4,9 +4,10 @@ The paper's system is *on-demand* -- users submit a URL and get a
 price-discrimination verdict back -- so this package turns the batch
 machinery into a service: single checks against a long-lived serving
 context whose :class:`~repro.core.burstcache.BurstCache` acts as the
-serving cache, and campaign *jobs* that run on background threads under
-the checkpoint layer so a killed or restarted service resumes them and
-still produces byte-identical results.
+serving cache (the one place the burst memo lives), and campaign *jobs*
+that run memo-free on background threads under the checkpoint layer so
+a killed or restarted service resumes them and still produces
+byte-identical results.
 
 Hexagonal layout (ports inward, adapters outward):
 

@@ -120,10 +120,8 @@ class Job:
         #: in done.json; anything else resumes on restart).
         self.status = "pending"
         self.error: Optional[str] = None
-        #: Set by the job thread while running: its private backend (for
-        #: live memo stats) and fleet-health scope (for live supervision
-        #: counters).  Never persisted.
-        self.backend = None
+        #: Set by the job thread while running: its fleet-health scope
+        #: (for live supervision counters).  Never persisted.
         self.scope = None
         #: The done.json payload once terminal (survives restarts).
         self.outcome: Optional[dict] = None
@@ -180,21 +178,6 @@ class Job:
             if isinstance(rows, int) and not isinstance(rows, bool):
                 done += rows
         return done
-
-    def memo_stats(self) -> Optional[dict]:
-        """Live burst-memo counters of the running job (None before/after)."""
-        backend = self.backend
-        if backend is None:
-            return None
-        stats = backend.cache_stats()
-        hits = int(stats["burst_hits"])
-        misses = int(stats["burst_misses"])
-        total = hits + misses
-        return {
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": round(hits / total, 4) if total else 0.0,
-        }
 
     def fleet_health(self) -> Optional[dict]:
         """Live supervision counters of the running job (None before/after)."""

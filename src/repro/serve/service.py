@@ -7,19 +7,23 @@ transport (CLI, gRPC, queue worker) can reuse it unchanged.
 
 Design notes:
 
-* **Single checks** run against one long-lived serving context (world +
-  :class:`~repro.core.backend.SheriffBackend`) built from the service's
-  ``(scale, seed)``.  The backend's :class:`~repro.core.burstcache.
-  BurstCache` is therefore shared across requests -- it *is* the serving
-  cache; repeat checks of a hot product are memo hits at sub-millisecond
-  cost.  A lock serializes checks: the simulation's determinism contract
+* **Single checks** run against one long-lived serving context: the
+  world of the service's ``(scale, seed)`` and a
+  :class:`~repro.core.backend.SheriffBackend` over it, both built on the
+  first ``/checks`` or ``/healthz``.  That backend is the one the
+  service hands a :class:`~repro.core.burstcache.BurstCache`: the memo
+  is shared across requests -- it *is* the serving cache, since crowd
+  clients ask about the same hot products again and again -- and a
+  repeat check of a hot product is a memo hit at sub-millisecond cost.
+  A lock serializes checks: the simulation's determinism contract
   keys every draw by check identity, and the check counter, session
   state, and memo are shared mutable state.  The first check served by a
   fresh service is byte-identical to the batch path's first check on an
   identically-built context (``tests/test_serve.py`` pins this).
 * **Campaign jobs** each regrow their *own* world from the job spec --
   campaign determinism requires a world whose entire history is the
-  campaign itself, so jobs never touch the serving context or its cache.
+  campaign itself, so jobs never touch the serving context or its cache;
+  like every batch run, a job's backend holds no burst memo.
   Each job runs on a daemon thread under ``run_campaign(...,
   checkpoint_dir=..., resume=True)``: every completed day is durably
   committed, so a SIGKILL of the whole service loses at most the day in
@@ -39,6 +43,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.core.backend import CheckRequest, SheriffBackend
+from repro.core.burstcache import BurstCache
 from repro.ecommerce.world import build_world
 from repro.exec import FleetHealthScope, fleet_health
 from repro.experiments.context import ExperimentContext
@@ -105,6 +110,7 @@ class SheriffService:
         self.exec_config = exec_config
         self.registry = JobRegistry(Path(data_dir) / "jobs")
         self._ctx = ExperimentContext(scale, seed=seed)
+        self._backend: Optional[SheriffBackend] = None
         self._check_lock = threading.Lock()
         self._checks_served = 0
         self._started = time.perf_counter()
@@ -114,6 +120,17 @@ class SheriffService:
     def world(self):
         """The serving context's world (traffic generators, tests)."""
         return self._ctx.world
+
+    @property
+    def backend(self) -> SheriffBackend:
+        """The on-demand check backend, which holds the serving memo."""
+        if self._backend is None:
+            world = self._ctx.world
+            self._backend = SheriffBackend(
+                world.network, world.vantage_points, world.rates,
+                burst_cache=BurstCache(),
+            )
+        return self._backend
 
     # ------------------------------------------------------------------
     def start(self) -> list[str]:
@@ -151,7 +168,7 @@ class SheriffService:
         product = catalog.products[product_index]
         with self._check_lock:
             anchor = derive_anchor_for_domain(world, domain)
-            report = self._ctx.backend.check(CheckRequest(
+            report = self.backend.check(CheckRequest(
                 url=f"http://{domain}{product.path}", anchor=anchor,
             ))
             self._checks_served += 1
@@ -185,15 +202,12 @@ class SheriffService:
         if job.outcome is not None:
             # Terminal: the persisted outcome carries the final stats
             # (they survive service restarts; runtime state does not).
-            for key in ("rows", "memo", "fleet_health", "summary"):
+            for key in ("rows", "fleet_health", "summary"):
                 if key in job.outcome:
                     status[key] = job.outcome[key]
             if job.error:
                 status["error"] = job.error
         else:
-            memo = job.memo_stats()
-            if memo is not None:
-                status["memo"] = memo
             health = job.fleet_health()
             if health is not None:
                 status["fleet_health"] = health
@@ -234,7 +248,6 @@ class SheriffService:
                 backend = SheriffBackend(
                     world.network, world.vantage_points, world.rates
                 )
-                job.backend = backend
                 from repro.crowd import run_campaign
 
                 # resume=True always: with no manifest it starts fresh,
@@ -252,7 +265,6 @@ class SheriffService:
                 "status": "done",
                 "rows": rows,
                 "summary": dataset.summary(),
-                "memo": job.memo_stats(),
                 "fleet_health": scope.snapshot(),
             })
             job.status = "done"
@@ -260,15 +272,13 @@ class SheriffService:
             job.error = f"{exc.__class__.__name__}: {exc}"
             job.persist_outcome({"status": "failed", "error": job.error})
             job.status = "failed"
-        finally:
-            job.backend = None
 
     # ------------------------------------------------------------------
     # Health
     # ------------------------------------------------------------------
     def healthz(self) -> dict:
         """``GET /healthz``: serving-cache, fleet-health and job counts."""
-        stats = self._ctx.backend.cache_stats()
+        stats = self.backend.cache_stats()
         hits = int(stats["burst_hits"])
         misses = int(stats["burst_misses"])
         total = hits + misses

@@ -18,7 +18,6 @@ Spec fields (JSON object)::
     crawl           CrawlConfig kwargs           (crawl kind)
     plan            {"n_domains": K, "products_per_retailer": P}  (crawl)
     workers, mode   executor cell (1/"local" = inline)
-    memo            burst memo on/off (default true)
     checkpoint_dir  where day-segments spill
     resume          continue a committed prefix (default false)
     out             dataset file the driver writes (columnar JSONL)
@@ -255,16 +254,11 @@ def _exec_config(spec: dict):
     )
 
 
-def _backend(world, spec: dict):
+def _backend(world):
+    """A memo-free backend: checkpointed runs refuse a burst memo."""
     from repro.core.backend import SheriffBackend
-    from repro.core.burstcache import BurstCache
 
-    return SheriffBackend(
-        world.network,
-        world.vantage_points,
-        world.rates,
-        burst_cache=BurstCache(enabled=bool(spec.get("memo", True))),
-    )
+    return SheriffBackend(world.network, world.vantage_points, world.rates)
 
 
 def _drive_campaign(spec: dict) -> dict:
@@ -273,7 +267,7 @@ def _drive_campaign(spec: dict) -> dict:
     from repro.io import save_crowd_dataset
 
     world = build_world(WorldConfig(**spec.get("world", {})))
-    backend = _backend(world, spec)
+    backend = _backend(world)
     dataset = run_campaign(
         world,
         backend,
@@ -293,7 +287,7 @@ def _drive_crawl(spec: dict) -> dict:
     from repro.io import save_crawl_dataset
 
     world = build_world(WorldConfig(**spec.get("world", {})))
-    backend = _backend(world, spec)
+    backend = _backend(world)
     plan_spec = spec.get("plan", {})
     plan = build_plan(
         world,
@@ -331,7 +325,7 @@ def _drive_scenario(spec: dict) -> dict:
     seed = int(spec.get("seed", 2013))
     scenario = get_scenario(spec["scenario"])
     world = scenario.build_world(seed)
-    backend = _backend(world, spec)
+    backend = _backend(world)
     exec_config = _exec_config(spec)
     campaign = run_campaign(
         world,

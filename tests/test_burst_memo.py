@@ -5,6 +5,11 @@ crawl/campaign/report byte -- including archive timestamps and page bodies
 -- is identical to the memo-off run; retailers whose responses read state
 the signature cannot capture are detected and served live; sampled
 cross-validation re-runs hits and fails loudly on divergence.
+
+A backend memoizes only when it is handed a :class:`BurstCache` (the
+serving backend is); every test here that asserts memo behaviour builds
+its backend that way.  The process executor and checkpointed runs refuse
+such a backend.
 """
 
 from __future__ import annotations
@@ -56,6 +61,14 @@ def _store_blob(store) -> str:
     )
 
 
+def _backend(world, memo: bool) -> SheriffBackend:
+    """A backend over ``world``, holding a fresh burst memo when ``memo``."""
+    return SheriffBackend(
+        world.network, world.vantage_points, world.rates,
+        burst_cache=BurstCache() if memo else None,
+    )
+
+
 def _register_retailer(world, domain: str, policy) -> RetailerServer:
     """Wire a custom retailer into an existing world (inline backend only)."""
     catalog = generate_catalog(domain, "books", 6, seed=7)
@@ -91,6 +104,18 @@ class UndeclaredGeo:
 
     def price(self, product, ctx) -> float:
         return product.base_price_usd * (1.2 if ctx.country_code == "FI" else 1.0)
+
+
+@dataclass(frozen=True)
+class PeeksAtOneProduct:
+    """Undeclared policy that reads per-request state for one product only."""
+
+    sku: str
+
+    def price(self, product, ctx) -> float:
+        if product.sku == self.sku:
+            return product.base_price_usd * (1.0 + (ctx.nonce % 7) * 0.01)
+        return product.base_price_usd
 
 
 @dataclass(frozen=True)
@@ -162,9 +187,7 @@ class TestSignals:
 class TestByteIdentity:
     def _crawl_blobs(self, memo: bool, *, loss_rate: float = 0.0):
         world = _world(loss_rate=loss_rate)
-        backend = SheriffBackend(
-            world.network, world.vantage_points, world.rates, burst_memo=memo
-        )
+        backend = _backend(world, memo)
         plan = build_plan(
             world, domains=world.crawled_domains[:5], products_per_retailer=3
         )
@@ -192,10 +215,7 @@ class TestByteIdentity:
 
         def run(memo: bool):
             world = _world()
-            backend = SheriffBackend(
-                world.network, world.vantage_points, world.rates,
-                burst_memo=memo,
-            )
+            backend = _backend(world, memo)
             domain = "www.digitalrev.com"
             anchor = _anchor(world, domain)
             product = world.retailer(domain).catalog.products[0]
@@ -215,15 +235,13 @@ class TestByteIdentity:
         assert on_store == off_store
         assert on_stats["burst_hits"] == 5
         assert on_stats["burst_misses"] == 1
-        assert off_stats["burst_hits"] == 0
+        assert "burst_hits" not in off_stats  # no memo, no memo counters
 
     def _campaign_blob(self, memo: bool, exec_config=None) -> str:
         world = build_world(
             WorldConfig(catalog_scale=0.15, long_tail_domains=10)
         )
-        backend = SheriffBackend(
-            world.network, world.vantage_points, world.rates, burst_memo=memo
-        )
+        backend = _backend(world, memo)
         dataset = run_campaign(
             world,
             backend,
@@ -248,9 +266,12 @@ class TestByteIdentity:
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_campaign_bytes_identical_under_process_executor(self, workers):
-        baseline = self._campaign_blob(False)
+        """The two places a campaign runs: inline with the memo (as the
+        serving backend runs checks) and across worker processes
+        without one (the process executor refuses a memo)."""
+        baseline = self._campaign_blob(True)
         sharded = self._campaign_blob(
-            True, exec_config=ExecConfig(workers=workers, mode="process")
+            False, exec_config=ExecConfig(workers=workers, mode="process")
         )
         assert sharded == baseline
 
@@ -258,10 +279,7 @@ class TestByteIdentity:
     def test_crawl_bytes_identical_under_local_executor(self, workers):
         def run(memo, exec_config):
             world = _world()
-            backend = SheriffBackend(
-                world.network, world.vantage_points, world.rates,
-                burst_memo=memo,
-            )
+            backend = _backend(world, memo)
             plan = build_plan(
                 world, domains=world.crawled_domains[:5],
                 products_per_retailer=3,
@@ -292,9 +310,7 @@ class TestStateDetection:
     def test_declared_stateful_retailer_serves_live(self):
         """ABTestNoise (hotels.com) declares the nonce: zero memo traffic."""
         world = _world()
-        backend = SheriffBackend(
-            world.network, world.vantage_points, world.rates
-        )
+        backend = _backend(world, True)
         self._check_repeatedly(world, backend, "www.hotels.com")
         stats = backend.cache_stats()
         assert stats["burst_hits"] == 0
@@ -307,9 +323,7 @@ class TestStateDetection:
     def test_login_retailer_serves_live(self):
         """amazon supports login: the server keys pages on the auth cookie."""
         world = _world()
-        backend = SheriffBackend(
-            world.network, world.vantage_points, world.rates
-        )
+        backend = _backend(world, True)
         self._check_repeatedly(world, backend, "www.amazon.com")
         stats = backend.cache_stats()
         assert stats["burst_hits"] == 0
@@ -323,10 +337,7 @@ class TestStateDetection:
         def run(memo: bool):
             world = _world()
             _register_retailer(world, "www.sneaky.example", NoncePeeking())
-            backend = SheriffBackend(
-                world.network, world.vantage_points, world.rates,
-                burst_memo=memo,
-            )
+            backend = _backend(world, memo)
             reports = self._check_repeatedly(
                 world, backend, "www.sneaky.example"
             )
@@ -344,10 +355,7 @@ class TestStateDetection:
         def run(memo: bool):
             world = _world()
             _register_retailer(world, "www.plain.example", UndeclaredGeo())
-            backend = SheriffBackend(
-                world.network, world.vantage_points, world.rates,
-                burst_memo=memo,
-            )
+            backend = _backend(world, memo)
             reports = self._check_repeatedly(
                 world, backend, "www.plain.example"
             )
@@ -366,9 +374,7 @@ class TestStateDetection:
         undeclared city read and demotes the retailer instead."""
         world = _world()
         server = _register_retailer(world, "www.liar.example", LyingPolicy())
-        backend = SheriffBackend(
-            world.network, world.vantage_points, world.rates
-        )
+        backend = _backend(world, True)
         self._check_repeatedly(world, backend, "www.liar.example")
         stats = backend.cache_stats()
         assert stats["burst_hits"] == 0
@@ -379,11 +385,51 @@ class TestStateDetection:
         ]
         assert server.signature_profile() is not None  # declaration looked pure
 
+    def test_demotion_drops_stored_entries(self):
+        """A probe that catches the policy on one product demotes the whole
+        retailer: its stored entries go, later checks run live and store
+        nothing."""
+        from repro.net.urls import URL
+
+        domain = "www.halfsneaky.example"
+        # Every product page prices 4 of the 5 other products as decoys;
+        # the sneaky product is the one the clean page leaves out.  The
+        # picks depend only on (seed, domain, sku): read them off a world
+        # whose policy is pure.
+        probe_world = _world()
+        probe = _register_retailer(probe_world, domain, UndeclaredGeo())
+        products = probe.retailer.catalog.products
+        clean = products[0]
+        probe_world.vantage_points[0].fetch(
+            probe_world.network, URL.parse(f"http://{domain}{clean.path}")
+        )
+        decoys = {pick.sku for pick in probe._reco_picks[clean.sku]}
+        (sneaky,) = [p for p in products[1:] if p.sku not in decoys]
+
+        world = _world()
+        _register_retailer(world, domain, PeeksAtOneProduct(sneaky.sku))
+        backend = _backend(world, True)
+        cache = backend.burst_cache
+        anchor = _anchor(world, domain)
+        clean_check, sneaky_check = (
+            CheckRequest(url=f"http://{domain}{product.path}", anchor=anchor)
+            for product in (clean, sneaky)
+        )
+        backend.check(clean_check)
+        assert cache.stats()["entries"] == 1
+        backend.check(sneaky_check)
+        assert cache.stats()["entries"] == 0
+        assert "nonce" in cache.live_only_domains()[domain]
+        backend.check(clean_check)
+        stats = cache.stats()
+        assert stats["stores"] == 1
+        assert stats["entries"] == 0
+        assert stats["demotions"] == 1
+        assert stats["bypass_live_only"] == 1
+
     def test_non_product_urls_bypass(self):
         world = _world()
-        backend = SheriffBackend(
-            world.network, world.vantage_points, world.rates
-        )
+        backend = _backend(world, True)
         domain = "www.digitalrev.com"
         anchor = _anchor(world, domain)
         request = CheckRequest(url=f"http://{domain}/", anchor=anchor)
@@ -395,37 +441,74 @@ class TestStateDetection:
 
 
 # ----------------------------------------------------------------------
-# Campaign-scale plumbing
+# Where the memo lives: the serving backend only
 # ----------------------------------------------------------------------
 class TestCampaignScalePlumbing:
-    def test_worker_payload_carries_memo_knobs(self):
-        """ProcessExecutor workers mirror the coordinator's full memo
-        configuration -- cross-validation must not silently vanish when a
-        campaign shards across processes."""
-        from repro.exec.process import _WORKER_WORLDS, _run_shard
+    def test_batch_backends_hold_no_memo(self):
+        """``repro report``, figures and the CLI build their backend
+        through the experiment context: it runs every check live."""
+        from repro.experiments.context import ExperimentContext
+
+        ctx = ExperimentContext("tiny")
+        assert ctx.backend.burst_cache is None
+        assert not any(
+            key.startswith("burst_") for key in ctx.backend.cache_stats()
+        )
+
+    def test_process_executor_refuses_a_memo(self):
+        """Memo state never crosses the process boundary: a backend that
+        holds a memo is refused before any dispatch, and the executor's
+        close-on-error leaves no worker running."""
+        from repro.exec import ExecError, ProcessExecutor
 
         world = _world()
-        spec = world.spec()
-        payload = {
-            "spec": spec,
-            "tasks": [],
-            "domains": [],
-            "session": {},
-            "memo_demotions": {},
-            "fresh_pages": True,
-            "burst_memo": {
-                "enabled": True,
-                "validate_fraction": 0.25,
-            },
-        }
+        backend = _backend(world, True)
+        domain = "www.digitalrev.com"
+        product = world.retailer(domain).catalog.products[0]
+        request = CheckRequest(
+            url=f"http://{domain}{product.path}", anchor=_anchor(world, domain)
+        )
+        executor = ProcessExecutor(world, 2)
         try:
-            _run_shard(payload)
-            _, worker_backend = _WORKER_WORLDS[spec]
-            cache = worker_backend.burst_cache
-            assert cache.enabled is True
-            assert cache.validate_fraction == 0.25
+            with pytest.raises(ExecError, match="burst memo"):
+                backend.check_batch([request], executor=executor)
+            assert executor.boundary_stats()["ship_bytes"] == 0
+            for handle in executor._handles:  # noqa: SLF001
+                handle.proc.join(timeout=10)
+                assert not handle.proc.is_alive()
         finally:
-            _WORKER_WORLDS.pop(spec, None)
+            executor.close()
+        assert len(backend.store) == 0
+
+    @pytest.mark.parametrize("kind", ["campaign", "crawl"])
+    def test_checkpointed_runs_refuse_a_memo(self, kind, tmp_path):
+        """A checkpoint records no memo state, so a checkpointed run
+        refuses a memo before its first day: nothing is committed."""
+        from repro.checkpoint import Manifest
+        from repro.exec import ExecError
+
+        world = _world()
+        backend = _backend(world, True)
+        with pytest.raises(ExecError, match="burst memo"):
+            if kind == "campaign":
+                run_campaign(
+                    world, backend,
+                    CampaignConfig(n_checks=20, population_size=10, seed=11),
+                    checkpoint_dir=tmp_path,
+                )
+            else:
+                plan = build_plan(
+                    world, domains=world.crawled_domains[:2],
+                    products_per_retailer=2,
+                )
+                run_crawl(
+                    world, backend, plan, CrawlConfig(days=2),
+                    checkpoint_dir=tmp_path,
+                )
+        manifest = Manifest.load(tmp_path / Manifest.FILENAME)
+        assert manifest.records == []
+        assert not list(tmp_path.glob("seg-*")) + list(tmp_path.glob("state-*"))
+        assert len(backend.store) == 0
 
 
 # ----------------------------------------------------------------------
@@ -486,10 +569,7 @@ class TestTimelineReplay:
         from repro.net.urls import URL
 
         world = _world(loss_rate=0.2)
-        backend = SheriffBackend(
-            world.network, world.vantage_points, world.rates,
-            burst_memo=False,
-        )
+        backend = _backend(world, False)
         domain = "www.digitalrev.com"
         anchor = _anchor(world, domain)
         product = world.retailer(domain).catalog.products[0]
@@ -515,10 +595,7 @@ class TestTimelineReplay:
         from repro.net.urls import URL
 
         world = _world()
-        backend = SheriffBackend(
-            world.network, world.vantage_points, world.rates,
-            burst_memo=False,
-        )
+        backend = _backend(world, False)
         domain = "www.mauijim.com"
         anchor = _anchor(world, domain)
         product = world.retailer(domain).catalog.products[0]
@@ -560,10 +637,7 @@ class TestDriftAcrossDayBoundaries:
         from repro.net.clock import SECONDS_PER_DAY
 
         world, domain = self._drift_world()
-        backend = SheriffBackend(
-            world.network, world.vantage_points, world.rates,
-            burst_memo=burst_memo,
-        )
+        backend = _backend(world, burst_memo)
         anchor = _anchor(world, domain)
         product = world.retailer(domain).catalog.products[0]
         request = CheckRequest(
@@ -622,9 +696,7 @@ class TestDriftAcrossDayBoundaries:
 class TestDayScope:
     def test_multi_day_crawl_holds_only_the_last_days_entries(self):
         world = _world()
-        backend = SheriffBackend(
-            world.network, world.vantage_points, world.rates
-        )
+        backend = _backend(world, True)
         plan = build_plan(
             world, domains=world.crawled_domains[:5], products_per_retailer=3
         )
@@ -644,9 +716,10 @@ class TestDayScope:
         import sys
         import threading
 
-        cache = BurstCache()
+        backend = _backend(_world(), True)
+        cache = backend.burst_cache
         for i in range(2000):
-            cache.fold_demotion(f"warm{i}.example", "probe")
+            cache._domain_state(backend, f"warm{i}.example")
         errors: list[BaseException] = []
         done = threading.Event()
 
@@ -664,7 +737,7 @@ class TestDayScope:
         try:
             poller.start()
             for i in range(20000):
-                cache.fold_demotion(f"new{i}.example", "probe")
+                cache._domain_state(backend, f"new{i}.example")
         finally:
             done.set()
             poller.join(timeout=60)

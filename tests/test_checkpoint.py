@@ -429,7 +429,7 @@ class TestRunCheckpoint:
     def test_fingerprint_ignores_executor_but_not_configs(self):
         base = run_fingerprint("campaign", WORLD_CONFIG, CAMPAIGN_CONFIG)
         again = run_fingerprint("campaign", WORLD_CONFIG, CAMPAIGN_CONFIG)
-        assert base == again  # no executor/memo knob can enter
+        assert base == again  # no executor knob can enter
         other = run_fingerprint(
             "campaign", WORLD_CONFIG, CampaignConfig(n_checks=99)
         )
@@ -637,6 +637,45 @@ class TestStateDeltas:
         )
         assert crawl_bytes(resumed, tmp_path / "resumed.jsonl") == reference
         assert world_state(fresh_world) == world_state(world)
+
+    def test_state_files_with_memo_verdicts_still_resume(
+        self, tmp_path: Path, clean_hook
+    ):
+        """Earlier state files carried the burst memo's live-only
+        verdicts (``burst_live_only``).  Checkpointed runs hold no memo
+        now, so the key folds like any scalar and is ignored: such a
+        checkpoint still resumes byte-identical."""
+        world, backend = fresh_pair()
+        full = run_campaign(world, backend, CAMPAIGN_CONFIG)
+        reference = crowd_bytes(full, tmp_path / "ref.jsonl")
+        install_barrier_hook(interrupt_after_segments(2))
+        world, backend = fresh_pair()
+        with pytest.raises(InterruptRun):
+            run_campaign(
+                world, backend, CAMPAIGN_CONFIG,
+                checkpoint_dir=tmp_path / "ckpt",
+            )
+        install_barrier_hook(None)
+        manifest = tmp_path / "ckpt" / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        for i, line in enumerate(lines[1:], start=1):
+            record = json.loads(line)
+            path = tmp_path / "ckpt" / record["state_file"]
+            state = json.loads(path.read_bytes())
+            state["burst_live_only"] = {
+                "www.amazon.com": "state-dependent responses"
+            }
+            path.write_bytes(json.dumps(state, sort_keys=True).encode())
+            record["state_sha256"] = file_sha256(path)
+            lines[i] = json.dumps(record, separators=(",", ":"),
+                                  sort_keys=True)
+        manifest.write_text("\n".join(lines) + "\n")
+        world, backend = fresh_pair()
+        resumed = run_campaign(
+            world, backend, CAMPAIGN_CONFIG,
+            checkpoint_dir=tmp_path / "ckpt", resume=True,
+        )
+        assert crowd_bytes(resumed, tmp_path / "resumed.jsonl") == reference
 
     def test_version_1_checkpoint_is_refused(self, tmp_path: Path):
         """Version 1 kept only the newest state file, a full snapshot:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.backend import CheckRequest, SheriffBackend
+from repro.core.burstcache import BurstCache
 from repro.core.extension import SheriffExtension, UserClient
 from repro.core.highlight import PriceAnchor
 from repro.core.store import PageStore
@@ -161,7 +162,7 @@ class TestPageStore:
         store = PageStore(html_per_domain=28)
         backend = SheriffBackend(
             tiny_world.network, tiny_world.vantage_points, tiny_world.rates,
-            store=store,
+            store=store, burst_cache=BurstCache(),
         )
         domain = "www.digitalrev.com"
         anchor = anchor_for(tiny_world, domain)

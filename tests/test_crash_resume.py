@@ -10,9 +10,10 @@ Tiers:
 
 * the smoke test (fast tier, runs on every push) is one cell and one
   kill point;
-* the grids (slow tier) sweep executor x memo x kill point, resuming
-  under a *different* cell than the one that died -- the checkpoint
-  fingerprint deliberately excludes both knobs, and bytes must not care;
+* the grids (slow tier) sweep executor x kill point, resuming under a
+  *different* cell than the one that died -- the checkpoint fingerprint
+  deliberately excludes the executor, and bytes must not care (a
+  checkpointed run holds no burst memo: it refuses one);
 * the large-campaign test (slow tier) checkpoints a
   ``CRASHKIT_CHECKS``-check campaign (default 20000; set the env var to
   100000+ for the full acceptance run -- same code path, just longer),
@@ -42,13 +43,11 @@ CAMPAIGN = {
 GRID_CAMPAIGN = dict(CAMPAIGN, n_checks=240)
 CRAWL = {"days": 3, "start_day": 3}
 
-#: executor x memo cells; resumes rotate through this list so every
-#: killed cell is resumed by a *different* one.
+#: executor cells; resumes rotate through this list so every killed
+#: cell is resumed by a *different* one.
 CELLS = (
-    {"workers": 1, "mode": "local", "memo": True},
-    {"workers": 2, "mode": "process", "memo": True},
-    {"workers": 1, "mode": "local", "memo": False},
-    {"workers": 2, "mode": "process", "memo": False},
+    {"workers": 1, "mode": "local"},
+    {"workers": 2, "mode": "process"},
 )
 
 
@@ -95,7 +94,7 @@ class TestKillResumeSmoke:
 
 @pytest.mark.slow
 class TestCampaignKillResumeGrid:
-    """Executor x memo x kill point, with cross-cell resume."""
+    """Executor x kill point, with cross-cell resume."""
 
     def test_every_cell_and_kill_point_resumes_byte_identical(
         self, tmp_path: Path
@@ -128,11 +127,11 @@ class TestMultiWorkerKillInterplay:
     """PR-8 interplay: kill a multi-worker checkpointed day mid-flight,
     resume under a *different* worker count.
 
-    Dedicated worker processes, their burst memos, and the delta
-    boundary must leave nothing on disk that a differently-sharded
-    resume could read differently -- worker-held state (session blobs,
-    memo entries, shipped-page hashes) dies with the kill, and the
-    resume regrows all of it from the committed prefix.
+    Dedicated worker processes and the delta boundary must leave
+    nothing on disk that a differently-sharded resume could read
+    differently -- worker-held state (session blobs, shipped-page
+    hashes) dies with the kill, and the resume regrows all of it from
+    the committed prefix.
     """
 
     def test_cross_width_resume_byte_identical(self, tmp_path: Path):
@@ -179,7 +178,7 @@ class TestCrawlKillResumeGrid:
         reference = run_to_completion(spec("ref"))
         for case, (cell, point) in enumerate(
             (cell, point)
-            for cell in (CELLS[0], CELLS[3])
+            for cell in CELLS
             for point in KILL_POINTS
         ):
             tag = f"c{case}"

@@ -1,27 +1,23 @@
-"""Multicore execution: pool persistence, memo telemetry, cheap boundary.
+"""Multicore execution: pool persistence and a cheap boundary.
 
-These tests pin three properties of
+These tests pin two properties of
 :class:`~repro.exec.process.ProcessExecutor` beyond byte identity (which
 ``test_exec_sharding.py`` owns):
 
 * **Pool persistence** -- each dedicated worker regrows its world from
   the spec exactly once, no matter how many day batches it serves;
-* **Fleet-wide memo counters** -- workers drain their burst cache's
-  demotions and counter deltas back to the coordinator, whose
-  ``cache_stats()`` counters then equal the sequential run's; memo
-  entries stay in the worker that stored them;
-* **Delta boundary** -- a batch that changes nothing (all memo hits)
-  ships almost nothing: session state and page bodies cross the
-  boundary only when they changed, and the coordinator's map of
-  shipped page bodies holds one day.
+* **Delta boundary** -- a batch that repeats the last one's checks ships
+  almost nothing: session state and page bodies cross the boundary only
+  when they changed, and the coordinator's map of shipped page bodies
+  holds one day.
+
+Workers run without a burst memo (the executor refuses a backend that
+holds one; ``tests/test_burst_memo.py`` pins the refusal).
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.backend import CheckRequest, SheriffBackend
-from repro.crowd import CampaignConfig, run_campaign
 from repro.crawler import CrawlConfig, build_plan, run_crawl
 from repro.ecommerce.world import WorldConfig, build_world
 from repro.exec import ProcessExecutor
@@ -53,15 +49,6 @@ def _product_requests(world, domains):
     return requests
 
 
-def _campaign_stats(world, backend, exec_config=None):
-    run_campaign(
-        world, backend,
-        CampaignConfig(n_checks=60, population_size=20, seed=11),
-        exec_config=exec_config,
-    )
-    return backend.cache_stats()
-
-
 class TestPoolPersistence:
     def test_worker_regrows_world_exactly_once_across_days(self):
         """A dedicated worker's world is built once per process, not per
@@ -82,65 +69,11 @@ class TestPoolPersistence:
         assert any(builds), "no worker reported a world build"
 
 
-def _memo_counters(stats):
-    """The ``burst_*`` keys except the ``entries`` gauge, which counts
-    only the entries held by the cache it is read from."""
-    return {
-        k: v for k, v in stats.items()
-        if k.startswith("burst_") and k != "burst_entries"
-    }
-
-
-class TestSharedMemo:
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_coordinator_stats_cover_the_fleet(self, workers):
-        """The worker-blind telemetry fix: under process mode the
-        coordinator's burst counters equal the sequential run's, because
-        every worker's counter deltas are absorbed at fold time.  (Hit
-        absorption specifically is pinned by the delta-boundary test,
-        where repeat batches guarantee hits.)  No entry crosses the
-        boundary, so the coordinator holds none."""
-        from repro.exec import ExecConfig
-
-        solo = _campaign_stats(_world(), _backend(_world()))
-        fleet = _campaign_stats(
-            _world(), _backend(_world()),
-            exec_config=ExecConfig(workers=workers, mode="process"),
-        )
-        assert solo["burst_misses"] > 0  # the campaign exercised the memo
-        assert _memo_counters(fleet) == _memo_counters(solo)
-        assert solo["burst_entries"] > 0
-        assert fleet["burst_entries"] == 0
-
-    def test_demotion_priority_over_entries(self):
-        """A folded demotion drops the domain's stored entries, blocks
-        new stores, and is not counted as a discovery."""
-        from repro.core.burstcache import BurstCache
-
-        world = _world()
-        backend = _backend(world)
-        cache: BurstCache = backend.burst_cache
-        domain = "www.digitalrev.com"
-        (request,) = _product_requests(world, [domain])
-        backend.check(request)
-        assert cache.stats()["entries"] == 1
-        cache.fold_demotion(domain, "another worker caught the policy")
-        assert cache.stats()["entries"] == 0
-        assert domain in cache.demoted_domains()
-        # Checks after the demotion run live and store nothing.
-        backend.check(request)
-        stats = cache.stats()
-        assert stats["stores"] == 1
-        assert stats["entries"] == 0
-        assert stats["bypass_live_only"] == 1
-        # Propagated demotions are not new discoveries.
-        assert stats["demotions"] == 0
-
-
 class TestDeltaBoundary:
     def test_unchanged_state_ships_almost_nothing(self):
-        """Batch 2 of identical same-day checks is all memo hits: no new
-        session state or page bodies cross the boundary."""
+        """Batch 2 repeats batch 1's same-day checks: no spec or session
+        blob is shipped again, and its pages come back as references to
+        the bodies batch 1 shipped."""
         world = _world()
         backend = _backend(world)
         domains = [
@@ -166,14 +99,11 @@ class TestDeltaBoundary:
         assert 0 < ship2 < 0.9 * first["ship_bytes"], (
             f"second batch shipped {ship2} of {first['ship_bytes']}"
         )
-        # Inbound: page bodies shipped last batch, so hits come back as
+        # Inbound: page bodies shipped last batch, so repeats come back as
         # hash references only.
         assert 0 < recv2 < 0.25 * first["recv_bytes"], (
             f"second batch received {recv2} of {first['recv_bytes']}"
         )
-        # ... and it was served from the memo of the worker that stored
-        # the entries.
-        assert backend.cache_stats()["burst_hits"] >= len(requests)
 
     def test_page_map_holds_one_day(self):
         """The coordinator's shipped-body map is scoped to one day: after

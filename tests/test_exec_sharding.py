@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro.core.backend import CheckRequest, ScheduledCheck, SheriffBackend
+from repro.core.burstcache import BurstCache
 
 # The byte-identity suites below re-run whole crawls/campaigns per
 # worker count: full tier only (docs/TESTING.md).  The planner /
@@ -30,7 +31,6 @@ from repro.exec import (
     LocalExecutor,
     ProcessExecutor,
 )
-from repro.exec.plan import LIVE_CHECK_COST, MEMO_HIT_COST
 from repro.io import report_to_dict
 
 
@@ -44,13 +44,14 @@ def _anchor(world, domain):
     return derive_anchor_for_domain(world, domain)
 
 
-def _crawl_blob(exec_config, *, loss_rate=0.0, memo=True) -> tuple[str, tuple]:
+def _crawl_blob(exec_config, *, loss_rate=0.0, memo=False) -> tuple[str, tuple]:
     """Serialize a small same-seed crawl plus a store signature."""
     world = build_world(
         WorldConfig(catalog_scale=0.15, long_tail_domains=0, loss_rate=loss_rate)
     )
     backend = SheriffBackend(
-        world.network, world.vantage_points, world.rates, burst_memo=memo
+        world.network, world.vantage_points, world.rates,
+        burst_cache=BurstCache() if memo else None,
     )
     plan = build_plan(
         world, domains=world.crawled_domains[:5], products_per_retailer=4
@@ -118,11 +119,8 @@ class TestCostAwarePlanner:
 
     def test_partition_covers_all_and_preserves_order(self):
         world = _tiny_world()
-        backend = SheriffBackend(
-            world.network, world.vantage_points, world.rates
-        )
         scheduled = self._scheduled(world, world.crawled_domains[:6], repeats=3)
-        shards = CostAwarePlanner(4).partition_batch(backend, scheduled)
+        shards = CostAwarePlanner(4).partition_batch(scheduled)
         assert len(shards) == 4
         flat = [sched.index for shard in shards for sched in shard]
         assert sorted(flat) == list(range(len(scheduled)))
@@ -135,30 +133,15 @@ class TestCostAwarePlanner:
                 owners.setdefault(sched.request.url.split("/")[2], set()).add(i)
         assert all(len(shards_of) == 1 for shards_of in owners.values())
 
-    def test_memo_repeats_priced_as_hits(self):
-        """Repeats of one (url, day) burst on a memoizable retailer cost
-        MEMO_HIT_COST; a live-only retailer (login support) pays full
-        price every time."""
+    def test_cost_is_checks_per_domain(self):
+        """Every check is one live fan-out: a retailer's cost is how many
+        checks the batch sends it, repeats of one burst included."""
         world = _tiny_world()
-        backend = SheriffBackend(
-            world.network, world.vantage_points, world.rates
-        )
-        memoizable, live_only = "www.digitalrev.com", "www.amazon.com"
-        assert world.servers[memoizable].signature_profile() is not None
-        assert world.servers[live_only].signature_profile() is None
-        scheduled = self._scheduled(world, [memoizable, live_only], repeats=3)
-        costs = CostAwarePlanner(2).predicted_costs(backend, scheduled)
-        assert costs[memoizable] == LIVE_CHECK_COST + 2 * MEMO_HIT_COST
-        assert costs[live_only] == 3 * LIVE_CHECK_COST
-
-    def test_memo_disabled_prices_everything_live(self):
-        world = _tiny_world()
-        backend = SheriffBackend(
-            world.network, world.vantage_points, world.rates, burst_memo=False
-        )
-        scheduled = self._scheduled(world, ["www.digitalrev.com"], repeats=3)
-        costs = CostAwarePlanner(2).predicted_costs(backend, scheduled)
-        assert costs["www.digitalrev.com"] == 3 * LIVE_CHECK_COST
+        repeated, once = "www.digitalrev.com", "www.amazon.com"
+        scheduled = self._scheduled(world, [repeated], repeats=3)
+        scheduled += self._scheduled(world, [once])
+        costs = CostAwarePlanner(2).predicted_costs(scheduled)
+        assert costs == {repeated: 3, once: 1}
 
     def test_assign_equalizes_loads_deterministically(self):
         planner = CostAwarePlanner(2)
@@ -245,18 +228,17 @@ class TestCrawlByteIdentity:
         assert blob == base_blob
 
     def test_planner_memo_executor_grid_identical(self):
-        """The executor acceptance grid: executor x workers x memo, every
-        sharded cell partitioned by the cost planner, all serialize to the
-        sequential baseline's bytes."""
-        base_blob, base_store = _crawl_blob(None)
+        """The executor acceptance grid: executor x workers, every sharded
+        cell partitioned by the cost planner and run without a memo, all
+        serialize to the bytes of the inline run with the memo."""
+        base_blob, base_store = _crawl_blob(None, memo=True)
         for mode in ("local", "process"):
             for workers in (1, 2, 4):
-                for memo in (True, False):
-                    config = ExecConfig(workers=workers, mode=mode)
-                    blob, store = _crawl_blob(config, memo=memo)
-                    label = f"{mode}x{workers}/memo={memo}"
-                    assert blob == base_blob, f"{label} diverged"
-                    assert store == base_store, f"{label} store diverged"
+                config = ExecConfig(workers=workers, mode=mode)
+                blob, store = _crawl_blob(config)
+                label = f"{mode}x{workers}"
+                assert blob == base_blob, f"{label} diverged"
+                assert store == base_store, f"{label} store diverged"
 
 
 # ----------------------------------------------------------------------

@@ -166,6 +166,21 @@ class TestCli:
         assert "Finland profile" in out
 
 
+    def test_scenario_crawl_under_process_executor(self, capsys):
+        """A process cell runs without the burst memo (the executor
+        refuses one): the scenario's invariants hold, and the memo line
+        is left out."""
+        code = cli.main([
+            "crawl", "--scenario", "page-noise",
+            "--exec-mode", "process", "--workers", "2",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "[processx2/live]" in out
+        assert "INVARIANT VIOLATED" not in out
+        assert "memo:" not in out
+
+
 class TestCliErrorPaths:
     """Bad invocations exit 2 with one line on stderr -- no tracebacks."""
 

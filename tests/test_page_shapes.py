@@ -421,7 +421,7 @@ class TestLazyTrees:
     def test_check_on_a_resolved_shape_builds_no_tree(self, builds):
         world = build_world(WorldConfig(catalog_scale=0.15, long_tail_domains=0))
         backend = SheriffBackend(world.network, world.vantage_points,
-                                 world.rates, burst_memo=False)
+                                 world.rates)
         domain = "www.digitalrev.com"
         product = world.retailer(domain).catalog.products[0]
         request = CheckRequest(url=f"http://{domain}{product.path}",

@@ -10,8 +10,9 @@ Three layers of assertion:
 * **The matrix** -- for every registered scenario, the harness's
   invariants hold: detection precision 1.0 / recall >= 0.9 against
   ground truth, byte identity memo-on vs memo-off (fast tier) and
-  across the full executor × memo grid (slow tier), expected memo
-  demotions, and cleaning conduct on corrupted pages.
+  across the full execution grid -- inline memo cells and memo-free
+  executor cells (slow tier) --, expected memo demotions, and cleaning
+  conduct on corrupted pages.
 
 The matrix also proves its own teeth: turning the operator's daily
 re-anchoring off makes template churn win, and an aggressive cloaking
@@ -551,14 +552,14 @@ def test_corrupted_rounds_cannot_veto_clean_verdicts():
 
 
 # ----------------------------------------------------------------------
-# The matrix: the full executor × memo grid (slow tier)
+# The matrix: the full execution grid (slow tier)
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 @pytest.mark.parametrize("name", DEFAULT_SCENARIOS)
 def test_scenario_full_grid(name):
-    """The acceptance grid: scenario × executor(local/process, N∈{1,2})
-    × memo(on/off) (+ a fully audited memo cell) is byte-identical and
-    holds every invariant."""
+    """The acceptance grid: scenario × (the inline memo cell, memo-free
+    executor(local/process, N∈{1,2}) cells, a fully audited memo cell)
+    is byte-identical and holds every invariant."""
     scenario = get_scenario(name)
     results = run_matrix(scenario, DEFAULT_GRID, seed=SEED)
     assert check_invariants(scenario, results) == []

@@ -117,6 +117,19 @@ class TestRouteContract:
         assert {"restarts", "quarantined_shards"} <= set(health["fleet_health"])
         assert health["jobs"]["total"] >= 0
 
+    def test_serving_backend_holds_the_memo(self, served):
+        """The on-demand check backend is the one place the burst memo
+        lives: a repeated check of a hot product is a memo hit."""
+        service, client = served
+        assert service.backend.burst_cache is not None
+        check = {"domain": "www.digitalrev.com", "product": 3}
+        assert client.post("/checks", check)[0] == 200
+        before = json.loads(client.get("/healthz")[1])["serving_cache"]
+        assert client.post("/checks", check)[0] == 200
+        after = json.loads(client.get("/healthz")[1])["serving_cache"]
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
+
     def test_check_round_trip(self, served):
         _, client = served
         status, body = client.post(
@@ -349,11 +362,15 @@ class TestCampaignJobs:
         # Weak references to the job's world and backend: a finished job
         # must not keep either alive.
         held = []
+        memos = []
+        backend_class = service_module.SheriffBackend
 
         def tracked(factory):
             def build(*args, **kwargs):
                 obj = factory(*args, **kwargs)
                 held.append(weakref.ref(obj))
+                if factory is backend_class:
+                    memos.append(obj.burst_cache)
                 return obj
             return build
 
@@ -373,7 +390,8 @@ class TestCampaignJobs:
         assert [ref() for ref in held] == [None, None]
         assert state["checks"] == {"done": 40, "total": 40}
         assert state["rows"] == _JOB["n_checks"]  # records, not file lines
-        assert state["memo"]["hits"] + state["memo"]["misses"] > 0
+        assert memos == [None]  # a job's backend holds no burst memo
+        assert "memo" not in state
         status, served_results = client.get(f"/jobs/{job_id}/results")
         assert status == 200
 

@@ -3,18 +3,17 @@
 Every test injects faults through the :func:`repro.exec.process.
 install_fault_hook` seam (usually via :class:`tests.crashkit.FaultPlan`)
 and asserts the one property the supervision layer exists for: **output
-under any fault schedule is byte-identical to the fault-free run** --
-including the fleet-wide burst-memo counters, because a dead worker's
-partial journals die unfolded and the re-run counts everything exactly
-once.
+under any fault schedule is byte-identical to the fault-free run**,
+because a dead worker's partial batch dies unfolded and the re-run
+starts from the coordinator's pre-batch state.
 
 Tiers:
 
 * fast (``make chaos``, push CI): one mid-batch SIGKILL on a workers=4
   campaign, quarantine of a poison shard, hang detection, the exception
   relay edge cases, and the startup/dispatch leak checks;
-* slow (PR CI, under ``make coverage``): the fault-point x victim x
-  memo grid, seeded random chaos schedules, and the
+* slow (PR CI, under ``make coverage``): the fault-point x victim
+  grid, seeded random chaos schedules, and the
   checkpoint-composition test (coordinator SIGKILL at the
   ``worker-respawn`` barrier, then resume).
 """
@@ -80,18 +79,12 @@ def _crawl_blob(dataset) -> str:
     )
 
 
-def _run_campaign(faults=None, *, workers=4, memo=True, max_restarts=3):
-    """One campaign under a fault plan; returns (bytes, memo stats,
-    this run's fleet health).
-
-    The memo stats leave out the ``entries`` gauge: entries stay in the
-    cache that stored them, so the coordinator's count depends on which
-    shards ran inline, while every counter covers the whole fleet.
-    """
+def _run_campaign(faults=None, *, workers=4, max_restarts=3):
+    """One campaign under a fault plan; returns (bytes, this run's fleet
+    health)."""
     reset_fleet_health()
     world = _world()
     backend = _backend(world)
-    backend.burst_cache.enabled = memo
     previous = FaultPlan(faults or []).install()
     assert previous is None, "a fault hook leaked in from another test"
     try:
@@ -106,9 +99,7 @@ def _run_campaign(faults=None, *, workers=4, memo=True, max_restarts=3):
         )
     finally:
         install_fault_hook(None)
-    stats = backend.burst_cache.stats()
-    del stats["entries"]
-    return _campaign_blob(dataset), stats, fleet_health()
+    return _campaign_blob(dataset), fleet_health()
 
 
 def _run_crawl(faults=None, *, days=3, workers=2, executor_kwargs=None):
@@ -146,14 +137,13 @@ def _run_crawl(faults=None, *, days=3, workers=2, executor_kwargs=None):
 class TestWorkerKillSmoke:
     def test_mid_batch_sigkill_recovers_byte_identical(self):
         """SIGKILL one of four workers mid-day: the supervisor respawns
-        it, re-ships full state, re-runs the shard -- and neither the
-        dataset bytes nor the fleet-wide memo counters can tell."""
-        reference, ref_stats, _ = _run_campaign()
-        chaotic, stats, health = _run_campaign(
+        it, re-ships full state, re-runs the shard -- and the dataset
+        bytes cannot tell."""
+        reference, _ = _run_campaign()
+        chaotic, health = _run_campaign(
             [(1, 0, "mid-batch")]
         )
         assert chaotic == reference
-        assert stats == ref_stats
         assert health["restarts"] == 1
         assert health["quarantined_shards"] == 0
 
@@ -168,7 +158,7 @@ class TestWorkerKillSmoke:
         assert stats["restarts"] == 1
 
     def test_recovery_telemetry_accumulates(self):
-        _, _, health = _run_campaign([(0, 0, "before-batch")])
+        _, health = _run_campaign([(0, 0, "before-batch")])
         assert health["restarts"] == 1
         assert health["recovery_ms"] > 0
 
@@ -183,7 +173,7 @@ class TestFleetHealthScope:
 
         with FleetHealthScope() as outer:
             with FleetHealthScope() as inner:
-                _, _, health = _run_campaign([(1, 0, "mid-batch")])
+                _, health = _run_campaign([(1, 0, "mid-batch")])
         assert inner.snapshot()["restarts"] == 1
         assert outer.snapshot()["restarts"] == 1
         assert inner.snapshot()["recovery_ms"] > 0
@@ -215,16 +205,15 @@ class TestQuarantine:
         """A shard that keeps killing its workers exhausts the restart
         budget, gets quarantined with a structured warning, and its
         checks run inline on the coordinator -- the run completes and
-        the bytes (and burst counters) still match fault-free."""
-        reference, ref_stats, _ = _run_campaign()
+        the bytes still match fault-free."""
+        reference, _ = _run_campaign()
         # The plan re-kills the replacement at the re-dispatch, too:
         # budget 1 means the second failure quarantines the shard.
         with caplog.at_level(logging.WARNING, logger="repro.exec"):
-            chaotic, stats, health = _run_campaign(
+            chaotic, health = _run_campaign(
                 [(0, 0, "before-batch")] * 3, max_restarts=1,
             )
         assert chaotic == reference
-        assert stats == ref_stats
         assert health["quarantined_shards"] == 1
         assert health["inline_checks"] > 0
         assert any(
@@ -233,45 +222,37 @@ class TestQuarantine:
         )
 
     def test_zero_budget_quarantines_on_first_failure(self):
-        reference, ref_stats, _ = _run_campaign()
-        chaotic, stats, health = _run_campaign(
+        reference, _ = _run_campaign()
+        chaotic, health = _run_campaign(
             [(2, 0, "mid-batch")], max_restarts=0,
         )
         assert chaotic == reference
-        assert stats == ref_stats
         assert health["restarts"] == 0
         assert health["quarantined_shards"] == 1
 
 
 class TestHangDetection:
     def test_hung_worker_is_killed_at_deadline_and_rerun(self):
-        """A worker that stops replying is SIGKILLed once its cost-scaled
+        """A worker that stops replying is SIGKILLed once its size-scaled
         deadline expires; the re-run is byte-identical."""
         reference, _ = _run_crawl(days=2)
         chaotic, stats = _run_crawl(
             [(1, 0, "hang")], days=2,
-            executor_kwargs=dict(min_deadline_s=2.0, deadline_per_cost_s=0.0),
+            executor_kwargs=dict(min_deadline_s=2.0, deadline_per_check_s=0.0),
         )
         assert chaotic == reference
         assert stats["hang_kills"] == 1
         assert stats["restarts"] == 1
 
-    def test_deadline_scales_with_predicted_shard_cost(self):
-        """The hang deadline prices a shard exactly like the cost planner:
-        live fan-outs buy wall clock, memo-hit replays buy almost none."""
+    def test_deadline_scales_with_predicted_shard_cost(self, monkeypatch):
+        """The hang deadline grows by one second per check in the shard,
+        the cost the planner packs shards by."""
         from repro.analysis.personal import derive_anchor_for_domain
         from repro.core.backend import CheckRequest, ScheduledCheck
-        from repro.exec.plan import (
-            LIVE_CHECK_COST,
-            MEMO_HIT_COST,
-            CostAwarePlanner,
-            predicted_batch_cost,
-        )
+        from repro.exec.plan import CostAwarePlanner
 
         world = _world()
-        backend = _backend(world)
         domain = "www.digitalrev.com"
-        assert world.servers[domain].signature_profile() is not None
         anchor = derive_anchor_for_domain(world, domain)
         product = world.retailer(domain).catalog.products[0]
         shard = [
@@ -283,14 +264,20 @@ class TestHangDetection:
             )
             for i in range(3)
         ]
-        cost = predicted_batch_cost(backend, shard)
-        # Same-burst repeats on a memoizable retailer price as hits...
-        assert cost == LIVE_CHECK_COST + 2 * MEMO_HIT_COST
-        # ...and the number is the planner's own prediction, so the
-        # supervisor and the shard packing can never disagree on load.
-        assert cost == sum(
-            CostAwarePlanner(2).predicted_costs(backend, shard).values()
-        )
+        assert CostAwarePlanner(2).predicted_costs(shard) == {domain: 3}
+        deadlines = []
+        await_reply = ProcessExecutor._await_reply
+
+        def spy(self, handle, shard_index, dispatched_at, deadline_s):
+            deadlines.append(deadline_s)
+            return await_reply(self, handle, shard_index, dispatched_at,
+                               deadline_s)
+
+        monkeypatch.setattr(ProcessExecutor, "_await_reply", spy)
+        with ProcessExecutor(world, 1, min_deadline_s=7.0) as executor:
+            reports = executor.run(_backend(world), shard, world.vantage_points)
+        assert len(reports) == 3
+        assert deadlines == [7.0 + 1.0 * len(shard)]
 
 
 class TestExceptionRelay:
@@ -414,22 +401,16 @@ class TestFaultPlan:
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 class TestChaosGrid:
-    """Any single worker, any fault point, memo on or off."""
+    """Any single worker, any fault point."""
 
     def test_any_single_worker_kill_is_byte_identical(self):
-        for memo in (True, False):
-            reference, ref_stats, _ = _run_campaign(memo=memo)
-            for victim in range(4):
-                point = KILL_FAULTS[victim % len(KILL_FAULTS)]
-                chaotic, stats, health = _run_campaign(
-                    [(victim, 0, point)], memo=memo,
-                )
-                context = f"memo={memo} victim={victim} point={point}"
-                assert chaotic == reference, f"{context}: bytes differ"
-                assert stats == ref_stats, (
-                    f"{context}: fleet memo counters differ"
-                )
-                assert health["restarts"] == 1, context
+        reference, _ = _run_campaign()
+        for victim in range(4):
+            point = KILL_FAULTS[victim % len(KILL_FAULTS)]
+            chaotic, health = _run_campaign([(victim, 0, point)])
+            context = f"victim={victim} point={point}"
+            assert chaotic == reference, f"{context}: bytes differ"
+            assert health["restarts"] == 1, context
 
     def test_multi_day_multi_fault_crawl_is_byte_identical(self):
         reference, _ = _run_crawl(days=3, workers=3)
@@ -459,7 +440,7 @@ class TestSeededChaos:
             chaotic, stats = _run_crawl(
                 faults, days=3, workers=3,
                 executor_kwargs=dict(
-                    min_deadline_s=3.0, deadline_per_cost_s=0.01
+                    min_deadline_s=3.0, deadline_per_check_s=0.2
                 ),
             )
             assert chaotic == reference, f"seed {seed}: bytes differ"
