@@ -114,10 +114,12 @@ perfbench-smoke:
 serve-smoke:
 	$(PYTHON) benchmarks/serve_smoke.py
 
-# Run every example (docs/EXAMPLES.md shows expected output).
+# Run every example (docs/EXAMPLES.md shows expected output); the crawl
+# runs twice, inline and across 2 worker processes.  CI runs this on push.
 examples:
 	$(PYTHON) examples/quickstart.py
 	$(PYTHON) examples/crowd_campaign.py
 	$(PYTHON) examples/systematic_crawl.py
+	$(PYTHON) examples/systematic_crawl.py 2
 	$(PYTHON) examples/currency_guard_demo.py
 	$(PYTHON) examples/kindle_login_study.py

@@ -5,11 +5,12 @@ vantage points), then prints condensed versions of Figs. 3, 4, 5, 7 and 9:
 extent and magnitude per retailer, ratio vs product price, per-location
 premia, and the Finland profile.
 
-Run:  python examples/systematic_crawl.py [workers] [local|process]
+Run:  python examples/systematic_crawl.py [workers]
 
-The optional arguments shard each crawl day across workers (the sharded
-execution engine, ``repro.exec``); the printed figures are identical at
-any worker count because the dataset is byte-identical.
+The optional argument shards each crawl day across that many worker
+processes (the sharded execution engine, ``repro.exec``); the printed
+figures are identical at any worker count because the dataset is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -32,19 +33,17 @@ from repro.exec import ExecConfig
 
 def main() -> None:
     workers = int(sys.argv[1]) if len(sys.argv) > 1 else 1
-    mode = sys.argv[2] if len(sys.argv) > 2 else "local"
-    exec_config = ExecConfig(workers=workers, mode=mode) if workers > 1 else None
 
     world = build_world(WorldConfig(catalog_scale=0.3, long_tail_domains=0))
     backend = SheriffBackend(world.network, world.vantage_points, world.rates)
     plan = build_plan(world, domains=world.crawled_domains, products_per_retailer=15)
-    sharding = f" ({workers} {mode} shards)" if exec_config else ""
+    sharding = f" ({workers} worker processes)" if workers > 1 else ""
     print(
         f"crawling {len(plan)} retailers x {plan.total_product_urls // len(plan)} "
         f"products x 3 days x 14 vantage points{sharding} ..."
     )
     crawl = run_crawl(world, backend, plan, CrawlConfig(days=3),
-                      exec_config=exec_config)
+                      exec_config=ExecConfig(workers=workers))
     print(f"-> {crawl.n_extracted_prices:,} extracted prices\n")
 
     clean = clean_reports(crawl.reports, world.rates)

@@ -24,14 +24,15 @@ after step 3 the segment is permanent.  Every committed state file is
 kept: each holds only its own day's changes, so a day's commit costs
 what the day changed, not what the run holds.
 
-Resume verifies the manifest fingerprint against the new run's world and
-config (:meth:`RunCheckpoint.open`), then :meth:`RunCheckpoint.resume_into`
-refuses a backend that holds a burst memo (no memo state is
-checkpointed), checks the committed days against the run's day schedule,
-replays committed segments into the live dataset one at a time through
-``append_segment`` (peak memory: spine + one segment), folds every
-committed state file in order (:meth:`RunCheckpoint.load_state`) and
-hands the result to :func:`repro.checkpoint.state.restore_run_state`.
+:meth:`RunCheckpoint.open` refuses a backend that holds a burst memo (no
+memo state is checkpointed) before it touches the directory, and on a
+resume verifies the manifest fingerprint against the new run's world and
+config.  :meth:`RunCheckpoint.resume_into` then checks the committed
+days against the run's day schedule, replays committed segments into
+the live dataset one at a time through ``append_segment`` (peak memory:
+spine + one segment), folds every committed state file in order
+(:meth:`RunCheckpoint.load_state`) and hands the result to
+:func:`repro.checkpoint.state.restore_run_state`.
 Any missing or digest-mismatched file fails loudly with a named
 :class:`~repro.checkpoint.manifest.CheckpointError` subclass.
 """
@@ -84,8 +85,7 @@ def run_fingerprint(kind: str, world_config, run_config, **extra) -> dict:
     World and run configs are frozen dataclasses of primitives, so their
     ``asdict`` forms compare structurally.  Executor settings are
     deliberately *excluded* -- they are byte-neutral (the determinism
-    contract), so a run may resume under a different worker count or
-    executor mode.
+    contract), so a run may resume under a different worker count.
     """
     fingerprint = {
         "kind": kind,
@@ -120,6 +120,7 @@ class RunCheckpoint:
         *,
         kind: str,
         fingerprint: dict,
+        backend: "SheriffBackend",
         resume: bool = False,
     ) -> "RunCheckpoint":
         """Open (resuming) or start (fresh) a checkpoint directory.
@@ -128,9 +129,21 @@ class RunCheckpoint:
         need not distinguish first runs from restarts.  ``resume=False``
         with a manifest present refuses loudly: overwriting a checkpoint
         silently would destroy exactly the data checkpointing protects.
+
+        Checkpointed runs carry no burst memo: a ``backend`` that holds
+        one raises :class:`~repro.exec.ExecError` before the directory
+        is created or read, as :class:`~repro.exec.ProcessExecutor`
+        does before any dispatch.
         """
         if kind not in _KINDS:
             raise CheckpointError(f"unknown checkpoint kind {kind!r}")
+        if backend.burst_cache is not None:
+            from repro.exec import ExecError
+
+            raise ExecError(
+                f"a checkpointed {kind} cannot carry a burst memo "
+                f"across a kill; build the backend without burst_cache"
+            )
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         path = directory / Manifest.FILENAME
@@ -267,9 +280,6 @@ class RunCheckpoint:
     ) -> int:
         """Pick a run up where its committed prefix ends.
 
-        Checkpointed runs carry no burst memo: a ``backend`` that holds
-        one raises :class:`~repro.exec.ExecError` before anything is
-        read, as :class:`~repro.exec.ProcessExecutor` does.
         ``days`` is the run's whole day-segment schedule.  The committed
         segments must cover exactly its first days, in order; anything
         else is a checkpoint of a different run and raises
@@ -280,13 +290,6 @@ class RunCheckpoint:
         :func:`restore_run_state`).  Returns how many leading days are
         done.
         """
-        if backend.burst_cache is not None:
-            from repro.exec import ExecError
-
-            raise ExecError(
-                f"a checkpointed {self.kind} cannot carry a burst memo "
-                f"across a kill; build the backend without burst_cache"
-            )
         committed = self.manifest.records
         if len(committed) > len(days):
             raise CheckpointMismatchError(

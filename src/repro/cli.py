@@ -20,7 +20,7 @@ Examples::
 
     python -m repro.cli campaign --scale quick --out crowd.jsonl
     python -m repro.cli crawl --scale tiny --out crawl.jsonl
-    python -m repro.cli crawl --scale quick --workers 4 --exec-mode process
+    python -m repro.cli crawl --scale quick --workers 4
     python -m repro.cli analyze crawl.jsonl
     python -m repro.cli check www.digitalrev.com --product 2
     python -m repro.cli report --scale quick
@@ -77,21 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=2013)
 
     def add_exec(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--workers", type=int, default=1,
-                       help="shard fan-out batches across N >= 1 workers "
-                            "(output is byte-identical at any N; "
-                            "default 1)")
-        p.add_argument("--exec-mode", choices=("local", "process"),
-                       default="local",
-                       help="how shards execute: in this process or in "
-                            "dedicated worker processes (default: local)")
-        p.add_argument("--max-worker-restarts", type=int, default=3,
-                       metavar="N",
-                       help="under --exec-mode process: how many times a "
-                            "shard's dead or hung worker is respawned "
-                            "before the shard is quarantined to inline "
-                            "execution (bytes are identical either way; "
-                            "default 3)")
+        p.add_argument("--workers", type=int, default=1, metavar="N",
+                       help="run fan-out batches inline (1) or sharded "
+                            "across N worker processes (output is "
+                            "byte-identical at any N; default 1)")
 
     def add_checkpoint(p: argparse.ArgumentParser) -> None:
         p.add_argument("--checkpoint-dir", metavar="DIR",
@@ -157,26 +146,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _exec_config(args: argparse.Namespace) -> ExecConfig:
-    """The validated ExecConfig the flags describe.
+    """The validated ExecConfig ``--workers`` describes.
 
-    The defaults (1 worker, local) describe the sequential baseline, for
-    which :meth:`ExecConfig.create` builds no executor.
+    The default (1 worker) runs inline, for which
+    :meth:`ExecConfig.create` builds no executor.
     """
     try:
-        return ExecConfig(
-            workers=getattr(args, "workers", 1),
-            mode=getattr(args, "exec_mode", "local"),
-            max_worker_restarts=getattr(args, "max_worker_restarts", 3),
-        )
+        return ExecConfig(workers=getattr(args, "workers", 1))
     except ValueError as exc:
-        raise CliError(f"bad executor flags: {exc}")
+        raise CliError(f"bad --workers: {exc}")
 
 
 def _print_fleet_health() -> None:
     """One exec-summary line when supervision had to step in.
 
     ``run_campaign``/``run_crawl`` close their executors internally, so
-    the numbers come from the process-wide accumulator every closing
+    the numbers come from the process-wide accumulator every
     :class:`~repro.exec.process.ProcessExecutor` folds into (zeroed at
     command start).  Quiet runs print nothing.
     """
@@ -281,13 +266,10 @@ def _cmd_crawl_scenario(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     reset_fleet_health()
-    _exec_config(args)  # validate the executor flags like every command
-    # The process executor refuses a burst memo, so a process cell runs
+    _exec_config(args)  # validate --workers like every command
+    # The process executor refuses a burst memo, so a sharded cell runs
     # memo-free; an inline cell keeps the memo and its soundness checks.
-    cell = GridCell(
-        mode=args.exec_mode, workers=args.workers,
-        burst_memo=args.exec_mode != "process",
-    )
+    cell = GridCell(workers=args.workers, burst_memo=args.workers == 1)
     result = run_cell(scenario, cell, seed=args.seed, keep_dataset=True)
     print(
         f"scenario {scenario.name} [{cell.label}]: "

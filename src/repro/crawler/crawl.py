@@ -96,9 +96,10 @@ def run_crawl(
 
     ``exec_config`` shards each day's batch across workers (the executor
     is created here and closed when the crawl ends); ``executor`` passes a
-    caller-owned executor instead (the caller closes it -- benchmarks use
-    this to keep one process pool warm across many crawls).  Either way
-    the dataset is byte-identical to the sequential run.  A crawl checks
+    caller-owned executor instead (the caller closes it -- the scenario
+    harness keeps one pool warm across its one-day crawls, and tests pass
+    pools built with their own supervision settings).  Either way the
+    dataset is byte-identical to the sequential run.  A crawl checks
     each ``(url, day)`` once, so its backend needs no burst memo
     (:mod:`repro.core.burstcache`); the process executor and a
     checkpointed crawl refuse a backend that holds one.
@@ -127,6 +128,7 @@ def run_crawl(
             fingerprint=run_fingerprint(
                 "crawl", world.config, config, plan=plan_digest(plan)
             ),
+            backend=backend,
             resume=resume,
         )
         done = checkpoint.resume_into(dataset, world, backend, days=days)

@@ -253,6 +253,7 @@ def run_campaign(
             checkpoint_dir,
             kind="campaign",
             fingerprint=run_fingerprint("campaign", world.config, config),
+            backend=backend,
             resume=resume,
         )
         done = checkpoint.resume_into(

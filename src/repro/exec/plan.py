@@ -16,8 +16,8 @@ seam executors call: a retailer's cost for *this* batch is the number of
 checks the batch sends it, and retailers are bin-packed onto shards so
 shard costs equalize.
 
-:class:`ExecConfig` is the user-facing knob: ``workers`` and ``mode``
-travel from the CLI / :func:`repro.crawler.run_crawl` /
+:class:`ExecConfig` is the user-facing setting: ``workers`` travels
+from the CLI / :func:`repro.crawler.run_crawl` /
 :func:`repro.crowd.run_campaign` down to an executor instance.
 """
 
@@ -37,8 +37,6 @@ __all__ = [
     "ExecConfig",
     "ExecError",
 ]
-
-_MODES = ("local", "process")
 
 
 class ExecError(RuntimeError):
@@ -110,43 +108,24 @@ class CostAwarePlanner:
 class ExecConfig:
     """How a crawl/campaign executes its fan-out batches.
 
-    ``workers=1`` with ``mode="local"`` is the sequential baseline (no
-    executor object at all); higher worker counts shard the batch through
-    :class:`CostAwarePlanner`.  Modes:
-
-    * ``"local"`` -- :class:`~repro.exec.local.LocalExecutor`: shards run
-      one after another in this process.  Zero overhead, exercises the
-      exact partition/merge path; the default and the test baseline.
-    * ``"process"`` -- :class:`~repro.exec.process.ProcessExecutor`:
-      shards run in parallel worker processes that rebuild the world from
-      its :class:`~repro.ecommerce.world.WorldSpec`.
+    ``workers`` is the only setting.  ``workers=1`` runs every batch
+    inline (no executor object at all); ``workers=N > 1`` shards each
+    batch through :class:`CostAwarePlanner` onto N worker processes
+    (:class:`~repro.exec.process.ProcessExecutor`, with its default
+    restart budget) that rebuild the world from its
+    :class:`~repro.ecommerce.world.WorldSpec`.
     """
 
     workers: int = 1
-    mode: str = "local"
-    #: How many times the supervisor may respawn the worker of any one
-    #: shard before quarantining the shard to inline execution (process
-    #: mode only; see :meth:`ProcessExecutor.supervision_stats`).
-    max_worker_restarts: int = 3
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
-        if self.max_worker_restarts < 0:
-            raise ValueError("max_worker_restarts must be >= 0")
 
     def create(self, world: "World"):
         """Build the executor this config describes (None = run inline)."""
-        if self.mode == "local":
-            if self.workers == 1:
-                return None
-            from repro.exec.local import LocalExecutor
-
-            return LocalExecutor(self.workers)
+        if self.workers == 1:
+            return None
         from repro.exec.process import ProcessExecutor
 
-        return ProcessExecutor(
-            world, self.workers, max_restarts=self.max_worker_restarts
-        )
+        return ProcessExecutor(world, self.workers)

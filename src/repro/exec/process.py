@@ -70,7 +70,6 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.checkpoint.barriers import WORKER_RESPAWN, barrier
 from repro.ecommerce.world import WorldSpec
-from repro.exec.local import merge_in_plan_order
 from repro.exec.plan import CostAwarePlanner, ExecError
 from repro.net.clock import SECONDS_PER_DAY
 from repro.net.urls import URL
@@ -357,6 +356,35 @@ def _worker_main(conn) -> None:
 # ----------------------------------------------------------------------
 # Coordinator side
 # ----------------------------------------------------------------------
+def merge_in_plan_order(
+    backend: "SheriffBackend",
+    scheduled: Sequence["ScheduledCheck"],
+    merged: dict[int, tuple["PriceCheckReport", list[dict]]],
+    sink: Optional[Callable[["PriceCheckReport"], None]] = None,
+) -> list["PriceCheckReport"]:
+    """Reassemble per-shard results into submission order.
+
+    ``merged`` maps schedule index to (report, buffered archive calls).
+    Archives replay into ``backend.store`` in plan order, so retention
+    caps and content interning fire in the same sequence -- and therefore
+    retain the same pages -- as the inline loop.
+
+    With a ``sink``, each report is handed over in plan order instead of
+    being accumulated (the crawl streams reports straight into the
+    columnar dataset spine this way) and the returned list is empty.
+    """
+    reports: list["PriceCheckReport"] = []
+    for sched in scheduled:
+        report, archives = merged[sched.index]
+        for kwargs in archives:
+            backend.store.archive(**kwargs)
+        if sink is not None:
+            sink(report)
+        else:
+            reports.append(report)
+    return reports
+
+
 class _WorkerHandle:
     """The coordinator's ledger of exactly what one worker holds."""
 
@@ -385,9 +413,11 @@ class _WorkerFailure(Exception):
         self.detail = detail
 
 
-#: Process-wide fleet-health accumulator: every closed executor folds its
-#: supervision counters in, so the CLI can print an exec summary after
-#: ``run_campaign``/``run_crawl`` have already closed their executors.
+#: Process-wide fleet-health accumulator: every executor folds its
+#: supervision counters in as each batch returns (the rest at close), so
+#: a running job's status shows them and the CLI can print an exec
+#: summary after ``run_campaign``/``run_crawl`` have closed their
+#: executors.
 _FLEET_HEALTH = {
     "restarts": 0,
     "hang_kills": 0,
@@ -414,7 +444,7 @@ def _active_scopes() -> list:
 
 
 def fleet_health() -> dict:
-    """Cumulative supervision counters of every executor closed so far."""
+    """Cumulative supervision counters of every executor so far."""
     with _FLEET_HEALTH_LOCK:
         return dict(_FLEET_HEALTH)
 
@@ -436,10 +466,11 @@ class FleetHealthScope:
     end) but not a long-lived service running many jobs concurrently:
     a reset would zero other jobs' counters and a read would mix them.
     A scope is a context manager; while entered, every
-    :class:`ProcessExecutor` closed *on the entering thread* also folds
-    its counters into the scope, so a job thread that wraps its campaign
-    in a scope observes exactly its own fleet health.  Scopes nest, and
-    the global accumulator still receives every fold.
+    :class:`ProcessExecutor` running *on the entering thread* also folds
+    its counters into the scope (after each batch and at close), so a
+    job thread that wraps its campaign in a scope observes exactly its
+    own fleet health, while the job runs.  Scopes nest, and the global
+    accumulator still receives every fold.
     """
 
     _KEYS = (
@@ -481,7 +512,7 @@ class ProcessExecutor:
     Supervision knobs (see the module docstring):
 
     * ``max_restarts`` -- respawns allowed per shard before quarantine
-      (the CLI's ``--max-worker-restarts``);
+      (3 unless a caller builds the executor itself);
     * ``restart_backoff_s`` -- base of the exponential backoff slept
       before each respawn (``base * 2**(failures-1)``, capped at 2 s;
       0 disables -- tests do);
@@ -553,6 +584,8 @@ class ProcessExecutor:
         self._hang_kills = 0
         self._inline_checks = 0
         self._recovery_ms = 0.0
+        #: The counters as last folded into fleet_health() and the scopes.
+        self._published = dict.fromkeys(FleetHealthScope._KEYS, 0)
 
     # ------------------------------------------------------------------
     # Worker lifecycle
@@ -593,15 +626,21 @@ class ProcessExecutor:
         fleet: Sequence["VantagePoint"],
         sink: Optional[Callable[["PriceCheckReport"], None]] = None,
     ) -> list["PriceCheckReport"]:
-        """Dispatch shards to the workers and merge results in plan order."""
+        """Dispatch shards to the workers and merge results in plan order.
+
+        The batch's supervision counters reach :func:`fleet_health` and
+        this thread's open fleet-health scopes before this returns.
+        """
         try:
-            return self._run(backend, scheduled, fleet, sink)
+            reports = self._run(backend, scheduled, fleet, sink)
         except BaseException:
             # Anything the supervisor could not absorb (a relayed worker
             # exception, a coordinator bug, Ctrl-C mid-dispatch) must
             # not leak live worker processes or open pipes.
             self.close()
             raise
+        self._publish_health()
+        return reports
 
     def _run(self, backend, scheduled, fleet, sink):
         if backend.burst_cache is not None:
@@ -849,7 +888,8 @@ class ProcessExecutor:
         return True
 
     def _run_inline(self, backend, shard, fleet, merged) -> None:
-        """Run a quarantined shard on the coordinator (LocalExecutor-style)."""
+        """Run a quarantined shard on the coordinator, buffering each
+        check's archives for the plan-order merge."""
         for sched in shard:
             archives: list[dict] = []
             report = backend.run_scheduled_check(
@@ -930,18 +970,26 @@ class ProcessExecutor:
                 self._restarts, self._hang_kills, len(self._quarantined),
                 self._inline_checks, self._recovery_ms,
             )
-        folded = {
+        self._publish_health()
+
+    def _publish_health(self) -> None:
+        """Fold what the counters gained since the last fold into
+        :func:`fleet_health` and every scope open on this thread, so
+        each supervision event is counted exactly once."""
+        current = {
             "restarts": self._restarts,
             "hang_kills": self._hang_kills,
             "quarantined_shards": len(self._quarantined),
             "inline_checks": self._inline_checks,
             "recovery_ms": self._recovery_ms,
         }
+        delta = {key: current[key] - self._published[key] for key in current}
+        self._published = current
         with _FLEET_HEALTH_LOCK:
-            for key, value in folded.items():
+            for key, value in delta.items():
                 _FLEET_HEALTH[key] += value
         for scope in _active_scopes():
-            scope._fold(folded)
+            scope._fold(delta)
 
     def __enter__(self) -> "ProcessExecutor":
         """Context-manager entry: the executor itself."""

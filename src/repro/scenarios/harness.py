@@ -1,4 +1,4 @@
-"""The differential invariant harness: one scenario, every execution mode.
+"""The differential invariant harness: one scenario, every execution cell.
 
 For a given scenario this module runs the full pipeline -- crowd
 campaign, (re-anchoring) crawl, cleaning, detection -- under every cell
@@ -9,8 +9,8 @@ executor refuses a memo).
 
 * **Byte identity.**  Every cell's crawl dataset, campaign dataset, and
   page store serialize to exactly the baseline's bytes -- the inline
-  memo cell, local or process executors at 1 or 2 workers without a
-  memo, and a fully audited memo cell.
+  memo cell, inline and 2-worker process cells without a memo, and a
+  fully audited memo cell.
 * **Memo soundness.**  Retailers whose behaviour a fan-out signature
   cannot capture are demoted to the live path (the scenario says which
   ones); a fully cross-validated cell (every memo hit re-run live)
@@ -64,12 +64,12 @@ __all__ = [
 class GridCell:
     """One point of the execution grid.
 
-    ``burst_memo`` hands the cell's backend a
-    :class:`~repro.core.burstcache.BurstCache`; only local cells may,
-    since the process executor refuses a memo.
+    ``workers`` is the cell's :class:`~repro.exec.ExecConfig`: 1 runs
+    inline, more run that many worker processes.  ``burst_memo`` hands
+    the cell's backend a :class:`~repro.core.burstcache.BurstCache`;
+    only inline cells may, since the process executor refuses a memo.
     """
 
-    mode: str = "local"
     workers: int = 1
     burst_memo: bool = True
     #: Fraction of memo hits re-run live for cross-validation (only
@@ -81,28 +81,22 @@ class GridCell:
         memo = "memo" if self.burst_memo else "live"
         if self.validate_fraction:
             memo += f"+audit{self.validate_fraction:g}"
-        return f"{self.mode}x{self.workers}/{memo}"
+        where = "inline" if self.workers == 1 else f"processx{self.workers}"
+        return f"{where}/{memo}"
 
     def exec_config(self) -> ExecConfig:
-        """The validated executor config this cell runs under.
-
-        A 1-worker local cell is the sequential baseline, for which
-        :meth:`ExecConfig.create` builds no executor.
-        """
-        return ExecConfig(workers=self.workers, mode=self.mode)
+        """The validated executor config this cell runs under."""
+        return ExecConfig(workers=self.workers)
 
 
-#: The acceptance grid: the inline memo cell (the baseline), memo-free
-#: executor(local/process, N in {1, 2}) cells, and an inline memo cell
+#: The acceptance grid: the inline memo cell (the baseline), the inline
+#: and 2-worker process cells without a memo, and an inline memo cell
 #: cross-validating every hit.
 DEFAULT_GRID: tuple[GridCell, ...] = (
-    (GridCell(),)
-    + tuple(
-        GridCell(mode=mode, workers=workers, burst_memo=False)
-        for mode in ("local", "process")
-        for workers in (1, 2)
-    )
-    + (GridCell(validate_fraction=1.0),)
+    GridCell(),
+    GridCell(burst_memo=False),
+    GridCell(workers=2, burst_memo=False),
+    GridCell(validate_fraction=1.0),
 )
 
 

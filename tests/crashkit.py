@@ -17,7 +17,8 @@ Spec fields (JSON object)::
     campaign        CampaignConfig kwargs        (campaign kind)
     crawl           CrawlConfig kwargs           (crawl kind)
     plan            {"n_domains": K, "products_per_retailer": P}  (crawl)
-    workers, mode   executor cell (1/"local" = inline)
+    workers         ExecConfig workers (default 1 = inline; N > 1 runs
+                    N worker processes)
     checkpoint_dir  where day-segments spill
     resume          continue a committed prefix (default false)
     out             dataset file the driver writes (columnar JSONL)
@@ -29,7 +30,6 @@ Spec fields (JSON object)::
                     SIGKILL worker *i* mid-batch of day-batch *d*) into
                     the run's :class:`ProcessExecutor`; the supervisor
                     must recover and the run must stay byte-identical
-    max_worker_restarts   restart budget per shard (default 3)
 
 The result JSON records the saved dataset's SHA-256, row count, the
 backend's archive hash chain (chain equality == archive-stream byte
@@ -166,7 +166,7 @@ def run_driver(spec: dict, *, timeout: float = 600.0) -> int:
     expected return code of a run that hit its kill point.
 
     Waits on the driver *process*, never its pipes: a SIGKILLed driver
-    running a process-mode cell leaves pool workers behind (they block
+    running worker processes leaves them behind (they block
     on the pool's call queue, and -- being forked -- they inherit the
     driver's stderr), so pipe EOF would arrive only when the workers
     die.  ``proc.wait`` returns the instant the driver itself does; the
@@ -241,19 +241,6 @@ def _install_kill(point: str, count: int) -> None:
     install_barrier_hook(hook)
 
 
-def _exec_config(spec: dict):
-    from repro.exec import ExecConfig
-
-    workers = int(spec.get("workers", 1))
-    mode = spec.get("mode", "local")
-    if workers == 1 and mode == "local":
-        return None
-    return ExecConfig(
-        workers=workers, mode=mode,
-        max_worker_restarts=int(spec.get("max_worker_restarts", 3)),
-    )
-
-
 def _backend(world):
     """A memo-free backend: checkpointed runs refuse a burst memo."""
     from repro.core.backend import SheriffBackend
@@ -264,6 +251,7 @@ def _backend(world):
 def _drive_campaign(spec: dict) -> dict:
     from repro.crowd.campaign import CampaignConfig, run_campaign
     from repro.ecommerce.world import WorldConfig, build_world
+    from repro.exec import ExecConfig
     from repro.io import save_crowd_dataset
 
     world = build_world(WorldConfig(**spec.get("world", {})))
@@ -272,7 +260,7 @@ def _drive_campaign(spec: dict) -> dict:
         world,
         backend,
         CampaignConfig(**spec.get("campaign", {})),
-        exec_config=_exec_config(spec),
+        exec_config=ExecConfig(workers=int(spec.get("workers", 1))),
         checkpoint_dir=spec["checkpoint_dir"],
         resume=bool(spec.get("resume", False)),
     )
@@ -284,6 +272,7 @@ def _drive_crawl(spec: dict) -> dict:
     from repro.crawler.crawl import CrawlConfig, run_crawl
     from repro.crawler.plan import build_plan
     from repro.ecommerce.world import WorldConfig, build_world
+    from repro.exec import ExecConfig
     from repro.io import save_crawl_dataset
 
     world = build_world(WorldConfig(**spec.get("world", {})))
@@ -300,7 +289,7 @@ def _drive_crawl(spec: dict) -> dict:
         backend,
         plan,
         CrawlConfig(**spec.get("crawl", {})),
-        exec_config=_exec_config(spec),
+        exec_config=ExecConfig(workers=int(spec.get("workers", 1))),
         checkpoint_dir=spec["checkpoint_dir"],
         resume=bool(spec.get("resume", False)),
     )
@@ -318,6 +307,7 @@ def _drive_scenario(spec: dict) -> dict:
     from repro.analysis.cleaning import clean_reports
     from repro.analysis.detection import score_detection
     from repro.crowd.campaign import CampaignConfig, run_campaign
+    from repro.exec import ExecConfig
     from repro.io import save_crowd_dataset
     from repro.scenarios import get_scenario
     from repro.scenarios.harness import run_scenario_crawl
@@ -326,7 +316,7 @@ def _drive_scenario(spec: dict) -> dict:
     scenario = get_scenario(spec["scenario"])
     world = scenario.build_world(seed)
     backend = _backend(world)
-    exec_config = _exec_config(spec)
+    exec_config = ExecConfig(workers=int(spec.get("workers", 1)))
     campaign = run_campaign(
         world,
         backend,
@@ -386,12 +376,14 @@ def _drive_serve(spec: dict) -> dict:
     import time as _time
     import urllib.request
 
+    from repro.exec import ExecConfig
     from repro.serve import ServeConfig, build_app
 
     service, server = build_app(ServeConfig(
         host="127.0.0.1", port=0,
         scale=spec.get("scale", "tiny"), seed=int(spec.get("seed", 2013)),
-        data_dir=spec["data_dir"], exec_config=_exec_config(spec),
+        data_dir=spec["data_dir"],
+        exec_config=ExecConfig(workers=int(spec.get("workers", 1))),
     ))
     threading.Thread(target=server.serve_forever, daemon=True).start()
     base = f"http://127.0.0.1:{server.port}"

@@ -266,32 +266,13 @@ class TestByteIdentity:
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_campaign_bytes_identical_under_process_executor(self, workers):
-        """The two places a campaign runs: inline with the memo (as the
-        serving backend runs checks) and across worker processes
-        without one (the process executor refuses a memo)."""
+        """Inline with the memo (as the serving backend runs checks)
+        against memo-free runs inline (1) and across worker processes
+        (2, 4; the process executor refuses a memo)."""
         baseline = self._campaign_blob(True)
         sharded = self._campaign_blob(
-            False, exec_config=ExecConfig(workers=workers, mode="process")
+            False, exec_config=ExecConfig(workers=workers)
         )
-        assert sharded == baseline
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_crawl_bytes_identical_under_local_executor(self, workers):
-        def run(memo, exec_config):
-            world = _world()
-            backend = _backend(world, memo)
-            plan = build_plan(
-                world, domains=world.crawled_domains[:5],
-                products_per_retailer=3,
-            )
-            dataset = run_crawl(
-                world, backend, plan, CrawlConfig(days=2),
-                exec_config=exec_config,
-            )
-            return _reports_blob(dataset.reports), _store_blob(backend.store)
-
-        baseline = run(False, None)
-        sharded = run(True, ExecConfig(workers=workers, mode="local"))
         assert sharded == baseline
 
 
@@ -483,18 +464,18 @@ class TestCampaignScalePlumbing:
     @pytest.mark.parametrize("kind", ["campaign", "crawl"])
     def test_checkpointed_runs_refuse_a_memo(self, kind, tmp_path):
         """A checkpoint records no memo state, so a checkpointed run
-        refuses a memo before its first day: nothing is committed."""
-        from repro.checkpoint import Manifest
+        refuses a memo before it writes anything: no checkpoint is left
+        behind, and a memo-free retry on the same directory runs."""
         from repro.exec import ExecError
 
-        world = _world()
-        backend = _backend(world, True)
-        with pytest.raises(ExecError, match="burst memo"):
+        def run(memo: bool):
+            world = _world()
+            backend = _backend(world, memo)
             if kind == "campaign":
                 run_campaign(
                     world, backend,
                     CampaignConfig(n_checks=20, population_size=10, seed=11),
-                    checkpoint_dir=tmp_path,
+                    checkpoint_dir=ckpt,
                 )
             else:
                 plan = build_plan(
@@ -503,12 +484,17 @@ class TestCampaignScalePlumbing:
                 )
                 run_crawl(
                     world, backend, plan, CrawlConfig(days=2),
-                    checkpoint_dir=tmp_path,
+                    checkpoint_dir=ckpt,
                 )
-        manifest = Manifest.load(tmp_path / Manifest.FILENAME)
-        assert manifest.records == []
-        assert not list(tmp_path.glob("seg-*")) + list(tmp_path.glob("state-*"))
-        assert len(backend.store) == 0
+            return backend
+
+        ckpt = tmp_path / "ckpt"
+        with pytest.raises(ExecError, match="burst memo"):
+            run(True)
+        assert not ckpt.exists()
+        backend = run(False)
+        assert len(backend.store) > 0
+        assert list(ckpt.glob("seg-*"))
 
 
 # ----------------------------------------------------------------------

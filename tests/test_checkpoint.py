@@ -324,12 +324,14 @@ class TestRunCheckpoint:
     def open_fresh(self, tmp_path: Path, **kwargs) -> RunCheckpoint:
         fp = run_fingerprint("campaign", WORLD_CONFIG, CAMPAIGN_CONFIG)
         return RunCheckpoint.open(
-            tmp_path / "ckpt", kind="campaign", fingerprint=fp, **kwargs
+            tmp_path / "ckpt", kind="campaign", fingerprint=fp,
+            backend=fresh_pair()[1], **kwargs
         )
 
     def test_unknown_kind_rejected(self, tmp_path: Path):
         with pytest.raises(CheckpointError, match="unknown checkpoint kind"):
-            RunCheckpoint.open(tmp_path / "c", kind="nope", fingerprint={})
+            RunCheckpoint.open(tmp_path / "c", kind="nope", fingerprint={},
+                               backend=fresh_pair()[1])
         # Defense in depth: direct construction around ``open`` hits the
         # same wall (e.g. a hand-loaded manifest of a foreign kind).
         foreign = Manifest.create(
@@ -358,7 +360,7 @@ class TestRunCheckpoint:
         with pytest.raises(CheckpointMismatchError):
             RunCheckpoint.open(
                 tmp_path / "ckpt", kind="campaign", fingerprint=other,
-                resume=True,
+                backend=fresh_pair()[1], resume=True,
             )
 
     def test_commit_verify_fold_keeps_every_state_file(self, tmp_path: Path):

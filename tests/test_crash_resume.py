@@ -46,8 +46,8 @@ CRAWL = {"days": 3, "start_day": 3}
 #: executor cells; resumes rotate through this list so every killed
 #: cell is resumed by a *different* one.
 CELLS = (
-    {"workers": 1, "mode": "local"},
-    {"workers": 2, "mode": "process"},
+    {"workers": 1},
+    {"workers": 2},
 )
 
 
@@ -142,27 +142,27 @@ class TestMultiWorkerKillInterplay:
         # Kill mid-day at width 2; resume at width 4.
         run_until_killed(_spec(
             tmp_path, "wide", campaign=GRID_CAMPAIGN,
-            workers=2, mode="process",
+            workers=2,
             kill={"point": "mid-day", "count": 4},
         ))
         resumed = run_to_completion(_spec(
             tmp_path, "wide", campaign=GRID_CAMPAIGN,
-            workers=4, mode="process", resume=True,
+            workers=4, resume=True,
         ))
         _identical(
-            reference, resumed, "kill workers=2/process, resume workers=4/process"
+            reference, resumed, "kill workers=2, resume workers=4"
         )
 
         # Kill mid-flush at width 4; resume inline (no workers at all).
         run_until_killed(_spec(
             tmp_path, "inline", campaign=GRID_CAMPAIGN,
-            workers=4, mode="process",
+            workers=4,
             kill={"point": "segment-flush", "count": 3},
         ))
         resumed = run_to_completion(_spec(
             tmp_path, "inline", campaign=GRID_CAMPAIGN, resume=True,
         ))
-        _identical(reference, resumed, "kill workers=4/process, resume inline")
+        _identical(reference, resumed, "kill workers=4, resume inline")
 
 
 @pytest.mark.slow
@@ -221,7 +221,7 @@ class TestLargeCampaignResume:
             spec("day", kill={"point": "manifest-mid-write", "count": 2})
         )
         resumed_day = run_to_completion(
-            spec("day", resume=True, workers=2, mode="process"),
+            spec("day", resume=True, workers=2),
             timeout=3600,
         )
         _identical(reference, resumed_day, "day-boundary kill")
@@ -229,7 +229,7 @@ class TestLargeCampaignResume:
         # Kill 2: mid-flush, while a segment file is being made durable.
         run_until_killed(
             spec("flush", kill={"point": "segment-flush", "count": 3},
-                 workers=2, mode="process")
+                 workers=2)
         )
         resumed_flush = run_to_completion(
             spec("flush", resume=True), timeout=3600

@@ -1,11 +1,11 @@
 """Sharded execution: partition stability and byte-identical merges.
 
 The executor contract (``docs/ARCHITECTURE.md``): a crawl or campaign
-executed across N worker shards serializes to exactly the bytes of the
-sequential run, for any N, in-process or across processes.  These tests
-assert the contract end to end -- dataset serialization compared as
-strings -- plus the pieces it rests on: retailer-owned, order-preserving
-cost-aware partitions, and store-state equivalence.
+executed across N worker processes serializes to exactly the bytes of
+the inline run, for any N.  These tests assert the contract end to end
+-- dataset serialization compared as strings -- plus the pieces it rests
+on: retailer-owned, order-preserving cost-aware partitions, and
+store-state equivalence.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.exec import (
     CostAwarePlanner,
     ExecConfig,
     ExecError,
-    LocalExecutor,
     ProcessExecutor,
 )
 from repro.io import report_to_dict
@@ -72,8 +71,10 @@ def _crawl_blob(exec_config, *, loss_rate=0.0, memo=False) -> tuple[str, tuple]:
     return blob, signature
 
 
-def _campaign_blob(exec_config) -> str:
-    world = build_world(WorldConfig(catalog_scale=0.15, long_tail_domains=10))
+def _campaign_blob(exec_config, *, loss_rate=0.0) -> str:
+    world = build_world(WorldConfig(
+        catalog_scale=0.15, long_tail_domains=10, loss_rate=loss_rate
+    ))
     backend = SheriffBackend(world.network, world.vantage_points, world.rates)
     dataset = run_campaign(
         world,
@@ -176,28 +177,25 @@ class TestCostAwarePlanner:
 class TestExecConfig:
     def test_defaults_are_sequential(self):
         config = ExecConfig()
-        assert config.workers == 1 and config.mode == "local"
+        assert config.workers == 1
         assert config.create(_tiny_world()) is None
 
-    def test_local_workers_create_local_executor(self):
-        executor = ExecConfig(workers=3).create(_tiny_world())
-        assert isinstance(executor, LocalExecutor)
-        assert executor.plan.workers == 3
-
-    def test_process_mode_creates_process_executor(self):
-        executor = ExecConfig(workers=2, mode="process").create(_tiny_world())
+    def test_workers_above_one_create_a_process_executor(self):
+        """``workers`` is the only setting: N > 1 is N worker processes
+        under the default restart budget."""
+        executor = ExecConfig(workers=2).create(_tiny_world())
         try:
             assert isinstance(executor, ProcessExecutor)
+            assert executor.plan.workers == 2
+            assert executor.max_restarts == 3
         finally:
             executor.close()
 
     def test_validation(self):
-        # No automatic choice: the caller names a worker count >= 1 and
-        # one of the two modes.
-        for bad in ({"workers": -1}, {"workers": 0}, {"mode": "threads"},
-                    {"mode": "auto"}):
+        # No automatic choice: the caller names a worker count >= 1.
+        for bad in (-1, 0):
             with pytest.raises(ValueError):
-                ExecConfig(**bad)
+                ExecConfig(workers=bad)
 
 
 # ----------------------------------------------------------------------
@@ -205,40 +203,36 @@ class TestExecConfig:
 # ----------------------------------------------------------------------
 @slow
 class TestCrawlByteIdentity:
-    def test_local_workers_1_2_4_identical(self):
-        """The acceptance criterion: same-seed crawls at workers 1/2/4
-        serialize to identical bytes (and identical archived stores)."""
+    def test_process_workers_identical(self):
+        """The acceptance criterion: same-seed crawls at 2 and 4 worker
+        processes serialize to the inline run's bytes (and identical
+        archived stores)."""
         base_blob, base_store = _crawl_blob(None)
-        for workers in (1, 2, 4):
+        for workers in (2, 4):
             blob, store = _crawl_blob(ExecConfig(workers=workers))
             assert blob == base_blob, f"workers={workers} diverged"
             assert store == base_store, f"workers={workers} store diverged"
 
-    def test_process_workers_identical(self):
-        base_blob, base_store = _crawl_blob(None)
-        blob, store = _crawl_blob(ExecConfig(workers=2, mode="process"))
-        assert blob == base_blob
-        assert store == base_store
-
     def test_identity_survives_packet_loss(self):
         """Loss draws are per-request, so retries/failures land on the
-        same fetches in every execution mode."""
-        base_blob, _ = _crawl_blob(None, loss_rate=0.10)
-        blob, _ = _crawl_blob(ExecConfig(workers=3), loss_rate=0.10)
-        assert blob == base_blob
+        same fetches at every worker count."""
+        base_blob, base_store = _crawl_blob(None, loss_rate=0.10)
+        for workers in (2, 4):
+            blob, store = _crawl_blob(
+                ExecConfig(workers=workers), loss_rate=0.10
+            )
+            assert blob == base_blob, f"workers={workers} diverged"
+            assert store == base_store, f"workers={workers} store diverged"
 
     def test_planner_memo_executor_grid_identical(self):
-        """The executor acceptance grid: executor x workers, every sharded
-        cell partitioned by the cost planner and run without a memo, all
-        serialize to the bytes of the inline run with the memo."""
+        """Memo x workers: the memo-free inline run and the memo-free
+        2-worker run, partitioned by the cost planner, serialize to the
+        bytes of the inline run with the memo."""
         base_blob, base_store = _crawl_blob(None, memo=True)
-        for mode in ("local", "process"):
-            for workers in (1, 2, 4):
-                config = ExecConfig(workers=workers, mode=mode)
-                blob, store = _crawl_blob(config)
-                label = f"{mode}x{workers}"
-                assert blob == base_blob, f"{label} diverged"
-                assert store == base_store, f"{label} store diverged"
+        for workers in (1, 2):
+            blob, store = _crawl_blob(ExecConfig(workers=workers))
+            assert blob == base_blob, f"workers={workers} diverged"
+            assert store == base_store, f"workers={workers} store diverged"
 
 
 # ----------------------------------------------------------------------
@@ -246,14 +240,16 @@ class TestCrawlByteIdentity:
 # ----------------------------------------------------------------------
 @slow
 class TestCampaignByteIdentity:
-    def test_local_workers_identical(self):
+    def test_process_workers_identical(self):
         base = _campaign_blob(None)
         for workers in (2, 4):
             assert _campaign_blob(ExecConfig(workers=workers)) == base
 
-    def test_process_workers_identical(self):
-        base = _campaign_blob(None)
-        assert _campaign_blob(ExecConfig(workers=2, mode="process")) == base
+    def test_identity_survives_packet_loss(self):
+        base = _campaign_blob(None, loss_rate=0.10)
+        for workers in (2, 4):
+            blob = _campaign_blob(ExecConfig(workers=workers), loss_rate=0.10)
+            assert blob == base, f"workers={workers} diverged"
 
 
 # ----------------------------------------------------------------------
@@ -268,10 +264,11 @@ class TestExecutorSeams:
         plan = build_plan(
             world, domains=world.crawled_domains[:5], products_per_retailer=4
         )
-        executor = LocalExecutor(2)
-        dataset = run_crawl(
-            world, backend, plan, CrawlConfig(days=2), executor=executor
-        )
+        with ProcessExecutor(world, 2) as executor:
+            dataset = run_crawl(
+                world, backend, plan, CrawlConfig(days=2), executor=executor
+            )
+            assert executor.boundary_stats()["batches"] == 2
         blob = json.dumps(
             [report_to_dict(r) for r in dataset.reports], sort_keys=True
         )
@@ -283,12 +280,13 @@ class TestExecutorSeams:
         plan = build_plan(
             world, domains=world.crawled_domains[:1], products_per_retailer=2
         )
-        with pytest.raises(ValueError):
-            run_crawl(
-                world, backend, plan, CrawlConfig(days=1),
-                exec_config=ExecConfig(workers=2),
-                executor=LocalExecutor(2),
-            )
+        with ProcessExecutor(world, 2) as executor:
+            with pytest.raises(ValueError):
+                run_crawl(
+                    world, backend, plan, CrawlConfig(days=1),
+                    exec_config=ExecConfig(workers=2),
+                    executor=executor,
+                )
 
     def test_start_times_must_match_requests(self):
         world = _tiny_world()

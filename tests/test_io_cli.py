@@ -171,14 +171,36 @@ class TestCli:
         refuses one): the scenario's invariants hold, and the memo line
         is left out."""
         code = cli.main([
-            "crawl", "--scenario", "page-noise",
-            "--exec-mode", "process", "--workers", "2",
+            "crawl", "--scenario", "page-noise", "--workers", "2",
         ])
         out = capsys.readouterr().out
         assert code == 0, out
         assert "[processx2/live]" in out
         assert "INVARIANT VIOLATED" not in out
         assert "memo:" not in out
+
+    @pytest.mark.parametrize("faults", [[(0, 0, "mid-batch")], []],
+                             ids=["killed-worker", "quiet"])
+    def test_exec_summary_line(self, faults, capsys):
+        """``--workers 2`` runs worker processes: a worker SIGKILLed
+        mid-batch is respawned, the command still exits 0, and one exec
+        line reports the restart; a run without faults prints none."""
+        from repro.exec import install_fault_hook
+        from tests.crashkit import FaultPlan
+
+        FaultPlan(faults).install()
+        try:
+            code = cli.main(["crawl", "--scale", "tiny", "--workers", "2"])
+        finally:
+            install_fault_hook(None)
+        out = capsys.readouterr().out
+        assert code == 0, out
+        exec_lines = [line for line in out.splitlines() if "exec:" in line]
+        if faults:
+            assert len(exec_lines) == 1, out
+            assert "exec: 1 worker restart(s)" in exec_lines[0]
+        else:
+            assert exec_lines == []
 
 
 class TestCliErrorPaths:
@@ -253,7 +275,7 @@ class TestCliErrorPaths:
 
     @pytest.mark.parametrize("flags", [
         ["--workers", "-1"],
-        ["--workers", "2", "--max-worker-restarts", "-2"],
+        ["--workers", "0", "--resume"],
         ["--workers", "0"],
     ])
     def test_bad_executor_flags(self, flags, capsys):
@@ -270,11 +292,27 @@ class TestCliErrorPaths:
         args = cli.build_parser().parse_args([command])
         assert cli._exec_config(args).create(tiny_world) is None
 
-    def test_unknown_exec_mode_is_usage_error(self, capsys):
+    def test_workers_is_the_only_execution_flag(self, capsys):
+        """``--workers N`` is the one execution setting: the fan-out
+        commands accept exactly these flags, and any other is a usage
+        error."""
+        common = {"-h", "--help", "--scale", "--seed", "--workers"}
+        checkpoint = {"--checkpoint-dir", "--resume"}
+        expected = {
+            "campaign": common | checkpoint | {"--out"},
+            "crawl": common | checkpoint | {"--out", "--scenario"},
+            "report": common,
+            "serve": common | {"--host", "--port", "--data-dir"},
+        }
+        parser = cli.build_parser()
+        subparsers = parser._subparsers._group_actions[0].choices  # noqa: SLF001
+        for command, flags in expected.items():
+            accepted = set(subparsers[command]._option_string_actions)  # noqa: SLF001
+            assert accepted == flags, command
         with pytest.raises(SystemExit) as exc:
-            cli.main(["campaign", "--scale", "tiny", "--exec-mode", "auto"])
+            cli.main(["campaign", "--scale", "tiny", "--mode", "process"])
         assert exc.value.code == 2
-        assert "invalid choice: 'auto'" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_checkpoint_misuse_names_resume(self, tmp_path: Path, capsys):
         base = ["campaign", "--scale", "tiny",

@@ -11,8 +11,8 @@ Three layers of assertion:
   invariants hold: detection precision 1.0 / recall >= 0.9 against
   ground truth, byte identity memo-on vs memo-off (fast tier) and
   across the full execution grid -- inline memo cells and memo-free
-  executor cells (slow tier) --, expected memo demotions, and cleaning
-  conduct on corrupted pages.
+  inline and process cells (slow tier) --, expected memo demotions,
+  and cleaning conduct on corrupted pages.
 
 The matrix also proves its own teeth: turning the operator's daily
 re-anchoring off makes template churn win, and an aggressive cloaking
@@ -558,8 +558,8 @@ def test_corrupted_rounds_cannot_veto_clean_verdicts():
 @pytest.mark.parametrize("name", DEFAULT_SCENARIOS)
 def test_scenario_full_grid(name):
     """The acceptance grid: scenario × (the inline memo cell, memo-free
-    executor(local/process, N∈{1,2}) cells, a fully audited memo cell)
-    is byte-identical and holds every invariant."""
+    inline and 2-worker process cells, a fully audited memo cell) is
+    byte-identical and holds every invariant."""
     scenario = get_scenario(name)
     results = run_matrix(scenario, DEFAULT_GRID, seed=SEED)
     assert check_invariants(scenario, results) == []

@@ -413,6 +413,49 @@ class TestCampaignJobs:
         save_crowd_dataset(dataset, reference, seed=spec.seed)
         assert served_results == reference.read_bytes()
 
+    def test_job_under_process_workers_matches_inline(
+        self, served, tmp_path
+    ):
+        """``repro serve --workers 2``: the job thread forks its worker
+        processes from the threaded server, returns the inline service's
+        bytes, and leaves no child process behind."""
+        import multiprocessing
+
+        from repro.exec import ExecConfig
+
+        _, inline_client = served
+        status, body = inline_client.post("/campaigns", _JOB)
+        assert status == 202
+        job_id = json.loads(body)["id"]
+        assert inline_client.wait_done(job_id)["status"] == "done"
+        inline_results = inline_client.get(f"/jobs/{job_id}/results")[1]
+
+        service, server = build_app(ServeConfig(
+            port=0, data_dir=str(tmp_path / "data"),
+            exec_config=ExecConfig(workers=2),
+        ))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = Client(server.port)
+            status, body = client.post("/campaigns", _JOB)
+            assert status == 202
+            job_id = json.loads(body)["id"]
+            state = client.wait_done(job_id)
+            assert state["status"] == "done", state
+            assert state["fleet_health"]["restarts"] == 0
+            status, results = client.get(f"/jobs/{job_id}/results")
+            assert status == 200
+            job_thread = service._threads[job_id]
+            job_thread.join(timeout=60)
+            assert not job_thread.is_alive()
+        finally:
+            server.shutdown()
+            thread.join(timeout=10)
+            server.server_close()
+        assert results == inline_results
+        assert multiprocessing.active_children() == []
+
     def test_restarted_service_sees_finished_job(self, served):
         service, client = served
         status, body = client.post("/campaigns", _JOB)

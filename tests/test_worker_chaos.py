@@ -79,8 +79,9 @@ def _crawl_blob(dataset) -> str:
     )
 
 
-def _run_campaign(faults=None, *, workers=4, max_restarts=3):
-    """One campaign under a fault plan; returns (bytes, this run's fleet
+def _run_campaign(faults=None, *, workers=4):
+    """One campaign under a fault plan, on ``ExecConfig(workers)`` and so
+    the default restart budget of 3; returns (bytes, this run's fleet
     health)."""
     reset_fleet_health()
     world = _world()
@@ -92,10 +93,7 @@ def _run_campaign(faults=None, *, workers=4, max_restarts=3):
             world, backend,
             CampaignConfig(n_checks=60, population_size=30, seed=11,
                            start_day=0, end_day=4),
-            exec_config=ExecConfig(
-                workers=workers, mode="process",
-                max_worker_restarts=max_restarts,
-            ),
+            exec_config=ExecConfig(workers=workers),
         )
     finally:
         install_fault_hook(None)
@@ -181,6 +179,30 @@ class TestFleetHealthScope:
         # it does not divert).
         assert health["restarts"] == 1
 
+    def test_counters_reach_the_scope_before_close(self):
+        """A running job's status reads its scope: each batch's
+        supervision counters land there when the batch returns, not
+        only when the executor closes -- and close adds nothing twice."""
+        from repro.exec import FleetHealthScope
+
+        world = _world()
+        plan = build_plan(
+            world, domains=world.crawled_domains[:4],
+            products_per_retailer=2,
+        )
+        FaultPlan([(0, 0, "mid-batch")]).install()
+        with FleetHealthScope() as scope:
+            executor = ProcessExecutor(world, 2, restart_backoff_s=0.0)
+            try:
+                run_crawl(world, _backend(world), plan, CrawlConfig(days=1),
+                          executor=executor)
+                assert scope.snapshot()["restarts"] == 1
+                assert fleet_health()["restarts"] == 1
+            finally:
+                executor.close()
+        assert scope.snapshot()["restarts"] == 1
+        assert fleet_health()["restarts"] == 1
+
     def test_scope_ignores_other_threads(self):
         import threading
 
@@ -207,13 +229,13 @@ class TestQuarantine:
         checks run inline on the coordinator -- the run completes and
         the bytes still match fault-free."""
         reference, _ = _run_campaign()
-        # The plan re-kills the replacement at the re-dispatch, too:
-        # budget 1 means the second failure quarantines the shard.
+        # The plan re-kills each replacement at the re-dispatch, too:
+        # the default budget of 3 respawns, and the fourth failure
+        # quarantines the shard.
         with caplog.at_level(logging.WARNING, logger="repro.exec"):
-            chaotic, health = _run_campaign(
-                [(0, 0, "before-batch")] * 3, max_restarts=1,
-            )
+            chaotic, health = _run_campaign([(0, 0, "before-batch")] * 4)
         assert chaotic == reference
+        assert health["restarts"] == 3
         assert health["quarantined_shards"] == 1
         assert health["inline_checks"] > 0
         assert any(
@@ -222,13 +244,16 @@ class TestQuarantine:
         )
 
     def test_zero_budget_quarantines_on_first_failure(self):
-        reference, _ = _run_campaign()
-        chaotic, health = _run_campaign(
-            [(2, 0, "mid-batch")], max_restarts=0,
+        """A budget other than the default comes from an executor the
+        caller builds itself and hands to ``run_crawl``."""
+        reference, _ = _run_crawl(days=2)
+        chaotic, stats = _run_crawl(
+            [(1, 0, "mid-batch")], days=2,
+            executor_kwargs=dict(max_restarts=0),
         )
         assert chaotic == reference
-        assert health["restarts"] == 0
-        assert health["quarantined_shards"] == 1
+        assert stats["restarts"] == 0
+        assert stats["quarantined"] == [1]
 
 
 class TestHangDetection:
@@ -478,7 +503,7 @@ class TestCheckpointComposition:
         reference = run_to_completion(self._spec(tmp_path, "ref"))
         faulted = run_to_completion(self._spec(
             tmp_path, "faulted",
-            workers=2, mode="process",
+            workers=2,
             worker_faults=FaultPlan(
                 [(0, 1, "mid-batch"), (1, 3, "before-batch")]
             ).specs(),
@@ -496,13 +521,13 @@ class TestCheckpointComposition:
         reference = run_to_completion(self._spec(tmp_path, "ref"))
         run_until_killed(self._spec(
             tmp_path, "kill",
-            workers=2, mode="process",
+            workers=2,
             worker_faults=FaultPlan([(1, 2, "mid-batch")]).specs(),
             kill={"point": "worker-respawn", "count": 1},
         ))
         resumed = run_to_completion(self._spec(
             tmp_path, "kill",
-            workers=4, mode="process", resume=True,
+            workers=4, resume=True,
         ))
         assert resumed["out_sha256"] == reference["out_sha256"]
         assert resumed["archive_chain"] == reference["archive_chain"]
