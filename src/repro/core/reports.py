@@ -12,7 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-__all__ = ["VantageObservation", "PriceCheckReport"]
+__all__ = ["VantageObservation", "PriceCheckReport", "require_usd"]
+
+
+def require_usd(ok: bool, usd: Optional[float]) -> None:
+    """Raise ``ValueError`` unless a successful observation carries a
+    USD value that is not negative.
+
+    Every observation obeys this rule: a :class:`VantageObservation`
+    checks it on construction, and :mod:`repro.io` checks it when it
+    decodes a rows-layout file straight into a table's columns.
+    """
+    if ok and (usd is None or usd < 0):
+        raise ValueError("a successful observation needs a USD value")
 
 
 @dataclass(frozen=True)
@@ -31,8 +43,7 @@ class VantageObservation:
     error: str = ""
 
     def __post_init__(self) -> None:
-        if self.ok and (self.usd is None or self.usd < 0):
-            raise ValueError("a successful observation needs a USD value")
+        require_usd(self.ok, self.usd)
 
 
 @dataclass

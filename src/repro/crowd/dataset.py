@@ -118,24 +118,67 @@ class CrowdDataset:
 
     def add(self, record: CheckRecord) -> None:
         """Append one crowd check record."""
-        table = self._table
-        self._r_user_id.append(self._users.intern(record.user_id))
-        self._r_country_id.append(self._user_countries.intern(record.user_country))
-        self._r_day.append(record.day_index)
-        self._r_domain_id.append(table.domains.intern(record.domain))
-        self._r_url_id.append(table.urls.intern(record.url))
         outcome = record.outcome
-        self._o_url_id.append(table.urls.intern(outcome.url))
-        self._o_user_id.append(self._users.intern(outcome.user))
-        self._o_amount.append(outcome.user_amount)
-        self._o_currency_id.append(
-            NO_CURRENCY if outcome.user_currency is None
-            else table.currencies.intern(outcome.user_currency)
+        self._append_record(
+            record.user_id, record.user_country, record.day_index,
+            record.domain, record.url, outcome.url, outcome.user,
+            outcome.user_amount, outcome.user_currency, outcome.failure,
         )
-        self._o_failure_id.append(self._failures.intern(outcome.failure))
         self._report_row.append(
-            table.append(outcome.report) if outcome.report is not None else -1
+            -1 if outcome.report is None else self._table.append(outcome.report)
         )
+
+    def add_row(
+        self,
+        user_id: str,
+        user_country: str,
+        day_index: int,
+        domain: str,
+        url: str,
+        outcome_url: str,
+        outcome_user: str,
+        user_amount: Optional[float],
+        user_currency: Optional[str],
+        failure: str,
+        report: Optional[tuple],
+    ) -> None:
+        """Append one crowd check record given as primitives.
+
+        The arguments follow :class:`CheckRecord` and its
+        :class:`CheckOutcome`; ``report`` is the completed check's report
+        as :meth:`ReportTable.append_row` arguments, or ``None`` when the
+        flow never reached the backend.  :meth:`add` and the rows-layout
+        loader of :mod:`repro.io` write the same columns in the same
+        order, so both give the same pools and bytes.
+        """
+        self._append_record(
+            user_id, user_country, day_index, domain, url, outcome_url,
+            outcome_user, user_amount, user_currency, failure,
+        )
+        self._report_row.append(
+            -1 if report is None else self._table.append_row(*report)
+        )
+
+    def _append_record(
+        self, user_id, user_country, day_index, domain, url, outcome_url,
+        outcome_user, user_amount, user_currency, failure,
+    ) -> None:
+        # The record's strings are interned before its report's, so the
+        # shared url/domain/currency pools keep one order.
+        table = self._table
+        self._r_user_id.append(self._users.intern(user_id))
+        self._r_country_id.append(self._user_countries.intern(user_country))
+        self._r_day.append(day_index)
+        self._r_domain_id.append(table.domains.intern(domain))
+        self._r_url_id.append(table.urls.intern(url))
+        self._o_url_id.append(table.urls.intern(outcome_url))
+        self._o_user_id.append(self._users.intern(outcome_user))
+        self._o_amount.append(user_amount)
+        self._o_currency_id.append(
+            NO_CURRENCY if user_currency is None
+            else table.currencies.intern(user_currency)
+        )
+        self._o_failure_id.append(self._failures.intern(failure))
 
     def append_segment(self, other: "CrowdDataset") -> None:
         """Fold another dataset's rows onto this one, column by column.

@@ -9,13 +9,20 @@ line, ``{"format": "repro-reports", "version": 1, "kind":
 The saves write the **columnar** layout (``layout: "columnar"``), the
 :class:`~repro.store.ReportTable`'s own shape: one line of string pools,
 one line of report columns, one line of observation columns (crowd
-files add a fourth line of record columns).  Loading rebuilds the table
-directly, with no per-report dict round-trip.
+files add a fourth line of record columns).
 
 The loaders also read the older **rows** layout (``layout: "rows"``, or
 no ``layout`` at all): after the header, one serialized
 :class:`PriceCheckReport` per line (crawl), or one crowd check record
-wrapping a report.  Both layouts load to equal datasets (test-asserted).
+wrapping a report.  Both layouts load to equal datasets, column for
+column (test-asserted).
+
+Loading rebuilds the table directly in both layouts.  A rows file is
+read one line at a time, and each line's dict goes through one decoder
+(:func:`report_from_dict`'s rules) straight into the columns through
+:meth:`ReportTable.append_row` -- no report, observation or record
+object is built, and no list of parsed lines is kept.  The first fault
+in file order is the one reported.
 
 Readers validate the header and fail loudly on version mismatch -- silent
 misreads of measurement data are worse than crashes.
@@ -27,15 +34,14 @@ handed.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
-from repro.core.extension import CheckOutcome
-from repro.core.reports import PriceCheckReport, VantageObservation
+from repro.core.reports import PriceCheckReport, VantageObservation, require_usd
 from repro.crawler.records import CrawlDataset
-from repro.crowd.dataset import CheckRecord, CrowdDataset
+from repro.crowd.dataset import CrowdDataset
 from repro.store import ReportTable
-from repro.store.table import NO_CURRENCY
 
 __all__ = [
     "DatasetFormatError",
@@ -76,24 +82,6 @@ def _observation_to_dict(obs: VantageObservation) -> dict:
     }
 
 
-def _observation_from_dict(data: dict) -> VantageObservation:
-    try:
-        return VantageObservation(
-            vantage=data["vantage"],
-            country_code=data["country"],
-            city=data.get("city", ""),
-            ok=bool(data["ok"]),
-            raw_text=data.get("raw", ""),
-            amount=data.get("amount"),
-            currency=data.get("currency"),
-            usd=data.get("usd"),
-            method=data.get("method", ""),
-            error=data.get("error", ""),
-        )
-    except KeyError as exc:
-        raise DatasetFormatError(f"observation missing field {exc}") from exc
-
-
 def report_to_dict(report: PriceCheckReport) -> dict:
     """Serialize one report to a JSON-compatible dict."""
     return {
@@ -110,23 +98,80 @@ def report_to_dict(report: PriceCheckReport) -> dict:
     }
 
 
-def report_from_dict(data: dict) -> PriceCheckReport:
-    """Deserialize one report; raises :class:`DatasetFormatError`."""
+def _decode_observation(data: dict) -> tuple:
+    """One observation dict as an :meth:`ReportTable.append_row`
+    observation tuple, with the dataclass's defaults and USD rule."""
     try:
-        return PriceCheckReport(
-            check_id=data["check_id"],
-            url=data["url"],
-            domain=data["domain"],
-            day_index=int(data["day"]),
-            timestamp=float(data["ts"]),
-            observations=[
-                _observation_from_dict(obs) for obs in data["observations"]
-            ],
-            guard_threshold=float(data.get("guard", 1.0)),
-            origin=data.get("origin", "crawler"),
+        values = (
+            data["vantage"], data["country"], data.get("city", ""),
+            bool(data["ok"]), data.get("raw", ""), data.get("amount"),
+            data.get("currency"), data.get("usd"), data.get("method", ""),
+            data.get("error", ""),
+        )
+    except KeyError as exc:
+        raise DatasetFormatError(f"observation missing field {exc}") from exc
+    require_usd(values[3], values[7])
+    return values
+
+
+def _decode_report(data: dict, sink: Callable):
+    """Decode one report dict and hand its values to ``sink``.
+
+    The one decoder of the rows layout: it applies the field rules,
+    defaults and checks, then calls ``sink`` with
+    :meth:`ReportTable.append_row`'s arguments -- the column writer
+    itself, or a builder of the dataclasses (:func:`report_from_dict`).
+    Any failure, the sink's included (a list where a pooled string
+    belongs), raises :class:`DatasetFormatError`.
+    """
+    try:
+        return sink(
+            data["check_id"], data["url"], data["domain"], int(data["day"]),
+            float(data["ts"]),
+            [_decode_observation(obs) for obs in data["observations"]],
+            float(data.get("guard", 1.0)), data.get("origin", "crawler"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"bad report record: {exc}") from exc
+
+
+def _build_report(
+    check_id, url, domain, day_index, timestamp, observations,
+    guard_threshold, origin,
+) -> PriceCheckReport:
+    return PriceCheckReport(
+        check_id=check_id, url=url, domain=domain, day_index=day_index,
+        timestamp=timestamp,
+        observations=[VantageObservation(*obs) for obs in observations],
+        guard_threshold=guard_threshold, origin=origin,
+    )
+
+
+def _row_args(*values) -> tuple:
+    return values
+
+
+def report_from_dict(data: dict) -> PriceCheckReport:
+    """Deserialize one report; raises :class:`DatasetFormatError`."""
+    return _decode_report(data, _build_report)
+
+
+def _decode_crowd_record(data: dict, add_row: Callable) -> None:
+    """Decode one rows-layout crowd record into ``add_row``
+    (:meth:`CrowdDataset.add_row`); raises :class:`DatasetFormatError`."""
+    try:
+        url, user = data["url"], data["user"]
+        report = data.get("report")
+        report = _decode_report(report, _row_args) if report else None
+        user_amount = data.get("user_amount")
+        user_currency = data.get("user_currency")
+        failure = data.get("failure", "")
+        add_row(
+            user, data["country"], int(data["day"]), data["domain"], url,
+            url, user, user_amount, user_currency, failure, report,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"bad crowd record: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -155,25 +200,30 @@ def _read_header(path: Path, first: str) -> dict:
     return header
 
 
-def _read_lines(
-    path: Union[str, Path], expected_kind: Optional[str]
-) -> tuple[dict, list[dict]]:
+@contextmanager
+def _open_dataset(path: Union[str, Path], expected_kind: str):
+    """``(header, lines)`` of a dataset file of ``expected_kind``:
+    ``lines`` parses the lines after the header one at a time."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         header = _read_header(path, fh.readline())
-        if expected_kind is not None and header.get("kind") != expected_kind:
+        if header.get("kind") != expected_kind:
             raise DatasetFormatError(
                 f"{path}: kind {header.get('kind')!r}, expected {expected_kind!r}"
             )
-        rows = []
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"{path}:{line_no}: {exc}") from exc
-    return header, rows
+        yield header, _parse_lines(path, fh)
+
+
+def _parse_lines(path: Path, fh) -> Iterator:
+    loads = json.loads
+    for line_no, line in enumerate(fh, start=2):
+        if not line.strip():
+            continue
+        try:
+            row = loads(line)
+        except json.JSONDecodeError as exc:
+            raise DatasetFormatError(f"{path}:{line_no}: {exc}") from exc
+        yield row
 
 
 def _check_declared_count(
@@ -219,7 +269,7 @@ def load_dataset(
 # Columnar layout plumbing
 # ----------------------------------------------------------------------
 def _columnar_sections(
-    path: Union[str, Path], rows: list[dict], names: tuple[str, ...]
+    path: Union[str, Path], rows: list, names: tuple[str, ...]
 ) -> list[dict]:
     if len(rows) != len(names):
         raise DatasetFormatError(
@@ -266,18 +316,19 @@ def save_crawl_dataset(
 
 
 def load_crawl_dataset(path: Union[str, Path]) -> CrawlDataset:
-    """Read a crawl dataset written by :func:`save_crawl_dataset`."""
-    header, rows = _read_lines(path, "crawl")
-    if header.get("layout") == LAYOUT_COLUMNAR:
-        sections = _columnar_sections(
-            path, rows, ("pools", "reports", "observations")
-        )
-        dataset = CrawlDataset(table=_table_from_sections(path, sections))
-        _check_declared_count(path, header, "reports", len(dataset))
-        return dataset
-    dataset = CrawlDataset()
-    for row in rows:
-        dataset.add(report_from_dict(row))
+    """Read a crawl dataset: the columnar layout :func:`save_crawl_dataset`
+    writes, or the rows layout."""
+    with _open_dataset(path, "crawl") as (header, lines):
+        if header.get("layout") == LAYOUT_COLUMNAR:
+            sections = _columnar_sections(
+                path, list(lines), ("pools", "reports", "observations")
+            )
+            dataset = CrawlDataset(table=_table_from_sections(path, sections))
+        else:
+            dataset = CrawlDataset()
+            append_row = dataset.table.append_row
+            for row in lines:
+                _decode_report(row, append_row)
     _check_declared_count(path, header, "reports", len(dataset))
     return dataset
 
@@ -309,43 +360,21 @@ def save_crowd_dataset(
 
 
 def load_crowd_dataset(path: Union[str, Path]) -> CrowdDataset:
-    """Read a crowd dataset written by :func:`save_crowd_dataset`."""
-    header, rows = _read_lines(path, "crowd")
-    if header.get("layout") == LAYOUT_COLUMNAR:
-        sections = _columnar_sections(
-            path, rows, ("pools", "reports", "observations", "records")
-        )
-        table = _table_from_sections(path, sections[:3])
-        try:
-            dataset = CrowdDataset.from_columns(table, sections[0], sections[3])
-        except ValueError as exc:
-            raise DatasetFormatError(f"{path}: {exc}") from exc
-        _check_declared_count(path, header, "records", len(dataset))
-        return dataset
-    dataset = CrowdDataset()
-    for row in rows:
-        try:
-            outcome = CheckOutcome(
-                url=row["url"],
-                user=row["user"],
-                report=(
-                    report_from_dict(row["report"]) if row.get("report") else None
-                ),
-                user_amount=row.get("user_amount"),
-                user_currency=row.get("user_currency"),
-                failure=row.get("failure", ""),
+    """Read a crowd dataset: the columnar layout :func:`save_crowd_dataset`
+    writes, or the rows layout."""
+    with _open_dataset(path, "crowd") as (header, lines):
+        if header.get("layout") == LAYOUT_COLUMNAR:
+            sections = _columnar_sections(
+                path, list(lines), ("pools", "reports", "observations", "records")
             )
-            dataset.add(
-                CheckRecord(
-                    user_id=row["user"],
-                    user_country=row["country"],
-                    day_index=int(row["day"]),
-                    domain=row["domain"],
-                    url=row["url"],
-                    outcome=outcome,
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetFormatError(f"bad crowd record: {exc}") from exc
+            table = _table_from_sections(path, sections[:3])
+            try:
+                dataset = CrowdDataset.from_columns(table, sections[0], sections[3])
+            except ValueError as exc:
+                raise DatasetFormatError(f"{path}: {exc}") from exc
+        else:
+            dataset = CrowdDataset()
+            for row in lines:
+                _decode_crowd_record(row, dataset.add_row)
     _check_declared_count(path, header, "records", len(dataset))
     return dataset

@@ -166,34 +166,72 @@ class ReportTable:
         through :meth:`report` -- so the shard merge can stream reports
         straight into the table without keeping an intermediate list.
         """
-        i = len(self.check_id)
-        self.check_id.append(report.check_id)
-        self.url_id.append(self.urls.intern(report.url))
-        self.domain_id.append(self.domains.intern(report.domain))
-        self.day_index.append(report.day_index)
-        self.timestamp.append(report.timestamp)
-        self.guard.append(report.guard_threshold)
-        self.origin_id.append(self.origins.intern(report.origin))
+        return self.append_row(
+            report.check_id, report.url, report.domain, report.day_index,
+            report.timestamp,
+            [
+                (obs.vantage, obs.country_code, obs.city, obs.ok,
+                 obs.raw_text, obs.amount, obs.currency, obs.usd, obs.method,
+                 obs.error)
+                for obs in report.observations
+            ],
+            report.guard_threshold, report.origin,
+        )
 
+    def append_row(
+        self,
+        check_id: str,
+        url: str,
+        domain: str,
+        day_index: int,
+        timestamp: float,
+        observations: Sequence[tuple],
+        guard_threshold: float,
+        origin: str,
+    ) -> int:
+        """Append one report given as primitives; returns its row index.
+
+        The arguments follow :class:`PriceCheckReport`'s fields;
+        ``observations`` holds one tuple per observation in
+        :class:`VantageObservation` field order (``vantage, country_code,
+        city, ok, raw_text, amount, currency, usd, method, error``).  This
+        is the table's one column writer: :meth:`append` and the
+        rows-layout loaders of :mod:`repro.io` both end here.  Values are
+        stored as given -- the dataclasses and the io decoder check them
+        first -- and a value no pool can intern raises ``TypeError``
+        part-way through the row.
+        """
+        i = len(self.check_id)
+        self.check_id.append(check_id)
+        self.url_id.append(self.urls.intern(url))
+        self.domain_id.append(self.domains.intern(domain))
+        self.day_index.append(day_index)
+        self.timestamp.append(timestamp)
+        self.guard.append(guard_threshold)
+        self.origin_id.append(self.origins.intern(origin))
+
+        vantage_id, country_id = self.vantages.intern, self.countries.intern
+        city_id, raw_id = self.cities.intern, self.raw_texts.intern
+        currency_id, method_id = self.currencies.intern, self.methods.intern
+        error_id = self.errors.intern
         n_valid = 0
         lo: Optional[float] = None
         hi: Optional[float] = None
-        for obs in report.observations:
-            self.o_vantage_id.append(self.vantages.intern(obs.vantage))
-            self.o_country_id.append(self.countries.intern(obs.country_code))
-            self.o_city_id.append(self.cities.intern(obs.city))
-            self.o_ok.append(obs.ok)
-            self.o_raw_id.append(self.raw_texts.intern(obs.raw_text))
-            self.o_amount.append(obs.amount)
+        for (vantage, country, city, ok, raw, amount, currency, usd, method,
+             error) in observations:
+            self.o_vantage_id.append(vantage_id(vantage))
+            self.o_country_id.append(country_id(country))
+            self.o_city_id.append(city_id(city))
+            self.o_ok.append(ok)
+            self.o_raw_id.append(raw_id(raw))
+            self.o_amount.append(amount)
             self.o_currency_id.append(
-                NO_CURRENCY if obs.currency is None
-                else self.currencies.intern(obs.currency)
+                NO_CURRENCY if currency is None else currency_id(currency)
             )
-            usd = obs.usd
             self.o_usd.append(usd)
-            self.o_method_id.append(self.methods.intern(obs.method))
-            self.o_error_id.append(self.errors.intern(obs.error))
-            if obs.ok and usd is not None:
+            self.o_method_id.append(method_id(method))
+            self.o_error_id.append(error_id(error))
+            if ok and usd is not None:
                 n_valid += 1
                 if lo is None or usd < lo:
                     lo = usd

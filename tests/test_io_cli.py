@@ -266,6 +266,54 @@ class TestCliErrorPaths:
             assert err.startswith("error: cannot analyze dataset")
             assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("level,field", [
+        *[("report", field) for field in ("url", "domain", "origin")],
+        *[("observation", field) for field in (
+            "vantage", "country", "city", "raw", "currency", "method", "error",
+        )],
+    ])
+    @pytest.mark.parametrize("value", [["x"], {}], ids=["list", "object"])
+    def test_analyze_rejects_unhashable_pooled_field(
+        self, level, field, value, tmp_path: Path, capsys
+    ):
+        """A JSON list or object where a pooled string belongs is a format
+        error of the rows layout, not a crash."""
+        row = dataset_io.report_to_dict(make_report())
+        (row if level == "report" else row["observations"][0])[field] = value
+        header = {"format": "repro-reports", "version": 1, "kind": "crawl",
+                  "layout": "rows", "reports": 1}
+        path = tmp_path / "rows.jsonl"
+        path.write_text(json.dumps(header) + "\n" + json.dumps(row) + "\n",
+                        encoding="utf-8")
+        code = cli.main(["analyze", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: not a repro dataset")
+        assert "bad report record: unhashable type" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_analyze_rejects_unhashable_field_in_crowd_rows(
+        self, tmp_path: Path, capsys
+    ):
+        report = dataset_io.report_to_dict(make_report())
+        report["observations"][0]["vantage"] = ["x"]
+        record = {"user": "u0001", "country": "FI", "day": 3,
+                  "domain": "d.example", "url": report["url"],
+                  "user_amount": None, "user_currency": None, "failure": "",
+                  "report": report}
+        header = {"format": "repro-reports", "version": 1, "kind": "crowd",
+                  "layout": "rows", "records": 1}
+        path = tmp_path / "crowd-rows.jsonl"
+        path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n",
+                        encoding="utf-8")
+        code = cli.main(["analyze", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "bad crowd record: unhashable type" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_resume_without_checkpoint_dir(self, capsys):
         for command in ("campaign", "crawl"):
             code = cli.main([command, "--scale", "tiny", "--resume"])
