@@ -110,9 +110,12 @@ perfbench-smoke:
 
 # Serving smoke: boot the real service, run a scripted request session
 # (check, campaign job to completion, results download, health), then
-# SIGTERM it and assert a clean exit (benchmarks/serve_smoke.py).
+# SIGTERM it and assert a clean exit (benchmarks/serve_smoke.py).  The
+# second run repeats the session with the job on a 2-worker pool and
+# demands a quiet fleet_health and the inline session's result bytes.
 serve-smoke:
-	$(PYTHON) benchmarks/serve_smoke.py
+	$(PYTHON) benchmarks/serve_smoke.py --workers 1
+	$(PYTHON) benchmarks/serve_smoke.py --workers 2
 
 # Run every example (docs/EXAMPLES.md shows expected output); the crawl
 # runs twice, inline and across 2 worker processes.  CI runs this on push.

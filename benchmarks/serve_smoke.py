@@ -4,11 +4,18 @@ Spawns the real CLI (``python -m repro.cli serve --port 0``), reads the
 bound port off its stdout, drives one of everything -- health probe,
 on-demand check, campaign job submitted and polled to completion,
 results download -- then SIGTERMs the process and demands exit code 0.
-``make serve-smoke`` runs this in the push tier of CI.
+
+``--workers N`` (default 1) runs the session's job on a pool of N
+worker processes.  With N > 1 the script first runs the same session
+inline, then the pooled one, and demands the pooled job's
+``fleet_health`` carry the five supervision keys with no restart and
+its results equal the inline session's, byte for byte.
+``make serve-smoke`` runs it at 1 and at 2 in the push tier of CI.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
 import signal
@@ -21,6 +28,8 @@ from pathlib import Path
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 _LISTENING = re.compile(r"listening on http://[0-9.]+:(\d+)")
+_FLEET_KEYS = {"restarts", "hang_kills", "quarantined_shards",
+               "inline_checks", "recovery_ms"}
 
 
 def _await_port(proc: subprocess.Popen, timeout: float = 60.0) -> int:
@@ -36,11 +45,19 @@ def _await_port(proc: subprocess.Popen, timeout: float = 60.0) -> int:
     raise AssertionError("service never printed its port")
 
 
-def main() -> int:
-    data_dir = tempfile.mkdtemp(prefix="serve-smoke-")
+def session(workers: int) -> tuple[dict, bytes]:
+    """One service session at ``--workers``; (final job status, results).
+
+    The service's data dir is a temporary directory, removed afterwards.
+    """
+    with tempfile.TemporaryDirectory(prefix="serve-smoke-") as data_dir:
+        return _session(workers, data_dir)
+
+
+def _session(workers: int, data_dir: str) -> tuple[dict, bytes]:
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve",
-         "--port", "0", "--data-dir", data_dir],
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+         "--data-dir", data_dir, "--workers", str(workers)],
         env={"PYTHONPATH": str(_SRC), "PATH": "/usr/bin:/bin"},
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
@@ -76,7 +93,7 @@ def main() -> int:
         ) as resp:
             results = resp.read()
         assert results.startswith(b'{"format":'), results[:40]
-        print(f"session ok: check + job {job['id']} "
+        print(f"session ok (--workers {workers}): check + job {job['id']} "
               f"({state['checks']['done']} checks, "
               f"{len(results)} result bytes)")
     except BaseException:
@@ -90,6 +107,23 @@ def main() -> int:
     assert code == 0, f"service exited {code}, not 0"
     assert "sheriff service stopped" in tail, "shutdown message missing"
     print("clean shutdown: exit 0")
+    return state, results
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workers", type=int, default=1, metavar="N")
+    workers = parser.parse_args(argv).workers
+    _, inline = session(1)
+    if workers == 1:
+        return 0
+    state, results = session(workers)
+    health = state["fleet_health"]
+    assert set(health) == _FLEET_KEYS, health
+    assert health["restarts"] == 0, health
+    assert results == inline, "pooled job's results differ from inline"
+    print(f"--workers {workers}: fleet_health {health}; "
+          f"results equal the inline session's")
     return 0
 
 

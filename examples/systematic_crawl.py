@@ -8,9 +8,10 @@ premia, and the Finland profile.
 Run:  python examples/systematic_crawl.py [workers]
 
 The optional argument shards each crawl day across that many worker
-processes (the sharded execution engine, ``repro.exec``); the printed
-figures are identical at any worker count because the dataset is
-byte-identical.
+processes (the sharded execution engine, ``repro.exec``): the script
+builds one pool, hands it to the crawl and closes it afterwards.  The
+printed figures are identical at any worker count because the dataset
+is byte-identical.
 """
 
 from __future__ import annotations
@@ -42,8 +43,13 @@ def main() -> None:
         f"crawling {len(plan)} retailers x {plan.total_product_urls // len(plan)} "
         f"products x 3 days x 14 vantage points{sharding} ..."
     )
-    crawl = run_crawl(world, backend, plan, CrawlConfig(days=3),
-                      exec_config=ExecConfig(workers=workers))
+    executor = ExecConfig(workers=workers).create(world)  # None: inline
+    try:
+        crawl = run_crawl(world, backend, plan, CrawlConfig(days=3),
+                          executor=executor)
+    finally:
+        if executor is not None:
+            executor.close()
     print(f"-> {crawl.n_extracted_prices:,} extracted prices\n")
 
     clean = clean_reports(crawl.reports, world.rates)

@@ -43,7 +43,7 @@ from repro.analysis import (
     variation_extent,
 )
 from repro.checkpoint import CheckpointError
-from repro.exec import ExecConfig, reset_fleet_health
+from repro.exec import ExecConfig
 from repro.experiments.context import SCALES, ExperimentContext
 from repro.fx.rates import RateService
 
@@ -157,17 +157,13 @@ def _exec_config(args: argparse.Namespace) -> ExecConfig:
         raise CliError(f"bad --workers: {exc}")
 
 
-def _print_fleet_health() -> None:
+def _print_exec_summary(health: dict) -> None:
     """One exec-summary line when supervision had to step in.
 
-    ``run_campaign``/``run_crawl`` close their executors internally, so
-    the numbers come from the process-wide accumulator every
-    :class:`~repro.exec.process.ProcessExecutor` folds into (zeroed at
-    command start).  Quiet runs print nothing.
+    ``health`` is the supervision counters of the command's one pool
+    (:meth:`~repro.exec.ProcessExecutor.supervision_stats`).  Quiet
+    runs, inline ones included, print nothing.
     """
-    from repro.exec.process import fleet_health
-
-    health = fleet_health()
     if not (health["restarts"] or health["quarantined_shards"]):
         return
     print(
@@ -191,12 +187,18 @@ def _checkpoint_args(args: argparse.Namespace) -> dict:
     return {"checkpoint_dir": checkpoint_dir, "resume": resume}
 
 
-def _build_dataset(args: argparse.Namespace, dataset: str):
+def _context(args: argparse.Namespace) -> ExperimentContext:
+    """The command's experiment context, built as the flags ask; it owns
+    the command's one pool, so commands use it in a ``with`` block."""
+    return ExperimentContext(args.scale, seed=args.seed,
+                             exec_config=_exec_config(args),
+                             **_checkpoint_args(args))
+
+
+def _build_dataset(args: argparse.Namespace, ctx: ExperimentContext,
+                   dataset: str):
     """The context's ``dataset`` ("crowd" or "crawl") built as the flags
     ask; checkpoint misuse becomes one error line naming ``--resume``."""
-    ctx = ExperimentContext(args.scale, seed=args.seed,
-                            exec_config=_exec_config(args),
-                            **_checkpoint_args(args))
     try:
         return getattr(ctx, dataset)
     except CheckpointError as exc:
@@ -214,15 +216,15 @@ def _build_dataset(args: argparse.Namespace, dataset: str):
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    reset_fleet_health()
-    dataset = _build_dataset(args, "crowd")
+    with _context(args) as ctx:
+        dataset = _build_dataset(args, ctx, "crowd")
     summary = dataset.summary()
     print(
         f"campaign complete: {summary['requests']} checks / "
         f"{summary['users']} users / {summary['countries']} countries / "
         f"{summary['domains']} domains"
     )
-    _print_fleet_health()
+    _print_exec_summary(ctx.supervision_stats())
     flagged = domain_variation_counts(dataset.reports())
     for domain, count in flagged.most_common(10):
         print(f"  flagged {domain:40s} {count}")
@@ -239,10 +241,10 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
                 "--checkpoint-dir does not apply to scenario crawls"
             )
         return _cmd_crawl_scenario(args)
-    reset_fleet_health()
-    dataset = _build_dataset(args, "crawl")
+    with _context(args) as ctx:
+        dataset = _build_dataset(args, ctx, "crawl")
     print(f"crawl complete: {dataset.summary()}")
-    _print_fleet_health()
+    _print_exec_summary(ctx.supervision_stats())
     if args.out:
         reports = dataset_io.save_crawl_dataset(dataset, args.out, seed=args.seed)
         print(f"wrote {reports} reports to {args.out}")
@@ -265,7 +267,6 @@ def _cmd_crawl_scenario(args: argparse.Namespace) -> int:
             "(scenario worlds carry their own fixed size)",
             file=sys.stderr,
         )
-    reset_fleet_health()
     _exec_config(args)  # validate --workers like every command
     # The process executor refuses a burst memo, so a sharded cell runs
     # memo-free; an inline cell keeps the memo and its soundness checks.
@@ -284,7 +285,7 @@ def _cmd_crawl_scenario(args: argparse.Namespace) -> int:
             f"  memo: {stats['hits']} hits / {stats['misses']} misses; "
             f"live-only: {sorted(result.live_only) or 'none'}"
         )
-    _print_fleet_health()
+    _print_exec_summary(result.fleet_health)
     problems = check_invariants(scenario, [result])
     for line in problems:
         print(f"  INVARIANT VIOLATED: {line}")
@@ -399,12 +400,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments import runner
 
-    reset_fleet_health()
-    ctx = ExperimentContext(args.scale, seed=args.seed,
-                            exec_config=_exec_config(args))
-    results = runner.run_all(ctx)
+    with _context(args) as ctx:
+        results = runner.run_all(ctx)
     print(runner.render_report(results, scale=args.scale))
-    _print_fleet_health()
+    _print_exec_summary(ctx.supervision_stats())
     return 0 if all(r.all_checks_pass for r in results) else 1
 
 

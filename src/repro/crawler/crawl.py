@@ -8,10 +8,10 @@ methodology's noise defenses (same-instant fan-out, per-day repetition).
 Scale note: the paper's configuration (21 retailers x ≤100 products x
 7 days x 14 vantage points) yields ~200K fetches and ~188K extracted
 prices.  :class:`CrawlConfig` exposes the knobs so tests and benchmarks can
-run reduced-scale crawls with identical structure, and
-:class:`~repro.exec.ExecConfig` shards each day's batch across workers --
-the dataset stays byte-identical at any worker count (the executor
-determinism contract, ``docs/ARCHITECTURE.md``).
+run reduced-scale crawls with identical structure, and a caller-owned
+:class:`~repro.exec.ProcessExecutor` shards each day's batch across
+workers -- the dataset stays byte-identical at any worker count (the
+executor determinism contract, ``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.util import stable_hash
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.backend import SupportsRun
-    from repro.exec import ExecConfig
 
 __all__ = ["CrawlConfig", "plan_digest", "run_crawl"]
 
@@ -83,7 +82,6 @@ def run_crawl(
     plan: CrawlPlan,
     config: Optional[CrawlConfig] = None,
     *,
-    exec_config: Optional["ExecConfig"] = None,
     executor: Optional["SupportsRun"] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
@@ -94,11 +92,11 @@ def run_crawl(
     are visited in plan order with ``pacing_seconds`` between checks, all
     checks of one product remaining a synchronized burst.
 
-    ``exec_config`` shards each day's batch across workers (the executor
-    is created here and closed when the crawl ends); ``executor`` passes a
-    caller-owned executor instead (the caller closes it -- the scenario
-    harness keeps one pool warm across its one-day crawls, and tests pass
-    pools built with their own supervision settings).  Either way the
+    ``executor`` shards each day's batch across a caller-owned pool
+    (``None`` runs inline); the caller closes it, never the crawl -- a
+    context runs its campaign and crawl on one pool, the scenario
+    harness one pool across a cell's one-day crawls, and tests pass
+    pools built with their own supervision settings.  Either way the
     dataset is byte-identical to the sequential run.  A crawl checks
     each ``(url, day)`` once, so its backend needs no burst memo
     (:mod:`repro.core.burstcache`); the process executor and a
@@ -114,8 +112,6 @@ def run_crawl(
     config = config or CrawlConfig()
     if not plan.targets:
         raise ValueError("empty crawl plan")
-    if exec_config is not None and executor is not None:
-        raise ValueError("pass exec_config or executor, not both")
 
     days = list(range(config.start_day, config.start_day + config.days))
     dataset = CrawlDataset()
@@ -133,47 +129,41 @@ def run_crawl(
         )
         done = checkpoint.resume_into(dataset, world, backend, days=days)
 
-    owned = exec_config.create(world) if exec_config is not None else None
-    active = executor if executor is not None else owned
-    try:
-        for day in days[done:]:
-            day_start = day * SECONDS_PER_DAY
-            if day_start > world.clock.now:
-                world.clock.advance_to(day_start)
-            # One batched submission per day: the backend amortizes URL
-            # parsing and the FX guard across the day's burst while keeping
-            # each check's fan-out (and the virtual timeline) identical to
-            # a sequential loop.
-            requests = [
-                CheckRequest(url=url, anchor=target.anchor, origin="crawler")
-                for target in plan.targets
-                for url in target.product_urls
-            ]
-            # Stream the day's merged reports straight into the day's
-            # columnar segment (plan order) -- no intermediate report list.
-            staging = CrawlDataset()
+    for day in days[done:]:
+        day_start = day * SECONDS_PER_DAY
+        if day_start > world.clock.now:
+            world.clock.advance_to(day_start)
+        # One batched submission per day: the backend amortizes URL
+        # parsing and the FX guard across the day's burst while keeping
+        # each check's fan-out (and the virtual timeline) identical to
+        # a sequential loop.
+        requests = [
+            CheckRequest(url=url, anchor=target.anchor, origin="crawler")
+            for target in plan.targets
+            for url in target.product_urls
+        ]
+        # Stream the day's merged reports straight into the day's
+        # columnar segment (plan order) -- no intermediate report list.
+        staging = CrawlDataset()
 
-            def sink(report) -> None:
-                barrier(MID_DAY)
-                staging.add(report)
+        def sink(report) -> None:
+            barrier(MID_DAY)
+            staging.add(report)
 
-            backend.check_batch(
-                requests,
-                pacing_seconds=config.pacing_seconds,
-                executor=active,
-                sink=sink,
+        backend.check_batch(
+            requests,
+            pacing_seconds=config.pacing_seconds,
+            executor=executor,
+            sink=sink,
+        )
+        if checkpoint is not None:
+            checkpoint.commit_segment(
+                day=day,
+                dataset=staging,
+                state=capture_run_state(
+                    world, backend,
+                    committed_servers=checkpoint.committed_servers,
+                ),
             )
-            if checkpoint is not None:
-                checkpoint.commit_segment(
-                    day=day,
-                    dataset=staging,
-                    state=capture_run_state(
-                        world, backend,
-                        committed_servers=checkpoint.committed_servers,
-                    ),
-                )
-            dataset.append_segment(staging)
-    finally:
-        if owned is not None:
-            owned.close()
+        dataset.append_segment(staging)
     return dataset

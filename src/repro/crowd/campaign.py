@@ -40,7 +40,7 @@ from repro.net.clock import SECONDS_PER_DAY
 from repro.util import stable_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exec import ExecConfig
+    from repro.core.backend import SupportsRun
 
 __all__ = ["CampaignConfig", "run_campaign"]
 
@@ -84,7 +84,7 @@ def run_campaign(
     backend: SheriffBackend,
     config: Optional[CampaignConfig] = None,
     *,
-    exec_config: Optional["ExecConfig"] = None,
+    executor: Optional["SupportsRun"] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
 ) -> CrowdDataset:
@@ -102,8 +102,9 @@ def run_campaign(
     (:meth:`~repro.core.backend.SheriffBackend.check_batch` with
     ``start_times``): every fan-out runs at its own click instant on a
     forked burst clock, so the reports are byte-identical whether the
-    batch executes inline or sharded across ``exec_config.workers``
-    workers.
+    batch executes inline (``executor=None``) or sharded across a
+    caller-owned :class:`~repro.exec.ProcessExecutor`, which the caller
+    closes (the campaign never does).
 
     ``checkpoint_dir`` makes the run kill-safe: every completed day is
     also durably committed (dataset shard + run state) before the next
@@ -260,25 +261,20 @@ def run_campaign(
             dataset, world, backend, days=[day for day, _ in days],
             rng=rng, user_clients=user_clients,
         )
-    executor = exec_config.create(world) if exec_config is not None else None
-    try:
-        for day, day_offsets in days[done:]:
-            staging = CrowdDataset()
-            submit_clicks(prepare_clicks(day_offsets), staging, executor)
-            if checkpoint is not None:
-                checkpoint.commit_segment(
-                    day=day,
-                    dataset=staging,
-                    state=capture_run_state(
-                        world, backend,
-                        committed_servers=checkpoint.committed_servers,
-                        rng=rng, user_clients=user_clients,
-                    ),
-                )
-            dataset.append_segment(staging)
-    finally:
-        if executor is not None:
-            executor.close()
+    for day, day_offsets in days[done:]:
+        staging = CrowdDataset()
+        submit_clicks(prepare_clicks(day_offsets), staging, executor)
+        if checkpoint is not None:
+            checkpoint.commit_segment(
+                day=day,
+                dataset=staging,
+                state=capture_run_state(
+                    world, backend,
+                    committed_servers=checkpoint.committed_servers,
+                    rng=rng, user_clients=user_clients,
+                ),
+            )
+        dataset.append_segment(staging)
     return dataset
 
 

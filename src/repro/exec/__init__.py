@@ -9,9 +9,9 @@ to the sequential loop:
   partitions the batch by retailer, bin-packing retailers onto shards so
   per-shard check counts equalize;
 * :class:`~repro.exec.plan.ExecConfig` -- the ``workers`` setting
-  carried by :func:`repro.crawler.run_crawl`,
-  :func:`repro.crowd.run_campaign`, and the CLI's ``--workers``:
-  1 runs inline, N > 1 runs N worker processes;
+  (the CLI's ``--workers``): 1 runs inline, N > 1 runs N worker
+  processes; :meth:`~repro.exec.plan.ExecConfig.create` is the one
+  place that turns it into a pool;
 * :class:`~repro.exec.process.ProcessExecutor` -- multiprocessing
   execution; workers regrow the world from its picklable
   :class:`~repro.ecommerce.world.WorldSpec` instead of pickling live
@@ -19,29 +19,29 @@ to the sequential loop:
   holds one is refused).  A supervision layer recovers dead or hung
   workers (respawn + full re-ship + deterministic re-run) and
   quarantines a shard to inline execution once its restart budget is
-  spent; :func:`~repro.exec.process.fleet_health` accumulates the
-  recovery telemetry across executors.
+  spent; :meth:`~repro.exec.process.ProcessExecutor.supervision_stats`
+  reports that pool's recovery telemetry.
+
+One pool serves one unit of work, and the caller that starts the unit
+owns it: :func:`repro.crowd.run_campaign`, :func:`repro.crawler.run_crawl`
+and :func:`repro.scenarios.harness.run_scenario_crawl` take a
+caller-owned ``executor=`` (``None`` runs inline) and never close it.
+The owners are :class:`~repro.experiments.context.ExperimentContext`
+(the CLI's ``campaign``, ``crawl`` and ``report``), each scenario cell
+and each served job.
 
 See ``docs/ARCHITECTURE.md`` for the determinism contract that makes the
 byte-identity guarantee hold.
 """
 
 from repro.exec.plan import CostAwarePlanner, ExecConfig, ExecError
-from repro.exec.process import (
-    FleetHealthScope,
-    ProcessExecutor,
-    fleet_health,
-    install_fault_hook,
-    reset_fleet_health,
-)
+from repro.exec.process import QUIET_FLEET, ProcessExecutor, install_fault_hook
 
 __all__ = [
     "CostAwarePlanner",
     "ExecConfig",
     "ExecError",
-    "FleetHealthScope",
     "ProcessExecutor",
-    "fleet_health",
+    "QUIET_FLEET",
     "install_fault_hook",
-    "reset_fleet_health",
 ]

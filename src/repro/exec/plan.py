@@ -17,8 +17,9 @@ checks the batch sends it, and retailers are bin-packed onto shards so
 shard costs equalize.
 
 :class:`ExecConfig` is the user-facing setting: ``workers`` travels
-from the CLI / :func:`repro.crawler.run_crawl` /
-:func:`repro.crowd.run_campaign` down to an executor instance.
+from the CLI to the caller that owns a unit of work, which turns it
+into an executor instance (:meth:`ExecConfig.create`) and hands that to
+:func:`repro.crowd.run_campaign` and :func:`repro.crawler.run_crawl`.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ __all__ = [
 
 class ExecError(RuntimeError):
     """Raised when a run's execution setup cannot honor its determinism
-    contract: a foreign vantage fleet, or a burst memo where memo state
-    cannot live (a worker process, a checkpointed run)."""
+    contract: a foreign vantage fleet, a burst memo where memo state
+    cannot live (a worker process, a checkpointed run), or a closed
+    executor."""
 
 
 class CostAwarePlanner:
@@ -123,7 +125,11 @@ class ExecConfig:
             raise ValueError("workers must be >= 1")
 
     def create(self, world: "World"):
-        """Build the executor this config describes (None = run inline)."""
+        """Build the executor this config describes (None = run inline).
+
+        The caller owns the result: it hands it to the runs of one unit
+        of work and closes it when the unit ends.
+        """
         if self.workers == 1:
             return None
         from repro.exec.process import ProcessExecutor

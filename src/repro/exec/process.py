@@ -51,7 +51,9 @@ degrades throughput, never the run.
 All boundary pickles use the highest protocol;
 :meth:`ProcessExecutor.boundary_stats` reports how much time and traffic
 the boundary actually cost, and :meth:`ProcessExecutor.supervision_stats`
-reports fleet health (restarts, hang kills, quarantines, recovery ms).
+reports fleet health (restarts, hang kills, quarantined shards, inline
+checks, recovery ms).  The executor's owner reads both; there is no
+process-wide tally.
 """
 
 from __future__ import annotations
@@ -63,9 +65,9 @@ import os
 import pickle
 import signal
 import sys
-import threading
 import time
 import traceback
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.checkpoint.barriers import WORKER_RESPAWN, barrier
@@ -82,11 +84,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "FAULT_POINTS",
-    "FleetHealthScope",
     "ProcessExecutor",
-    "fleet_health",
+    "QUIET_FLEET",
     "install_fault_hook",
-    "reset_fleet_health",
 ]
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
@@ -413,101 +413,30 @@ class _WorkerFailure(Exception):
         self.detail = detail
 
 
-#: Process-wide fleet-health accumulator: every executor folds its
-#: supervision counters in as each batch returns (the rest at close), so
-#: a running job's status shows them and the CLI can print an exec
-#: summary after ``run_campaign``/``run_crawl`` have closed their
-#: executors.
-_FLEET_HEALTH = {
+#: :meth:`ProcessExecutor.supervision_stats` of a run no fault touched,
+#: and so of an inline run, which has no pool to ask.
+QUIET_FLEET = MappingProxyType({
     "restarts": 0,
     "hang_kills": 0,
     "quarantined_shards": 0,
     "inline_checks": 0,
     "recovery_ms": 0.0,
-}
-
-#: Executors may now be closed from concurrent job threads (the serving
-#: layer runs one campaign per thread), so folds into the process-wide
-#: accumulator are lock-guarded.
-_FLEET_HEALTH_LOCK = threading.Lock()
-
-#: Per-thread stack of active :class:`FleetHealthScope` instances; an
-#: executor closed on a thread folds into every scope open on it.
-_FLEET_SCOPES = threading.local()
-
-
-def _active_scopes() -> list:
-    stack = getattr(_FLEET_SCOPES, "stack", None)
-    if stack is None:
-        stack = _FLEET_SCOPES.stack = []
-    return stack
-
-
-def fleet_health() -> dict:
-    """Cumulative supervision counters of every executor so far."""
-    with _FLEET_HEALTH_LOCK:
-        return dict(_FLEET_HEALTH)
-
-
-def reset_fleet_health() -> None:
-    """Zero the accumulator (the CLI does, once per command)."""
-    with _FLEET_HEALTH_LOCK:
-        _FLEET_HEALTH.update(
-            restarts=0, hang_kills=0, quarantined_shards=0,
-            inline_checks=0, recovery_ms=0.0,
-        )
-
-
-class FleetHealthScope:
-    """Thread-local supervision counters for one job in a shared process.
-
-    The process-wide :func:`fleet_health` accumulator fits a
-    one-command CLI process (``reset`` at command start, read at the
-    end) but not a long-lived service running many jobs concurrently:
-    a reset would zero other jobs' counters and a read would mix them.
-    A scope is a context manager; while entered, every
-    :class:`ProcessExecutor` running *on the entering thread* also folds
-    its counters into the scope (after each batch and at close), so a
-    job thread that wraps its campaign in a scope observes exactly its
-    own fleet health, while the job runs.  Scopes nest, and the global
-    accumulator still receives every fold.
-    """
-
-    _KEYS = (
-        "restarts", "hang_kills", "quarantined_shards",
-        "inline_checks", "recovery_ms",
-    )
-
-    def __init__(self) -> None:
-        self.counters = {key: 0.0 if key == "recovery_ms" else 0
-                         for key in self._KEYS}
-
-    def _fold(self, delta: dict) -> None:
-        for key in self._KEYS:
-            self.counters[key] += delta[key]
-
-    def snapshot(self) -> dict:
-        """The counters folded so far (a copy, safe to hand out)."""
-        return dict(self.counters)
-
-    def __enter__(self) -> "FleetHealthScope":
-        _active_scopes().append(self)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        stack = _active_scopes()
-        if self in stack:  # pragma: no branch - mismatched exits only
-            stack.remove(self)
+})
 
 
 class ProcessExecutor:
     """Execute shards in parallel worker processes, merge deterministically.
 
-    The executor holds one dedicated worker process per shard; create it
-    once per crawl/campaign (``ExecConfig.create`` does) and
-    :meth:`close` it when done -- it is also a context manager.  Requires
-    a world built by :func:`~repro.ecommerce.world.build_world` (workers
-    regrow it from the spec) and the world's own vantage fleet.
+    The executor holds one dedicated worker process per shard.  The
+    caller that starts a unit of work -- a CLI command's
+    :class:`~repro.experiments.context.ExperimentContext`, a scenario
+    cell, a served job -- builds one (``ExecConfig.create`` does), hands
+    it to every run of that unit (a campaign and then a crawl share its
+    workers, their session ledgers and its page epoch), reads its
+    counters, and closes it (:meth:`close`; it is also a context
+    manager).  A closed executor refuses work.  Requires a world built by
+    :func:`~repro.ecommerce.world.build_world` (workers regrow it from
+    the spec) and the world's own vantage fleet.
 
     Supervision knobs (see the module docstring):
 
@@ -584,8 +513,6 @@ class ProcessExecutor:
         self._hang_kills = 0
         self._inline_checks = 0
         self._recovery_ms = 0.0
-        #: The counters as last folded into fleet_health() and the scopes.
-        self._published = dict.fromkeys(FleetHealthScope._KEYS, 0)
 
     # ------------------------------------------------------------------
     # Worker lifecycle
@@ -628,19 +555,22 @@ class ProcessExecutor:
     ) -> list["PriceCheckReport"]:
         """Dispatch shards to the workers and merge results in plan order.
 
-        The batch's supervision counters reach :func:`fleet_health` and
-        this thread's open fleet-health scopes before this returns.
+        A closed executor refuses the batch with
+        :class:`~repro.exec.plan.ExecError` before any dispatch.
         """
+        if self._closed:
+            raise ExecError(
+                "ProcessExecutor is closed; its owner must build a new "
+                "one to run more batches"
+            )
         try:
-            reports = self._run(backend, scheduled, fleet, sink)
+            return self._run(backend, scheduled, fleet, sink)
         except BaseException:
             # Anything the supervisor could not absorb (a relayed worker
             # exception, a coordinator bug, Ctrl-C mid-dispatch) must
             # not leak live worker processes or open pipes.
             self.close()
             raise
-        self._publish_health()
-        return reports
 
     def _run(self, backend, scheduled, fleet, sink):
         if backend.burst_cache is not None:
@@ -919,19 +849,22 @@ class ProcessExecutor:
         }
 
     def supervision_stats(self) -> dict:
-        """Fleet health so far (``boundary_stats``-style).
+        """Fleet health so far, in the shape job status and ``done.json``
+        carry as ``fleet_health`` (:data:`QUIET_FLEET` when quiet).
 
         ``restarts`` counts successful respawns (``hang_kills`` of them
         were deadline kills rather than spontaneous deaths),
-        ``quarantined`` lists shards past their restart budget,
-        ``inline_checks`` counts checks the coordinator ran for them,
-        and ``recovery_ms`` is wall clock spent inside recovery
-        (retire + backoff + respawn + inline re-runs).
+        ``quarantined_shards`` counts shards past their restart budget
+        (the ``repro.exec`` log names each), ``inline_checks`` counts
+        checks the coordinator ran for them, and ``recovery_ms`` is wall
+        clock spent inside recovery (retire + backoff + respawn + inline
+        re-runs).  The counters are plain reads, so another thread may
+        take them while a batch runs.
         """
         return {
             "restarts": self._restarts,
             "hang_kills": self._hang_kills,
-            "quarantined": sorted(self._quarantined),
+            "quarantined_shards": len(self._quarantined),
             "inline_checks": self._inline_checks,
             "recovery_ms": round(self._recovery_ms, 3),
         }
@@ -970,26 +903,6 @@ class ProcessExecutor:
                 self._restarts, self._hang_kills, len(self._quarantined),
                 self._inline_checks, self._recovery_ms,
             )
-        self._publish_health()
-
-    def _publish_health(self) -> None:
-        """Fold what the counters gained since the last fold into
-        :func:`fleet_health` and every scope open on this thread, so
-        each supervision event is counted exactly once."""
-        current = {
-            "restarts": self._restarts,
-            "hang_kills": self._hang_kills,
-            "quarantined_shards": len(self._quarantined),
-            "inline_checks": self._inline_checks,
-            "recovery_ms": self._recovery_ms,
-        }
-        delta = {key: current[key] - self._published[key] for key in current}
-        self._published = current
-        with _FLEET_HEALTH_LOCK:
-            for key, value in delta.items():
-                _FLEET_HEALTH[key] += value
-        for scope in _active_scopes():
-            scope._fold(delta)
 
     def __enter__(self) -> "ProcessExecutor":
         """Context-manager entry: the executor itself."""

@@ -4,6 +4,8 @@ Every figure consumes the same two datasets the paper built -- the
 crowdsourced beta collection and the systematic crawl -- so the context
 constructs them lazily and caches them.  All stochastic stages flow from
 one seed; a context at a given (scale, seed) is bit-for-bit reproducible.
+A context with worker processes owns one pool for both datasets; close
+the context (or use it in a ``with`` block) to release it.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from repro.crawler import CrawlConfig, CrawlPlan, build_plan, run_crawl
 from repro.crawler.records import CrawlDataset
 from repro.crowd import CampaignConfig, CrowdDataset, run_campaign
 from repro.ecommerce.world import World, WorldConfig, build_world
+from repro.exec import QUIET_FLEET
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exec import ExecConfig
+    from repro.exec import ExecConfig, ProcessExecutor
 
 __all__ = ["ExperimentScale", "ExperimentContext", "get_context", "SCALES"]
 
@@ -83,7 +86,11 @@ class ExperimentContext:
 
     ``exec_config`` shards the campaign and crawl fan-outs across workers
     (``repro.exec``); datasets are byte-identical at any worker count, so
-    the figures cannot depend on it.
+    the figures cannot depend on it.  The context builds one pool from
+    its world on first use (:attr:`executor`) and runs the campaign and
+    then the crawl on it; :meth:`close` releases it, and the context is
+    a context manager.  A closed pool refuses work, so build a new
+    context to run again.
 
     ``checkpoint_dir`` makes the dataset builds kill-safe: the campaign
     checkpoints into ``<dir>/campaign`` and the crawl into ``<dir>/crawl``
@@ -115,6 +122,7 @@ class ExperimentContext:
         )
         self.resume = resume
         self._world: Optional[World] = None
+        self._executor: Optional["ProcessExecutor"] = None
         self._backend: Optional[SheriffBackend] = None
         self._crowd: Optional[CrowdDataset] = None
         self._plan: Optional[CrawlPlan] = None
@@ -139,6 +147,32 @@ class ExperimentContext:
         return self._backend
 
     @property
+    def executor(self) -> Optional["ProcessExecutor"]:
+        """The context's worker pool, built on first use (None: inline)."""
+        if self._executor is None and self.exec_config is not None:
+            self._executor = self.exec_config.create(self.world)
+        return self._executor
+
+    def supervision_stats(self) -> dict:
+        """The pool's supervision counters
+        (:meth:`~repro.exec.ProcessExecutor.supervision_stats`); an inline
+        context reports :data:`~repro.exec.QUIET_FLEET`."""
+        if self._executor is None:
+            return dict(QUIET_FLEET)
+        return self._executor.supervision_stats()
+
+    def close(self) -> None:
+        """Shut the pool's workers down (idempotent)."""
+        if self._executor is not None:
+            self._executor.close()
+
+    def __enter__(self) -> "ExperimentContext":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    @property
     def crowd(self) -> CrowdDataset:
         """The crowdsourced dataset (runs the campaign on first use)."""
         if self._crowd is None:
@@ -146,7 +180,7 @@ class ExperimentContext:
                 self.world,
                 self.backend,
                 self.scale.campaign_config(self.seed),
-                exec_config=self.exec_config,
+                executor=self.executor,
                 checkpoint_dir=(
                     self.checkpoint_dir / "campaign"
                     if self.checkpoint_dir is not None
@@ -178,7 +212,7 @@ class ExperimentContext:
                 self.backend,
                 self.plan,
                 self.scale.crawl_config(),
-                exec_config=self.exec_config,
+                executor=self.executor,
                 checkpoint_dir=(
                     self.checkpoint_dir / "crawl"
                     if self.checkpoint_dir is not None

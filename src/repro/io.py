@@ -121,12 +121,19 @@ def _decode_report(data: dict, sink: Callable):
     defaults and checks, then calls ``sink`` with
     :meth:`ReportTable.append_row`'s arguments -- the column writer
     itself, or a builder of the dataclasses (:func:`report_from_dict`).
-    Any failure, the sink's included (a list where a pooled string
-    belongs), raises :class:`DatasetFormatError`.
+    Any failure, the sink's included (a number, list or object where a
+    pooled string belongs: the table's pools take strings only), raises
+    :class:`DatasetFormatError`.
     """
     try:
+        check_id = data["check_id"]
+        if not isinstance(check_id, str):
+            raise TypeError(
+                f"check_id: expected a string, not "
+                f"{type(check_id).__name__} {check_id!r}"
+            )
         return sink(
-            data["check_id"], data["url"], data["domain"], int(data["day"]),
+            check_id, data["url"], data["domain"], int(data["day"]),
             float(data["ts"]),
             [_decode_observation(obs) for obs in data["observations"]],
             float(data.get("guard", 1.0)), data.get("origin", "crawler"),

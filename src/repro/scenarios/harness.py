@@ -37,12 +37,12 @@ from typing import Optional, Sequence
 
 from repro.analysis.cleaning import clean_reports
 from repro.analysis.detection import DetectionScore, score_detection
-from repro.core.backend import SheriffBackend
+from repro.core.backend import SheriffBackend, SupportsRun
 from repro.core.burstcache import BurstCache
 from repro.crawler import CrawlConfig, build_plan, run_crawl
 from repro.crawler.records import CrawlDataset
 from repro.crowd import CampaignConfig, run_campaign
-from repro.exec import ExecConfig
+from repro.exec import QUIET_FLEET, ExecConfig
 from repro.io import report_to_dict
 from repro.net.clock import SECONDS_PER_DAY
 from repro.scenarios.engine import Scenario, get_scenario, scenario_names
@@ -64,8 +64,9 @@ __all__ = [
 class GridCell:
     """One point of the execution grid.
 
-    ``workers`` is the cell's :class:`~repro.exec.ExecConfig`: 1 runs
-    inline, more run that many worker processes.  ``burst_memo`` hands
+    ``workers`` is the cell's :class:`~repro.exec.ExecConfig` setting: 1
+    runs inline, more run that many worker processes in one pool the
+    cell owns.  ``burst_memo`` hands
     the cell's backend a :class:`~repro.core.burstcache.BurstCache`;
     only inline cells may, since the process executor refuses a memo.
     """
@@ -83,10 +84,6 @@ class GridCell:
             memo += f"+audit{self.validate_fraction:g}"
         where = "inline" if self.workers == 1 else f"processx{self.workers}"
         return f"{where}/{memo}"
-
-    def exec_config(self) -> ExecConfig:
-        """The validated executor config this cell runs under."""
-        return ExecConfig(workers=self.workers)
 
 
 #: The acceptance grid: the inline memo cell (the baseline), the inline
@@ -116,6 +113,10 @@ class CellResult:
     memo_stats: dict[str, int]
     live_only: dict[str, str]
     n_reports: int
+    #: The cell's pool's supervision counters
+    #: (:meth:`~repro.exec.ProcessExecutor.supervision_stats`; an inline
+    #: cell reports :data:`~repro.exec.QUIET_FLEET`).
+    fleet_health: dict
     #: The crawled dataset itself (only with ``run_cell(keep_dataset=
     #: True)`` -- the CLI saves it; grid runs drop it to stay lean).
     crawl_dataset: Optional[CrawlDataset] = None
@@ -163,7 +164,7 @@ def run_scenario_crawl(
     backend: SheriffBackend,
     scenario: Scenario,
     *,
-    exec_config: Optional[ExecConfig] = None,
+    executor: Optional[SupportsRun] = None,
     seed: int = 2013,
 ) -> CrawlDataset:
     """The scenario-aware crawl: plan (and maybe re-anchor) per day.
@@ -173,37 +174,33 @@ def run_scenario_crawl(
     derivation -- is rebuilt at the start of each crawl day, after the
     clock reaches it, so anchors always match the day's template.  Other
     scenarios build the plan once, exactly like
-    :func:`~repro.crawler.run_crawl` alone would.
+    :func:`~repro.crawler.run_crawl` alone would.  Every day's crawl runs
+    on ``executor``, a caller-owned pool (``None`` runs inline).
     """
     dataset = CrawlDataset()
-    executor = exec_config.create(world) if exec_config is not None else None
     plan = None
-    try:
-        for offset in range(scenario.crawl_days):
-            day_start = (scenario.crawl_start_day + offset) * SECONDS_PER_DAY
-            if day_start > world.clock.now:
-                world.clock.advance_to(day_start)
-            if plan is None or scenario.reanchor_daily:
-                plan = build_plan(
-                    world,
-                    domains=list(scenario.crawl_domains),
-                    products_per_retailer=scenario.products_per_retailer,
-                    seed=seed,
-                )
-            day = run_crawl(
-                world, backend, plan,
-                CrawlConfig(
-                    days=1,
-                    start_day=scenario.crawl_start_day + offset,
-                    pacing_seconds=scenario.pacing_seconds,
-                ),
-                executor=executor,
+    for offset in range(scenario.crawl_days):
+        day_start = (scenario.crawl_start_day + offset) * SECONDS_PER_DAY
+        if day_start > world.clock.now:
+            world.clock.advance_to(day_start)
+        if plan is None or scenario.reanchor_daily:
+            plan = build_plan(
+                world,
+                domains=list(scenario.crawl_domains),
+                products_per_retailer=scenario.products_per_retailer,
+                seed=seed,
             )
-            for report in day.reports:
-                dataset.add(report)
-    finally:
-        if executor is not None:
-            executor.close()
+        day = run_crawl(
+            world, backend, plan,
+            CrawlConfig(
+                days=1,
+                start_day=scenario.crawl_start_day + offset,
+                pacing_seconds=scenario.pacing_seconds,
+            ),
+            executor=executor,
+        )
+        for report in day.reports:
+            dataset.add(report)
     return dataset
 
 
@@ -214,7 +211,11 @@ def run_cell(
     seed: int = 2013,
     keep_dataset: bool = False,
 ) -> CellResult:
-    """Run one grid cell: campaign + crawl + analysis on a fresh world."""
+    """Run one grid cell: campaign + crawl + analysis on a fresh world.
+
+    The cell owns one pool (``cell.workers`` > 1) across its campaign
+    and crawl, and closes it before returning its counters.
+    """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     world = scenario.build_world(seed)
@@ -226,21 +227,27 @@ def run_cell(
     backend = SheriffBackend(
         world.network, world.vantage_points, world.rates, burst_cache=cache
     )
-    exec_config = cell.exec_config()
-    campaign = run_campaign(
-        world, backend,
-        CampaignConfig(
-            n_checks=scenario.campaign_checks,
-            population_size=scenario.campaign_population,
-            start_day=0,
-            end_day=scenario.campaign_end_day,
-            seed=seed,
-        ),
-        exec_config=exec_config,
-    )
-    crawl = run_scenario_crawl(
-        world, backend, scenario, exec_config=exec_config, seed=seed
-    )
+    executor = ExecConfig(workers=cell.workers).create(world)
+    try:
+        campaign = run_campaign(
+            world, backend,
+            CampaignConfig(
+                n_checks=scenario.campaign_checks,
+                population_size=scenario.campaign_population,
+                start_day=0,
+                end_day=scenario.campaign_end_day,
+                seed=seed,
+            ),
+            executor=executor,
+        )
+        crawl = run_scenario_crawl(
+            world, backend, scenario, executor=executor, seed=seed
+        )
+        health = (executor.supervision_stats() if executor is not None
+                  else dict(QUIET_FLEET))
+    finally:
+        if executor is not None:
+            executor.close()
     clean = clean_reports(crawl.reports, world.rates, require_repeatable=True)
     score = score_detection(
         crawl.reports, world.rates, scenario.truth,
@@ -257,6 +264,7 @@ def run_cell(
         memo_stats=cache.stats() if cache is not None else {},
         live_only=cache.live_only_domains() if cache is not None else {},
         n_reports=len(crawl),
+        fleet_health=health,
         crawl_dataset=crawl if keep_dataset else None,
     )
 

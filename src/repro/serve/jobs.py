@@ -120,9 +120,6 @@ class Job:
         #: in done.json; anything else resumes on restart).
         self.status = "pending"
         self.error: Optional[str] = None
-        #: Set by the job thread while running: its fleet-health scope
-        #: (for live supervision counters).  Never persisted.
-        self.scope = None
         #: The done.json payload once terminal (survives restarts).
         self.outcome: Optional[dict] = None
 
@@ -178,11 +175,6 @@ class Job:
             if isinstance(rows, int) and not isinstance(rows, bool):
                 done += rows
         return done
-
-    def fleet_health(self) -> Optional[dict]:
-        """Live supervision counters of the running job (None before/after)."""
-        scope = self.scope
-        return scope.snapshot() if scope is not None else None
 
     # -- persistence ----------------------------------------------------
     def persist_spec(self) -> None:

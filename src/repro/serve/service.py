@@ -28,9 +28,11 @@ Design notes:
   checkpoint_dir=..., resume=True)``: every completed day is durably
   committed, so a SIGKILL of the whole service loses at most the day in
   flight, and a restarted service resumes the job from its checkpoint
-  (:meth:`SheriffService.start` scans the registry).  Per-job supervision
-  counters come from :class:`~repro.exec.FleetHealthScope` -- the
-  process-wide accumulator would mix concurrent jobs.
+  (:meth:`SheriffService.start` scans the registry).  Under
+  ``--workers N`` each job thread opens one worker pool for its
+  campaign and closes it when the job ends; the job's status reads its
+  supervision counters live from that pool, and ``done.json`` keeps the
+  final ones.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import Optional
 from repro.core.backend import CheckRequest, SheriffBackend
 from repro.core.burstcache import BurstCache
 from repro.ecommerce.world import build_world
-from repro.exec import FleetHealthScope, fleet_health
+from repro.exec import QUIET_FLEET, ExecConfig, ProcessExecutor
 from repro.experiments.context import ExperimentContext
 from repro.io import report_to_dict, save_crowd_dataset
 from repro.serve.jobs import Job, JobRegistry, JobSpec
@@ -107,7 +109,7 @@ class SheriffService:
     ) -> None:
         self.scale = scale
         self.seed = seed
-        self.exec_config = exec_config
+        self.exec_config = exec_config or ExecConfig()
         self.registry = JobRegistry(Path(data_dir) / "jobs")
         self._ctx = ExperimentContext(scale, seed=seed)
         self._backend: Optional[SheriffBackend] = None
@@ -115,6 +117,8 @@ class SheriffService:
         self._checks_served = 0
         self._started = time.perf_counter()
         self._threads: dict[str, threading.Thread] = {}
+        #: Each running job's worker pool (None: the job runs inline).
+        self._pools: dict[str, Optional[ProcessExecutor]] = {}
 
     @property
     def world(self):
@@ -202,16 +206,26 @@ class SheriffService:
         if job.outcome is not None:
             # Terminal: the persisted outcome carries the final stats
             # (they survive service restarts; runtime state does not).
-            for key in ("rows", "fleet_health", "summary"):
+            for key in ("rows", "summary"):
                 if key in job.outcome:
                     status[key] = job.outcome[key]
             if job.error:
                 status["error"] = job.error
-        else:
-            health = job.fleet_health()
-            if health is not None:
-                status["fleet_health"] = health
+        health = self._job_health(job)
+        if health is not None:
+            status["fleet_health"] = health
         return status
+
+    def _job_health(self, job: Job) -> Optional[dict]:
+        """A job's supervision counters: live from a running job's pool
+        (an inline job reports zeros), final from ``done.json``, none
+        before the job starts or after it failed."""
+        if job.outcome is not None:
+            return job.outcome.get("fleet_health")
+        if job.status != "running":
+            return None
+        pool = self._pools.get(job.id)
+        return dict(QUIET_FLEET) if pool is None else pool.supervision_stats()
 
     def job_results_path(self, job_id: str) -> Path:
         """The columnar results file of a *finished* job."""
@@ -241,23 +255,23 @@ class SheriffService:
 
     def _run_job(self, job: Job) -> None:
         job.status = "running"
-        scope = job.scope = FleetHealthScope()
+        pool = None
         try:
-            with scope:
-                world = build_world(job.spec.world_config())
-                backend = SheriffBackend(
-                    world.network, world.vantage_points, world.rates
-                )
-                from repro.crowd import run_campaign
+            world = build_world(job.spec.world_config())
+            backend = SheriffBackend(
+                world.network, world.vantage_points, world.rates
+            )
+            from repro.crowd import run_campaign
 
-                # resume=True always: with no manifest it starts fresh,
-                # with one it continues -- exactly the restart semantics
-                # a durable job wants.
-                dataset = run_campaign(
-                    world, backend, job.spec.campaign_config(),
-                    exec_config=self.exec_config,
-                    checkpoint_dir=job.checkpoint_dir, resume=True,
-                )
+            pool = self._pools[job.id] = self.exec_config.create(world)
+            # resume=True always: with no manifest it starts fresh, with
+            # one it continues -- exactly the restart semantics a durable
+            # job wants.
+            dataset = run_campaign(
+                world, backend, job.spec.campaign_config(),
+                executor=pool,
+                checkpoint_dir=job.checkpoint_dir, resume=True,
+            )
             tmp = job.results_path.with_name(job.results_path.name + ".tmp")
             rows = save_crowd_dataset(dataset, tmp, seed=job.spec.seed)
             os.replace(tmp, job.results_path)
@@ -265,27 +279,44 @@ class SheriffService:
                 "status": "done",
                 "rows": rows,
                 "summary": dataset.summary(),
-                "fleet_health": scope.snapshot(),
+                "fleet_health": self._job_health(job),
             })
             job.status = "done"
         except Exception as exc:  # noqa: BLE001 - job isolation boundary
             job.error = f"{exc.__class__.__name__}: {exc}"
             job.persist_outcome({"status": "failed", "error": job.error})
             job.status = "failed"
+        finally:
+            # Released only once the outcome is persisted, so a status
+            # read never falls back to zeros between the two.
+            self._pools.pop(job.id, None)
+            if pool is not None:
+                pool.close()
 
     # ------------------------------------------------------------------
     # Health
     # ------------------------------------------------------------------
     def healthz(self) -> dict:
-        """``GET /healthz``: serving-cache, fleet-health and job counts."""
+        """``GET /healthz``: serving-cache, fleet-health and job counts.
+
+        ``fleet_health`` sums every registry job's counters: running
+        jobs' live ones and finished jobs' ``done.json`` ones, reloaded
+        jobs included.
+        """
         stats = self.backend.cache_stats()
         hits = int(stats["burst_hits"])
         misses = int(stats["burst_misses"])
         total = hits + misses
         jobs = self.registry.jobs()
         by_status: dict[str, int] = {}
+        fleet = dict(QUIET_FLEET)
         for job in jobs:
             by_status[job.status] = by_status.get(job.status, 0) + 1
+            health = self._job_health(job)
+            if health is not None:
+                for key in fleet:
+                    fleet[key] += health[key]
+        fleet["recovery_ms"] = round(fleet["recovery_ms"], 3)
         return {
             "status": "ok",
             "scale": self.scale,
@@ -297,7 +328,7 @@ class SheriffService:
                 "misses": misses,
                 "hit_rate": round(hits / total, 4) if total else 0.0,
             },
-            "fleet_health": fleet_health(),
+            "fleet_health": fleet,
             "jobs": {"total": len(jobs), **by_status},
         }
 

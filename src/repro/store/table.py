@@ -56,9 +56,18 @@ class StringPool:
                 self.intern(value)
 
     def intern(self, value: str) -> int:
-        """The id of ``value``, interning it on first sight."""
+        """The id of ``value``, interning it on first sight.
+
+        A pool holds strings only: a value of another type raises
+        ``TypeError`` when first seen, so each distinct value is checked
+        once, however many rows repeat it.
+        """
         found = self._ids.get(value)
         if found is None:
+            if not isinstance(value, str):
+                raise TypeError(
+                    f"expected a string, not {type(value).__name__} {value!r}"
+                )
             found = len(self._values)
             self._ids[value] = found
             self._values.append(value)
@@ -198,8 +207,8 @@ class ReportTable:
         is the table's one column writer: :meth:`append` and the
         rows-layout loaders of :mod:`repro.io` both end here.  Values are
         stored as given -- the dataclasses and the io decoder check them
-        first -- and a value no pool can intern raises ``TypeError``
-        part-way through the row.
+        first -- and a value no pool can intern (not a string) raises
+        ``TypeError`` part-way through the row.
         """
         i = len(self.check_id)
         self.check_id.append(check_id)

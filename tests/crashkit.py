@@ -18,7 +18,10 @@ Spec fields (JSON object)::
     crawl           CrawlConfig kwargs           (crawl kind)
     plan            {"n_domains": K, "products_per_retailer": P}  (crawl)
     workers         ExecConfig workers (default 1 = inline; N > 1 runs
-                    N worker processes)
+                    N worker processes, one pool the driver owns for
+                    the whole run: a scenario's campaign and crawl
+                    share it, and its batch index counts on from the
+                    campaign into the crawl)
     checkpoint_dir  where day-segments spill
     resume          continue a committed prefix (default false)
     out             dataset file the driver writes (columnar JSONL)
@@ -57,6 +60,7 @@ import resource
 import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 _SELF = Path(__file__).resolve()
@@ -248,22 +252,35 @@ def _backend(world):
     return SheriffBackend(world.network, world.vantage_points, world.rates)
 
 
+@contextmanager
+def _pool(spec: dict, world):
+    """The driver's one pool for ``spec["workers"]`` (None: inline)."""
+    from repro.exec import ExecConfig
+
+    executor = ExecConfig(workers=int(spec.get("workers", 1))).create(world)
+    try:
+        yield executor
+    finally:
+        if executor is not None:
+            executor.close()
+
+
 def _drive_campaign(spec: dict) -> dict:
     from repro.crowd.campaign import CampaignConfig, run_campaign
     from repro.ecommerce.world import WorldConfig, build_world
-    from repro.exec import ExecConfig
     from repro.io import save_crowd_dataset
 
     world = build_world(WorldConfig(**spec.get("world", {})))
     backend = _backend(world)
-    dataset = run_campaign(
-        world,
-        backend,
-        CampaignConfig(**spec.get("campaign", {})),
-        exec_config=ExecConfig(workers=int(spec.get("workers", 1))),
-        checkpoint_dir=spec["checkpoint_dir"],
-        resume=bool(spec.get("resume", False)),
-    )
+    with _pool(spec, world) as executor:
+        dataset = run_campaign(
+            world,
+            backend,
+            CampaignConfig(**spec.get("campaign", {})),
+            executor=executor,
+            checkpoint_dir=spec["checkpoint_dir"],
+            resume=bool(spec.get("resume", False)),
+        )
     save_crowd_dataset(dataset, spec["out"])
     return {"rows": len(dataset), "archive_chain": backend.store.archive_chain}
 
@@ -272,7 +289,6 @@ def _drive_crawl(spec: dict) -> dict:
     from repro.crawler.crawl import CrawlConfig, run_crawl
     from repro.crawler.plan import build_plan
     from repro.ecommerce.world import WorldConfig, build_world
-    from repro.exec import ExecConfig
     from repro.io import save_crawl_dataset
 
     world = build_world(WorldConfig(**spec.get("world", {})))
@@ -284,15 +300,16 @@ def _drive_crawl(spec: dict) -> dict:
         products_per_retailer=int(plan_spec.get("products_per_retailer", 3)),
         seed=int(spec.get("seed", 2013)),
     )
-    dataset = run_crawl(
-        world,
-        backend,
-        plan,
-        CrawlConfig(**spec.get("crawl", {})),
-        exec_config=ExecConfig(workers=int(spec.get("workers", 1))),
-        checkpoint_dir=spec["checkpoint_dir"],
-        resume=bool(spec.get("resume", False)),
-    )
+    with _pool(spec, world) as executor:
+        dataset = run_crawl(
+            world,
+            backend,
+            plan,
+            CrawlConfig(**spec.get("crawl", {})),
+            executor=executor,
+            checkpoint_dir=spec["checkpoint_dir"],
+            resume=bool(spec.get("resume", False)),
+        )
     save_crawl_dataset(dataset, spec["out"])
     return {"rows": len(dataset), "archive_chain": backend.store.archive_chain}
 
@@ -307,7 +324,6 @@ def _drive_scenario(spec: dict) -> dict:
     from repro.analysis.cleaning import clean_reports
     from repro.analysis.detection import score_detection
     from repro.crowd.campaign import CampaignConfig, run_campaign
-    from repro.exec import ExecConfig
     from repro.io import save_crowd_dataset
     from repro.scenarios import get_scenario
     from repro.scenarios.harness import run_scenario_crawl
@@ -316,25 +332,25 @@ def _drive_scenario(spec: dict) -> dict:
     scenario = get_scenario(spec["scenario"])
     world = scenario.build_world(seed)
     backend = _backend(world)
-    exec_config = ExecConfig(workers=int(spec.get("workers", 1)))
-    campaign = run_campaign(
-        world,
-        backend,
-        CampaignConfig(
-            n_checks=scenario.campaign_checks,
-            population_size=scenario.campaign_population,
-            start_day=0,
-            end_day=scenario.campaign_end_day,
-            seed=seed,
-        ),
-        exec_config=exec_config,
-        checkpoint_dir=spec["checkpoint_dir"],
-        resume=bool(spec.get("resume", False)),
-    )
-    save_crowd_dataset(campaign, spec["out"])
-    crawl = run_scenario_crawl(
-        world, backend, scenario, exec_config=exec_config, seed=seed
-    )
+    with _pool(spec, world) as executor:
+        campaign = run_campaign(
+            world,
+            backend,
+            CampaignConfig(
+                n_checks=scenario.campaign_checks,
+                population_size=scenario.campaign_population,
+                start_day=0,
+                end_day=scenario.campaign_end_day,
+                seed=seed,
+            ),
+            executor=executor,
+            checkpoint_dir=spec["checkpoint_dir"],
+            resume=bool(spec.get("resume", False)),
+        )
+        save_crowd_dataset(campaign, spec["out"])
+        crawl = run_scenario_crawl(
+            world, backend, scenario, executor=executor, seed=seed
+        )
     clean = clean_reports(
         crawl.reports, world.rates, require_repeatable=True
     )

@@ -242,12 +242,17 @@ class TestByteIdentity:
             WorldConfig(catalog_scale=0.15, long_tail_domains=10)
         )
         backend = _backend(world, memo)
-        dataset = run_campaign(
-            world,
-            backend,
-            CampaignConfig(n_checks=40, population_size=20, seed=11),
-            exec_config=exec_config,
-        )
+        executor = exec_config.create(world) if exec_config else None
+        try:
+            dataset = run_campaign(
+                world,
+                backend,
+                CampaignConfig(n_checks=40, population_size=20, seed=11),
+                executor=executor,
+            )
+        finally:
+            if executor is not None:
+                executor.close()
         rows = []
         for record in dataset:
             rows.append({

@@ -1,9 +1,13 @@
-"""Multicore execution: pool persistence and a cheap boundary.
+"""Multicore execution: one pool per unit of work, pool persistence and
+a cheap boundary.
 
-These tests pin two properties of
+These tests pin three properties of
 :class:`~repro.exec.process.ProcessExecutor` beyond byte identity (which
 ``test_exec_sharding.py`` owns):
 
+* **One pool per unit of work** -- a CLI command, a scenario cell: the
+  caller that starts it builds one pool, whose workers serve the
+  campaign and the crawl alike;
 * **Pool persistence** -- each dedicated worker regrows its world from
   the spec exactly once, no matter how many day batches it serves;
 * **Delta boundary** -- a batch that repeats the last one's checks ships
@@ -16,6 +20,10 @@ holds one; ``tests/test_burst_memo.py`` pins the refusal).
 """
 
 from __future__ import annotations
+
+import multiprocessing
+
+import pytest
 
 from repro.core.backend import CheckRequest, SheriffBackend
 from repro.crawler import CrawlConfig, build_plan, run_crawl
@@ -47,6 +55,46 @@ def _product_requests(world, domains):
             url=f"http://{domain}{product.path}", anchor=anchor
         ))
     return requests
+
+
+class TestOnePoolPerUnitOfWork:
+    @pytest.fixture()
+    def built(self, monkeypatch) -> dict:
+        """Counts of pools built and worker processes spawned."""
+        counts = {"pools": 0, "workers": 0}
+        init = ProcessExecutor.__init__
+        spawn = ProcessExecutor._spawn_worker
+
+        def counting_init(self, *args, **kwargs):
+            counts["pools"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_spawn(self, index):
+            counts["workers"] += 1
+            return spawn(self, index)
+
+        monkeypatch.setattr(ProcessExecutor, "__init__", counting_init)
+        monkeypatch.setattr(ProcessExecutor, "_spawn_worker", counting_spawn)
+        return counts
+
+    @pytest.mark.parametrize("command", ["crawl", "report"])
+    def test_cli_command_runs_campaign_and_crawl_on_one_pool(
+        self, command, built, capsys
+    ):
+        from repro import cli
+
+        cli.main([command, "--scale", "tiny", "--workers", "2"])
+        assert "crawl" in capsys.readouterr().out
+        assert built == {"pools": 1, "workers": 2}
+        assert multiprocessing.active_children() == []
+
+    def test_scenario_cell_builds_one_pool(self, built):
+        from repro.scenarios.harness import GridCell, run_cell
+
+        result = run_cell("page-noise", GridCell(workers=2, burst_memo=False))
+        assert built == {"pools": 1, "workers": 2}
+        assert result.fleet_health["restarts"] == 0
+        assert multiprocessing.active_children() == []
 
 
 class TestPoolPersistence:

@@ -30,6 +30,7 @@ from repro.exec import (
     ExecError,
     ProcessExecutor,
 )
+from repro.experiments.context import ExperimentContext, ExperimentScale
 from repro.io import report_to_dict
 
 
@@ -41,6 +42,17 @@ def _anchor(world, domain):
     from repro.analysis.personal import derive_anchor_for_domain
 
     return derive_anchor_for_domain(world, domain)
+
+
+def _run_on_pool(exec_config, world, run):
+    """``run(executor)`` on the pool ``exec_config`` builds (None:
+    inline), closed afterwards as every pool owner does."""
+    executor = exec_config.create(world) if exec_config is not None else None
+    try:
+        return run(executor)
+    finally:
+        if executor is not None:
+            executor.close()
 
 
 def _crawl_blob(exec_config, *, loss_rate=0.0, memo=False) -> tuple[str, tuple]:
@@ -55,9 +67,9 @@ def _crawl_blob(exec_config, *, loss_rate=0.0, memo=False) -> tuple[str, tuple]:
     plan = build_plan(
         world, domains=world.crawled_domains[:5], products_per_retailer=4
     )
-    dataset = run_crawl(
-        world, backend, plan, CrawlConfig(days=2), exec_config=exec_config
-    )
+    dataset = _run_on_pool(exec_config, world, lambda executor: run_crawl(
+        world, backend, plan, CrawlConfig(days=2), executor=executor
+    ))
     blob = json.dumps(
         [report_to_dict(r) for r in dataset.reports], sort_keys=True
     )
@@ -76,12 +88,16 @@ def _campaign_blob(exec_config, *, loss_rate=0.0) -> str:
         catalog_scale=0.15, long_tail_domains=10, loss_rate=loss_rate
     ))
     backend = SheriffBackend(world.network, world.vantage_points, world.rates)
-    dataset = run_campaign(
+    dataset = _run_on_pool(exec_config, world, lambda executor: run_campaign(
         world,
         backend,
         CampaignConfig(n_checks=40, population_size=20, seed=11),
-        exec_config=exec_config,
-    )
+        executor=executor,
+    ))
+    return _records_blob(dataset)
+
+
+def _records_blob(dataset) -> str:
     rows = []
     for record in dataset:
         rows.append({
@@ -94,6 +110,42 @@ def _campaign_blob(exec_config, *, loss_rate=0.0) -> str:
             "report": report_to_dict(record.report) if record.report else None,
         })
     return json.dumps(rows, sort_keys=True)
+
+
+#: A small context: a crowd phase of 40 clicks, then 2 days over 3
+#: products of each of the 21 crawled retailers.
+_SMALL = ExperimentScale(
+    name="small", catalog_scale=0.15, long_tail_domains=10,
+    crowd_checks=40, crowd_population=20, crawl_products=3, crawl_days=2,
+)
+
+
+def _context_blobs(workers: int, *, kill_in_crawl: bool = False):
+    """One context's crowd and crawl bytes and archive chain, plus its
+    pool's counters.  ``kill_in_crawl`` SIGKILLs worker 0 mid-batch in
+    the crawl's first batch, whose index counts on from the campaign's
+    batches."""
+    from repro.exec import install_fault_hook
+    from tests.crashkit import FaultPlan
+
+    with ExperimentContext(
+        _SMALL, seed=11, exec_config=ExecConfig(workers=workers)
+    ) as ctx:
+        crowd = _records_blob(ctx.crowd)
+        if kill_in_crawl:
+            first = ctx.executor.boundary_stats()["batches"]
+            FaultPlan([(0, first, "mid-batch")]).install()
+        try:
+            crawl = ctx.crawl
+        finally:
+            install_fault_hook(None)
+    crawl_blob = json.dumps(
+        [report_to_dict(r) for r in crawl.reports], sort_keys=True
+    )
+    return (
+        (crowd, crawl_blob, ctx.backend.store.archive_chain),
+        ctx.supervision_stats(),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -252,6 +304,27 @@ class TestCampaignByteIdentity:
             assert blob == base, f"workers={workers} diverged"
 
 
+@slow
+class TestContextSharesOnePool:
+    """A context runs its campaign and then its crawl on one pool: the
+    workers' session ledgers and the page epoch carry over from the
+    campaign's last batch to the crawl's first."""
+
+    def test_campaign_and_crawl_on_one_pool_match_inline(self):
+        reference, quiet = _context_blobs(1)
+        assert quiet["restarts"] == 0
+        for workers in (2, 4):
+            blobs, health = _context_blobs(workers)
+            assert blobs == reference, f"workers={workers} diverged"
+            assert health["restarts"] == 0
+
+    def test_worker_killed_in_the_crawls_first_batch(self):
+        reference, _ = _context_blobs(1)
+        blobs, health = _context_blobs(2, kill_in_crawl=True)
+        assert blobs == reference
+        assert health["restarts"] == 1
+
+
 # ----------------------------------------------------------------------
 # Executor seams
 # ----------------------------------------------------------------------
@@ -273,20 +346,6 @@ class TestExecutorSeams:
             [report_to_dict(r) for r in dataset.reports], sort_keys=True
         )
         assert blob == base_blob
-
-    def test_exec_config_and_executor_are_exclusive(self):
-        world = _tiny_world()
-        backend = SheriffBackend(world.network, world.vantage_points, world.rates)
-        plan = build_plan(
-            world, domains=world.crawled_domains[:1], products_per_retailer=2
-        )
-        with ProcessExecutor(world, 2) as executor:
-            with pytest.raises(ValueError):
-                run_crawl(
-                    world, backend, plan, CrawlConfig(days=1),
-                    exec_config=ExecConfig(workers=2),
-                    executor=executor,
-                )
 
     def test_start_times_must_match_requests(self):
         world = _tiny_world()

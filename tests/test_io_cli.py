@@ -293,6 +293,42 @@ class TestCliErrorPaths:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("level,field", [
+        *[("report", field) for field in ("check_id", "url", "domain",
+                                          "origin")],
+        *[("observation", field) for field in (
+            "vantage", "country", "city", "raw", "currency", "method", "error",
+        )],
+    ])
+    @pytest.mark.parametrize("kind", ["crawl", "crowd"])
+    def test_analyze_rejects_a_number_in_a_string_field(
+        self, kind, level, field, tmp_path: Path, capsys
+    ):
+        """A number where a string belongs fails the load, not the
+        analysis: it never reaches the table, whose columnar save would
+        turn it into a string, nor a figure's formatting."""
+        row = dataset_io.report_to_dict(make_report())
+        (row if level == "report" else row["observations"][0])[field] = 5
+        header = {"format": "repro-reports", "version": 1, "kind": kind,
+                  "layout": "rows", "reports": 1, "records": 1}
+        if kind == "crowd":
+            row = {"user": "u0001", "country": "FI", "day": 3,
+                   "domain": "d.example", "url": make_report().url,
+                   "user_amount": None, "user_currency": None,
+                   "failure": "", "report": row}
+        path = tmp_path / "rows.jsonl"
+        path.write_text(json.dumps(header) + "\n" + json.dumps(row) + "\n",
+                        encoding="utf-8")
+        code = cli.main(["analyze", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: not a repro dataset {str(path)!r}: "
+                              f"bad {'crowd' if kind == 'crowd' else 'report'}"
+                              f" record: ")
+        assert "expected a string, not int 5" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_analyze_rejects_unhashable_field_in_crowd_rows(
         self, tmp_path: Path, capsys
     ):

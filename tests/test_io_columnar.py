@@ -391,8 +391,15 @@ def _replacing_observation(value):
     return change
 
 
+#: The message for a number where a string belongs.  ``check_id`` is
+#: checked by the decoder; a pooled field (every other string field)
+#: when its pool first sees the value, which in a crowd file is the crowd
+#: dataset's writer, so there the message names the crowd record only.
+NOT_A_STRING = "expected a string, not int 5"
+
 #: (case id, change to GOOD_REPORT or a whole replacement row, the
-#: loaders' message for a crawl file holding that row).
+#: loaders' message for a crawl file holding that row[, the message for a
+#: crowd file when it is not "bad crowd record: " + the crawl message]).
 MALFORMED = [
     ("not-a-dict", [1, 2],
      "bad report record: list indices must be integers or slices, not str"),
@@ -420,6 +427,20 @@ MALFORMED = [
      "and 'int'"),
     ("guard-x", _setting("guard", "x"),
      "bad report record: could not convert string to float: 'x'"),
+    ("check_id-int", _setting("check_id", 7),
+     "bad report record: check_id: expected a string, not int 7"),
+    *[
+        (f"{key}-int", _setting(key, 5), f"bad report record: {NOT_A_STRING}",
+         f"bad crowd record: {NOT_A_STRING}")
+        for key in ("url", "domain", "origin")
+    ],
+    *[
+        (f"observation-{key}-int", _observation(_setting(key, 5)),
+         f"bad report record: {NOT_A_STRING}",
+         f"bad crowd record: {NOT_A_STRING}")
+        for key in ("vantage", "country", "city", "raw", "currency",
+                    "method", "error")
+    ],
 ]
 
 
@@ -452,16 +473,17 @@ class TestRowsErrorMessages:
     """Each single-fault rows file raises the message it always raised."""
 
     @pytest.mark.parametrize("kind", ["crawl", "crowd"])
-    @pytest.mark.parametrize("change,message",
-                             [case[1:] for case in MALFORMED],
+    @pytest.mark.parametrize("change,message,crowd_message",
+                             [(*case[1:], None)[:3] for case in MALFORMED],
                              ids=[case[0] for case in MALFORMED])
-    def test_malformed_row(self, kind, change, message, tmp_path: Path):
+    def test_malformed_row(self, kind, change, message, crowd_message,
+                           tmp_path: Path):
         path = tmp_path / "bad.jsonl"
         _rows_file(path, kind, [GOOD_REPORT, _malformed(change), GOOD_REPORT])
         with pytest.raises(dataset_io.DatasetFormatError) as raised:
             LOAD[kind](path)
         if kind == "crowd":
-            message = f"bad crowd record: {message}"
+            message = crowd_message or f"bad crowd record: {message}"
         assert str(raised.value) == message
 
     @pytest.mark.parametrize("kind", ["crawl", "crowd"])

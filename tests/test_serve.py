@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import multiprocessing
 import socket
 import threading
 import time
@@ -481,6 +482,116 @@ class TestCampaignJobs:
             server.shutdown()
             thread.join(timeout=10)
             server.server_close()
+
+
+# ----------------------------------------------------------------------
+# Fleet health: each job reads its own pool
+# ----------------------------------------------------------------------
+class TestJobFleetHealth:
+    """Under ``--workers 2`` each job opens its own pool; its status
+    reads that pool's counters live, ``done.json`` keeps the final ones,
+    and ``/healthz`` sums the jobs'.  One worker is SIGKILLed mid-batch
+    in the first job's first batch, and that job is parked at its first
+    day commit until the test has looked."""
+
+    @pytest.fixture()
+    def pooled(self, tmp_path):
+        from repro.checkpoint import install_barrier_hook
+        from repro.exec import ExecConfig, install_fault_hook
+        from tests.crashkit import FaultPlan
+
+        release = threading.Event()
+        first = "sheriff-job-000001"
+
+        def park_first_job(name: str) -> None:
+            if (name == "segment-committed"
+                    and threading.current_thread().name == first):
+                release.wait(timeout=120)
+
+        FaultPlan([(0, 0, "mid-batch")]).install()
+        install_barrier_hook(park_first_job)
+        service, server = build_app(ServeConfig(
+            port=0, data_dir=str(tmp_path / "data"),
+            exec_config=ExecConfig(workers=2),
+        ))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            yield service, Client(server.port), release
+        finally:
+            release.set()
+            for job_thread in list(service._threads.values()):
+                job_thread.join(timeout=120)
+            server.shutdown()
+            thread.join(timeout=10)
+            server.server_close()
+            install_barrier_hook(None)
+            install_fault_hook(None)
+
+    @staticmethod
+    def _await_live_restart(client: Client, job_id: str) -> dict:
+        deadline = time.monotonic() + 120
+        while time.monotonic() < deadline:
+            state = json.loads(client.get(f"/jobs/{job_id}")[1])
+            if state.get("fleet_health", {}).get("restarts"):
+                return state
+            assert state["status"] in ("pending", "running"), state
+            time.sleep(0.05)
+        raise AssertionError(f"{job_id} never reported a restart")
+
+    def test_running_job_reports_a_restart_live(self, pooled, served):
+        service, client, release = pooled
+        job_id = json.loads(client.post("/campaigns", _JOB)[1])["id"]
+        live = self._await_live_restart(client, job_id)
+        assert live["status"] == "running"
+        assert live["fleet_health"]["restarts"] == 1
+        assert live["fleet_health"]["quarantined_shards"] == 0
+        assert set(live["fleet_health"]) == {
+            "restarts", "hang_kills", "quarantined_shards",
+            "inline_checks", "recovery_ms",
+        }
+        release.set()
+        done = client.wait_done(job_id)
+        assert done["status"] == "done", done
+        assert done["fleet_health"]["restarts"] == 1
+        job_thread = service._threads[job_id]
+        job_thread.join(timeout=60)
+        assert not job_thread.is_alive()
+        assert multiprocessing.active_children() == []
+
+        # The bytes cannot tell: the inline service's run of the spec.
+        _, inline_client = served
+        inline_id = json.loads(inline_client.post("/campaigns", _JOB)[1])["id"]
+        assert inline_client.wait_done(inline_id)["fleet_health"] == {
+            "restarts": 0, "hang_kills": 0, "quarantined_shards": 0,
+            "inline_checks": 0, "recovery_ms": 0.0,
+        }
+        assert (client.get(f"/jobs/{job_id}/results")[1]
+                == inline_client.get(f"/jobs/{inline_id}/results")[1])
+
+    def test_job_status_counts_only_its_own_pool(self, pooled):
+        service, client, release = pooled
+        first = json.loads(client.post("/campaigns", _JOB)[1])["id"]
+        self._await_live_restart(client, first)
+        # The kill is spent; a second job runs start to end on its own
+        # pool while the first is parked holding its restart.
+        second = json.loads(client.post("/campaigns", _JOB)[1])["id"]
+        state = client.wait_done(second)
+        assert state["status"] == "done", state
+        assert state["fleet_health"]["restarts"] == 0
+        parked = json.loads(client.get(f"/jobs/{first}")[1])
+        assert parked["status"] == "running"
+        assert parked["fleet_health"]["restarts"] == 1
+        health = json.loads(client.get("/healthz")[1])["fleet_health"]
+        assert health["restarts"] == 1
+        release.set()
+        assert client.wait_done(first)["fleet_health"]["restarts"] == 1
+        assert json.loads(client.get(f"/jobs/{second}")[1])[
+            "fleet_health"]["restarts"] == 0
+        health = json.loads(client.get("/healthz")[1])["fleet_health"]
+        assert health["restarts"] == 1
+        assert (client.get(f"/jobs/{first}/results")[1]
+                == client.get(f"/jobs/{second}/results")[1])
 
 
 # ----------------------------------------------------------------------

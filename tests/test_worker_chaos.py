@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import logging
+import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -30,13 +31,8 @@ from repro.core.backend import SheriffBackend
 from repro.crawler import CrawlConfig, build_plan, run_crawl
 from repro.crowd import CampaignConfig, run_campaign
 from repro.ecommerce.world import WorldConfig, build_world
-from repro.exec import ExecConfig, ProcessExecutor
-from repro.exec.process import (
-    FAULT_POINTS,
-    fleet_health,
-    install_fault_hook,
-    reset_fleet_health,
-)
+from repro.exec import ExecConfig, ExecError, ProcessExecutor
+from repro.exec.process import FAULT_POINTS, install_fault_hook
 from repro.io import report_to_dict
 from tests.crashkit import FaultPlan, run_to_completion, run_until_killed
 
@@ -45,8 +41,7 @@ KILL_FAULTS = ("before-batch", "mid-batch", "after-batch")
 
 @pytest.fixture(autouse=True)
 def _clean_fault_hook():
-    """No test leaks its fault hook (or fleet-health counters) forward."""
-    reset_fleet_health()
+    """No test leaks its fault hook forward."""
     yield
     install_fault_hook(None)
 
@@ -80,24 +75,25 @@ def _crawl_blob(dataset) -> str:
 
 
 def _run_campaign(faults=None, *, workers=4):
-    """One campaign under a fault plan, on ``ExecConfig(workers)`` and so
-    the default restart budget of 3; returns (bytes, this run's fleet
-    health)."""
-    reset_fleet_health()
+    """One campaign under a fault plan, on the pool ``ExecConfig(workers)``
+    builds and so the default restart budget of 3; returns (bytes, the
+    pool's supervision counters)."""
     world = _world()
     backend = _backend(world)
     previous = FaultPlan(faults or []).install()
     assert previous is None, "a fault hook leaked in from another test"
+    executor = ExecConfig(workers=workers).create(world)
     try:
         dataset = run_campaign(
             world, backend,
             CampaignConfig(n_checks=60, population_size=30, seed=11,
                            start_day=0, end_day=4),
-            exec_config=ExecConfig(workers=workers),
+            executor=executor,
         )
     finally:
+        executor.close()
         install_fault_hook(None)
-    return _campaign_blob(dataset), fleet_health()
+    return _campaign_blob(dataset), executor.supervision_stats()
 
 
 def _run_crawl(faults=None, *, days=3, workers=2, executor_kwargs=None):
@@ -161,67 +157,6 @@ class TestWorkerKillSmoke:
         assert health["recovery_ms"] > 0
 
 
-class TestFleetHealthScope:
-    """Per-job scoping of the supervision counters (the serving layer
-    runs many jobs in one process; a scope sees only its own thread's
-    executor folds, while the global accumulator still sees all)."""
-
-    def test_nested_scopes_capture_this_threads_folds(self):
-        from repro.exec import FleetHealthScope
-
-        with FleetHealthScope() as outer:
-            with FleetHealthScope() as inner:
-                _, health = _run_campaign([(1, 0, "mid-batch")])
-        assert inner.snapshot()["restarts"] == 1
-        assert outer.snapshot()["restarts"] == 1
-        assert inner.snapshot()["recovery_ms"] > 0
-        # The global accumulator got the same fold (the scope observes,
-        # it does not divert).
-        assert health["restarts"] == 1
-
-    def test_counters_reach_the_scope_before_close(self):
-        """A running job's status reads its scope: each batch's
-        supervision counters land there when the batch returns, not
-        only when the executor closes -- and close adds nothing twice."""
-        from repro.exec import FleetHealthScope
-
-        world = _world()
-        plan = build_plan(
-            world, domains=world.crawled_domains[:4],
-            products_per_retailer=2,
-        )
-        FaultPlan([(0, 0, "mid-batch")]).install()
-        with FleetHealthScope() as scope:
-            executor = ProcessExecutor(world, 2, restart_backoff_s=0.0)
-            try:
-                run_crawl(world, _backend(world), plan, CrawlConfig(days=1),
-                          executor=executor)
-                assert scope.snapshot()["restarts"] == 1
-                assert fleet_health()["restarts"] == 1
-            finally:
-                executor.close()
-        assert scope.snapshot()["restarts"] == 1
-        assert fleet_health()["restarts"] == 1
-
-    def test_scope_ignores_other_threads(self):
-        import threading
-
-        from repro.exec import FleetHealthScope
-
-        done = threading.Event()
-        with FleetHealthScope() as scope:
-            thread = threading.Thread(
-                target=lambda: (_run_campaign([(0, 0, "mid-batch")]),
-                                done.set()),
-                daemon=True,
-            )
-            thread.start()
-            thread.join(timeout=300)
-        assert done.is_set(), "chaos campaign thread did not finish"
-        assert scope.snapshot()["restarts"] == 0
-        assert fleet_health()["restarts"] == 1
-
-
 class TestQuarantine:
     def test_poison_shard_completes_inline_with_logged_warning(self, caplog):
         """A shard that keeps killing its workers exhausts the restart
@@ -243,17 +178,24 @@ class TestQuarantine:
             for record in caplog.records
         )
 
-    def test_zero_budget_quarantines_on_first_failure(self):
+    def test_zero_budget_quarantines_on_first_failure(self, caplog):
         """A budget other than the default comes from an executor the
         caller builds itself and hands to ``run_crawl``."""
         reference, _ = _run_crawl(days=2)
-        chaotic, stats = _run_crawl(
-            [(1, 0, "mid-batch")], days=2,
-            executor_kwargs=dict(max_restarts=0),
-        )
+        with caplog.at_level(logging.WARNING, logger="repro.exec"):
+            chaotic, stats = _run_crawl(
+                [(1, 0, "mid-batch")], days=2,
+                executor_kwargs=dict(max_restarts=0),
+            )
         assert chaotic == reference
         assert stats["restarts"] == 0
-        assert stats["quarantined"] == [1]
+        assert stats["quarantined_shards"] == 1
+        quarantines = [
+            record.getMessage() for record in caplog.records
+            if record.getMessage().startswith("quarantining shard")
+        ]
+        assert len(quarantines) == 1
+        assert quarantines[0].startswith("quarantining shard 1 ")
 
 
 class TestHangDetection:
@@ -398,6 +340,25 @@ class TestStartupAndDispatchCleanup:
             assert not handle.proc.is_alive()
             assert handle.conn.closed
         executor.close()  # idempotent
+
+    def test_closed_executor_refuses_work(self):
+        """A caller-owned pool outlives the runs it serves, so a run can
+        reach one its owner already closed: it is refused before any
+        dispatch, and no worker is started behind the refusal."""
+        world = _world()
+        backend = _backend(world)
+        plan = build_plan(
+            world, domains=world.crawled_domains[:4],
+            products_per_retailer=2,
+        )
+        executor = ProcessExecutor(world, 2)
+        executor.close()
+        with pytest.raises(ExecError, match="closed"):
+            run_crawl(world, backend, plan, CrawlConfig(days=1),
+                      executor=executor)
+        assert multiprocessing.active_children() == []
+        assert executor.supervision_stats()["restarts"] == 0
+        assert len(backend.store) == 0
 
 
 class TestFaultPlan:
