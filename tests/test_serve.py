@@ -593,6 +593,37 @@ class TestJobFleetHealth:
         assert (client.get(f"/jobs/{first}/results")[1]
                 == client.get(f"/jobs/{second}/results")[1])
 
+    def test_healthz_sums_the_jobs_pools(self, pooled, tmp_path):
+        """The restart a job's pool counts lands both in that job's
+        status and in the service-wide ``/healthz`` sum, live and after
+        the job ends; a service restarted over the same data dir still
+        counts it, from the reloaded ``done.json``."""
+        _, client, release = pooled
+        job_id = json.loads(client.post("/campaigns", _JOB)[1])["id"]
+        self._await_live_restart(client, job_id)
+        health = json.loads(client.get("/healthz")[1])["fleet_health"]
+        assert health["restarts"] == 1
+        release.set()
+        done = client.wait_done(job_id)
+        assert done["status"] == "done", done
+        health = json.loads(client.get("/healthz")[1])["fleet_health"]
+        assert health == done["fleet_health"]
+        assert health["recovery_ms"] > 0
+
+        _, server = build_app(
+            ServeConfig(port=0, data_dir=str(tmp_path / "data"))
+        )
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            reloaded = json.loads(Client(server.port).get("/healthz")[1])
+        finally:
+            server.shutdown()
+            thread.join(timeout=10)
+            server.server_close()
+        assert reloaded["jobs"] == {"total": 1, "done": 1}
+        assert reloaded["fleet_health"] == done["fleet_health"]
+
 
 # ----------------------------------------------------------------------
 # Kill the whole service mid-job; restart; demand byte identity
