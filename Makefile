@@ -118,7 +118,8 @@ serve-smoke:
 	$(PYTHON) benchmarks/serve_smoke.py --workers 2
 
 # Run every example (docs/EXAMPLES.md shows expected output); the crawl
-# runs twice, inline and across 2 worker processes.  CI runs this on push.
+# runs twice, inline and across 2 worker processes.  CI runs this on push
+# and on pull requests.
 examples:
 	$(PYTHON) examples/quickstart.py
 	$(PYTHON) examples/crowd_campaign.py

@@ -76,11 +76,11 @@ def tracker_presence(
 
     scanned = 0
     for domain in surveyed:
-        pages = store.pages_for_domain(domain, with_html_only=True)
+        pages = store.pages_for_domain(domain)
         if not pages:
             continue
         scanned += 1
-        hosts = trackers_on_page(pages[0].html or "")
+        hosts = trackers_on_page(pages[0].html)
         names = tuple(
             sorted({tracker_hosts[h] for h in hosts if h in tracker_hosts})
         )

@@ -6,7 +6,8 @@ a function of its schedule entry plus a small set of mutable cursors.
 the part of those cursors the day changed:
 
 * the world clock and the backend's check-id counter,
-* the page store's archive hash chain (stream identity, not the window),
+* the page store's archive hash chain (stream identity; its kept pages
+  are not recorded),
 * the campaign RNG's ``getstate()``,
 
 all four in full (they are small), plus
@@ -18,10 +19,10 @@ all four in full (they are small), plus
   committed value.
 
 No burst memo state is recorded: a checkpointed run holds no memo
-(:meth:`~repro.checkpoint.runner.RunCheckpoint.resume_into` refuses a
-backend that does).  A state file an older version wrote may still
-carry a ``burst_live_only`` scalar; it folds like any scalar and is
-ignored.
+(:meth:`~repro.checkpoint.runner.RunCheckpoint.open` refuses a backend
+that does, before it touches the directory).  A state file an older
+version wrote may still carry a ``burst_live_only`` scalar; it folds
+like any scalar and is ignored.
 
 A checkpoint's first capture is a full snapshot: every host of every jar
 and every server, whatever the world ran before.  :func:`fold_run_state`

@@ -61,9 +61,11 @@ __all__ = ["CheckRequest", "ScheduledCheck", "SheriffBackend"]
 _USD_ONLY = frozenset({"USD"})
 
 #: Signature of an archive sink: receives exactly the keyword arguments of
-#: :meth:`repro.core.store.PageStore.archive`.  Executors substitute a
-#: buffering sink so archives can be replayed into the real store in plan
-#: order regardless of which worker fetched the page.
+#: :meth:`repro.core.store.PageStore.archive`, once per fetched page.
+#: Executors substitute a buffering sink so every fetch can be replayed
+#: into the real store in plan order regardless of which worker fetched
+#: the page: the store's chain folds each one and its domain cap picks
+#: the same pages to keep.
 ArchiveSink = Callable[..., object]
 
 
@@ -267,14 +269,14 @@ class SheriffBackend:
         """Execute one schedule entry: the executor SPI.
 
         The fan-out runs on a private burst clock forked at
-        ``sched.start_ts``; the world clock is untouched.  Archived pages
-        go through ``archive`` (same keywords as
+        ``sched.start_ts``; the world clock is untouched.  Every fetched
+        page goes through ``archive`` (same keywords as
         :meth:`~repro.core.store.PageStore.archive`) so executors can
-        buffer them and replay into the real store in plan order.  Given
-        identical per-retailer state (vantage cookies for the URL's domain,
-        the retailer server's request counter), the returned report is
-        byte-identical wherever and whenever the entry runs -- the
-        invariant every executor relies on.
+        buffer the fetches and replay them into the real store in plan
+        order.  Given identical per-retailer state (vantage cookies for
+        the URL's domain, the retailer server's request counter), the
+        returned report is byte-identical wherever and whenever the entry
+        runs -- the invariant every executor relies on.
         """
         url = URL.parse(sched.request.url)
         day_index = int(sched.start_ts // SECONDS_PER_DAY)

@@ -1,23 +1,26 @@
 """The page archive: "(vi) We store the pages for analysis in a database."
 
-The store keeps *metadata* for every archived fetch but caps the number of
-full HTML bodies retained per domain: the third-party census (§4.4) needs a
-handful of pages per retailer, while a paper-scale crawl would otherwise
-hold ~200K pages of HTML in memory.  The cap is a store policy, not a
-caller concern.
+The archive is two things.  A keyed blake2b *hash chain* folds every
+fetch -- its identifying fields and full HTML, in archive order -- so
+two stores that saw the same fetch stream end with the same chain.
+The *kept pages* are the first ``html_per_domain`` fetches of each
+domain, bodies included: the third-party census (§4.4) reads one page
+per retailer, while a paper-scale crawl would otherwise hold ~200K pages
+in memory.  A fetch past its domain's cap moves the chain and leaves
+nothing else behind, so the store holds at most ``html_per_domain``
+pages per domain however long a run lasts.
 
-Retained bodies are deduplicated by content: a promo-free retailer renders
+Kept bodies are deduplicated by content: a promo-free retailer renders
 byte-identical pages to every vantage point of a burst, so the store
-interns equal strings and all duplicate archives share one object.  The
-:class:`ArchivedPage` API is unchanged -- ``page.html`` is always the full
-text of what was fetched.
+interns equal strings and all duplicate pages share one object;
+``page.html`` is always the full text of what was fetched.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 __all__ = ["ArchivedPage", "PageStore"]
 
@@ -27,29 +30,25 @@ _CHAIN_SEED = b"\x00" * 16
 
 @dataclass(frozen=True)
 class ArchivedPage:
-    """One archived fetch."""
+    """One archived fetch whose body the store kept."""
 
     check_id: str
     url: str
     domain: str
     vantage: str
     timestamp: float
-    html: Optional[str]  # None when only metadata was retained
-
-    @property
-    def retained(self) -> bool:
-        return self.html is not None
+    html: str
 
 
 class PageStore:
-    """In-memory page database with per-domain HTML retention caps."""
+    """In-memory page database: the archive chain plus capped kept pages."""
 
     def __init__(self, *, html_per_domain: int = 30) -> None:
         if html_per_domain < 0:
             raise ValueError("html_per_domain must be >= 0")
         self.html_per_domain = html_per_domain
-        self._pages: list[ArchivedPage] = []
-        self._html_counts: dict[str, int] = {}
+        # Kept pages by domain, each list in archive order.
+        self._pages: dict[str, list[ArchivedPage]] = {}
         # Content interning pool: maps an HTML string to its first-seen
         # instance, so equal bodies are stored once (str is immutable).
         self._interned: dict[str, str] = {}
@@ -66,13 +65,13 @@ class PageStore:
         vantage: str,
         timestamp: float,
         html: str,
-    ) -> ArchivedPage:
-        """Store one fetched page, retaining HTML if under the domain cap.
+    ) -> None:
+        """Fold one fetch into the chain; keep it if under the domain cap.
 
-        Retained HTML is interned: when an identical body was archived
-        before, the new page references the existing string instead of
-        holding a redundant copy (paper-scale crawls archive ~200K pages,
-        most of them byte-identical across vantage points).
+        A kept body is interned: when an identical body was kept before,
+        the new page references the existing string instead of holding a
+        redundant copy (most bodies are byte-identical across vantage
+        points).
         """
         digest = hashlib.blake2b(
             "\x1f".join(
@@ -82,56 +81,44 @@ class PageStore:
             key=self._archive_chain,
         )
         self._archive_chain = digest.digest()
-        count = self._html_counts.get(domain, 0)
-        keep = count < self.html_per_domain
-        if keep:
-            interned = self._interned.get(html)
-            if interned is not None:
-                self._dedup_hits += 1
-                html = interned
-            else:
-                self._interned[html] = html
-        page = ArchivedPage(
+        if len(self._pages.get(domain, ())) >= self.html_per_domain:
+            return
+        interned = self._interned.get(html)
+        if interned is not None:
+            self._dedup_hits += 1
+            html = interned
+        else:
+            self._interned[html] = html
+        self._pages.setdefault(domain, []).append(ArchivedPage(
             check_id=check_id,
             url=url,
             domain=domain,
             vantage=vantage,
             timestamp=timestamp,
-            html=html if keep else None,
-        )
-        if keep:
-            self._html_counts[domain] = count + 1
-        self._pages.append(page)
-        return page
+            html=html,
+        ))
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._pages)
+        return sum(len(pages) for pages in self._pages.values())
 
     def __iter__(self) -> Iterator[ArchivedPage]:
-        return iter(self._pages)
+        """Kept pages, domain by domain (first archived first), each
+        domain's in archive order."""
+        for pages in self._pages.values():
+            yield from pages
 
-    def pages_for_domain(
-        self, domain: str, *, with_html_only: bool = False
-    ) -> list[ArchivedPage]:
-        """All archived pages of one domain (optionally HTML-bearing only)."""
-        return [
-            page
-            for page in self._pages
-            if page.domain == domain and (page.retained or not with_html_only)
-        ]
+    def pages_for_domain(self, domain: str) -> list[ArchivedPage]:
+        """The kept pages of one domain, in archive order."""
+        return list(self._pages.get(domain, ()))
 
     def domains(self) -> list[str]:
-        """Every domain with at least one archived page, sorted."""
-        return sorted({page.domain for page in self._pages})
+        """Every domain with at least one kept page, sorted."""
+        return sorted(self._pages)
 
     def retained_html_count(self) -> int:
-        """How many archived pages still carry their full HTML."""
-        return sum(1 for page in self._pages if page.retained)
-
-    def unique_html_count(self) -> int:
-        """How many *distinct* HTML bodies the retained pages share."""
-        return len(self._interned)
+        """How many pages the store keeps (``len(self)``)."""
+        return len(self)
 
     def dedup_stats(self) -> dict[str, int]:
         """Archive dedup counters (for performance reports)."""
@@ -165,11 +152,3 @@ class PageStore:
         if len(raw) != len(_CHAIN_SEED):
             raise ValueError(f"archive chain must be {len(_CHAIN_SEED)} bytes")
         self._archive_chain = raw
-
-    def clear(self) -> None:
-        """Drop every archived page and reset the retention counters."""
-        self._pages.clear()
-        self._html_counts.clear()
-        self._interned.clear()
-        self._dedup_hits = 0
-        self._archive_chain = _CHAIN_SEED

@@ -224,9 +224,9 @@ def _install_domain_blob(fleet, servers, domain: str, blob: bytes) -> None:
 def _run_shard(payload: dict) -> dict:
     """Execute one shard batch in a worker process.
 
-    Returns reports with compact archives (``(vantage, timestamp,
-    content hash)`` triples plus any page bodies not yet shipped) and
-    the post-batch session-state deltas.
+    Returns each report pickled on its own, with compact archives
+    (``(vantage, timestamp, content hash)`` triples plus any page bodies
+    not yet shipped), and the post-batch session-state deltas.
     """
     global _CURRENT_SPEC
     fault = payload.get("fault")
@@ -279,7 +279,9 @@ def _run_shard(payload: dict) -> dict:
             archives.append((vantage, timestamp, digest))
 
         report = backend.run_scheduled_check(sched, fleet, archive)
-        results.append((sched.index, report, archives))
+        results.append(
+            (sched.index, pickle.dumps(report, _PROTOCOL), archives)
+        )
         if kill_after is not None and done >= kill_after:
             _die()
 
@@ -359,15 +361,22 @@ def _worker_main(conn) -> None:
 def merge_in_plan_order(
     backend: "SheriffBackend",
     scheduled: Sequence["ScheduledCheck"],
-    merged: dict[int, tuple["PriceCheckReport", list[dict]]],
+    merged: dict[int, tuple[bytes, list[tuple]]],
+    pages: dict[bytes, str],
     sink: Optional[Callable[["PriceCheckReport"], None]] = None,
 ) -> list["PriceCheckReport"]:
     """Reassemble per-shard results into submission order.
 
-    ``merged`` maps schedule index to (report, buffered archive calls).
-    Archives replay into ``backend.store`` in plan order, so retention
-    caps and content interning fire in the same sequence -- and therefore
-    retain the same pages -- as the inline loop.
+    ``merged`` maps schedule index to (pickled report, the check's
+    fetches as ``(vantage, timestamp, body hash)`` triples); ``pages``
+    maps each body hash to its body.  The fetches replay into
+    ``backend.store`` in plan order, so the archive chain folds the same
+    fetch stream, and the retention caps and content interning keep the
+    same pages, as the inline loop, and no per-fetch record is built.
+    Each report is unpickled only when its turn comes, so, as in the
+    inline loop, one report object is alive at a time: a whole batch of
+    them, freed around the values the dataset keeps, would fragment the
+    heap.
 
     With a ``sink``, each report is handed over in plan order instead of
     being accumulated (the crawl streams reports straight into the
@@ -375,9 +384,19 @@ def merge_in_plan_order(
     """
     reports: list["PriceCheckReport"] = []
     for sched in scheduled:
-        report, archives = merged[sched.index]
-        for kwargs in archives:
-            backend.store.archive(**kwargs)
+        report_blob, archives = merged.pop(sched.index)
+        url = URL.parse(sched.request.url)
+        url_text = str(url)
+        for vantage, timestamp, digest in archives:
+            backend.store.archive(
+                check_id=sched.check_id,
+                url=url_text,
+                domain=url.host,
+                vantage=vantage,
+                timestamp=timestamp,
+                html=pages[digest],
+            )
+        report = pickle.loads(report_blob)
         if sink is not None:
             sink(report)
         else:
@@ -613,7 +632,9 @@ class ProcessExecutor:
                 dispatched_at, deadline_s,
             )
         self._batches += 1
-        return merge_in_plan_order(backend, scheduled, merged, sink)
+        return merge_in_plan_order(
+            backend, scheduled, merged, self._pages, sink
+        )
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -733,9 +754,9 @@ class ProcessExecutor:
                 state = None
                 continue
             break
-        self._fold(handle, shard, fleet, merged, blob)
+        self._fold(handle, fleet, merged, blob)
 
-    def _fold(self, handle, shard, fleet, merged, blob):
+    def _fold(self, handle, fleet, merged, blob):
         """Fold one worker reply into coordinator state (exactly once)."""
         self._recv_bytes += len(blob)
         t1 = time.perf_counter()
@@ -744,22 +765,8 @@ class ProcessExecutor:
         if error is not None:
             raise error
         self._pages.update(result["pages"])
-        for sched, (index, report, archives) in zip(
-            shard, result["results"]
-        ):
-            url = URL.parse(sched.request.url)
-            url_text = str(url)
-            merged[index] = (report, [
-                {
-                    "check_id": sched.check_id,
-                    "url": url_text,
-                    "domain": url.host,
-                    "vantage": vantage,
-                    "timestamp": timestamp,
-                    "html": self._pages[digest],
-                }
-                for vantage, timestamp, digest in archives
-            ])
+        for index, report_blob, archives in result["results"]:
+            merged[index] = (report_blob, archives)
         # Fold the shard's post-batch session state back in, so the
         # coordinator's world is as-if it had run the shard itself.
         for domain, state_blob in result["session"].items():
@@ -819,13 +826,17 @@ class ProcessExecutor:
 
     def _run_inline(self, backend, shard, fleet, merged) -> None:
         """Run a quarantined shard on the coordinator, buffering each
-        check's archives for the plan-order merge."""
+        check's archives for the plan-order merge as a worker would."""
         for sched in shard:
-            archives: list[dict] = []
-            report = backend.run_scheduled_check(
-                sched, fleet, lambda **kwargs: archives.append(kwargs)
-            )
-            merged[sched.index] = (report, archives)
+            archives: list[tuple] = []
+
+            def archive(*, vantage, timestamp, html, **_):
+                digest = _page_hash(html)
+                self._pages.setdefault(digest, html)
+                archives.append((vantage, timestamp, digest))
+
+            report = backend.run_scheduled_check(sched, fleet, archive)
+            merged[sched.index] = (pickle.dumps(report, _PROTOCOL), archives)
         self._inline_checks += len(shard)
 
     # ------------------------------------------------------------------

@@ -89,8 +89,6 @@ class VantagePoint:
         *,
         referer: Optional[str] = None,
         attempts: int = 3,
-        backoff_base_s: float = 0.0,
-        backoff_cap_s: float = 30.0,
     ) -> HttpResponse:
         """Fetch with bounded persistence against transient failures.
 
@@ -99,26 +97,11 @@ class VantagePoint:
         last :class:`TransportError` when every attempt is lost.  Each
         attempt sends at a later virtual instant (a timeout burns time),
         so its loss/latency draws are fresh.
-
-        ``backoff_base_s > 0`` additionally sleeps the *virtual* clock
-        ``min(backoff_cap_s, base * 2**(attempt-1))`` seconds before each
-        retry -- exponential backoff that stays deterministic: it
-        advances the same (possibly burst-forked) clock the requests are
-        stamped from, so every retry's send instant -- and with it the
-        request-keyed loss/latency draws -- is a pure function of the
-        schedule and the backoff knobs, never of wall clock.  The
-        default (``0.0``) is byte-identical to the historical behavior.
         """
         if attempts < 1:
             raise ValueError("attempts must be >= 1")
-        if backoff_base_s < 0 or backoff_cap_s < 0:
-            raise ValueError("backoff must be >= 0 seconds")
         failure: Optional[TransportError] = None
-        for attempt in range(attempts):
-            if failure is not None and backoff_base_s > 0:
-                network.clock.advance(
-                    min(backoff_cap_s, backoff_base_s * 2 ** (attempt - 1))
-                )
+        for _ in range(attempts):
             try:
                 return self.fetch(network, url, referer=referer)
             except TransportError as exc:

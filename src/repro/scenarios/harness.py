@@ -135,9 +135,12 @@ def _blob(reports) -> str:
 
 
 def _store_blob(store) -> str:
+    """A page archive's identity: its hash chain, which folds every
+    fetch in order (fields and body), plus the pages it kept."""
     return json.dumps(
-        [[p.check_id, p.url, p.domain, p.vantage, p.timestamp, p.html]
-         for p in store],
+        [store.archive_chain,
+         [[p.check_id, p.url, p.domain, p.vantage, p.timestamp, p.html]
+          for p in store]],
         sort_keys=True,
     )
 

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro.checkpoint.manifest import Manifest
+from repro.checkpoint.manifest import Manifest, promote_tmp
 from repro.crowd import CampaignConfig
 from repro.ecommerce.world import WorldConfig
 from repro.experiments.context import SCALES
@@ -178,11 +177,11 @@ class Job:
 
     # -- persistence ----------------------------------------------------
     def persist_spec(self) -> None:
-        """Atomically write job.json (tmp + rename; no torn specs)."""
+        """Durably write job.json (tmp, fsync, rename, fsync the dir)."""
         _write_atomic(self.spec_path, self.spec.to_dict())
 
     def persist_outcome(self, outcome: dict) -> None:
-        """Atomically write the done.json terminal marker."""
+        """Durably write the done.json terminal marker, the same way."""
         self.outcome = outcome
         _write_atomic(self.done_path, outcome)
 
@@ -194,7 +193,7 @@ def _write_atomic(path: Path, payload: dict) -> None:
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(blob)
-    os.replace(tmp, path)
+    promote_tmp(tmp, path)
 
 
 class JobRegistry:

@@ -38,12 +38,12 @@ Design notes:
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from pathlib import Path
 from typing import Optional
 
+from repro.checkpoint.manifest import promote_tmp
 from repro.core.backend import CheckRequest, SheriffBackend
 from repro.core.burstcache import BurstCache
 from repro.ecommerce.world import build_world
@@ -274,7 +274,7 @@ class SheriffService:
             )
             tmp = job.results_path.with_name(job.results_path.name + ".tmp")
             rows = save_crowd_dataset(dataset, tmp, seed=job.spec.seed)
-            os.replace(tmp, job.results_path)
+            promote_tmp(tmp, job.results_path)
             job.persist_outcome({
                 "status": "done",
                 "rows": rows,

@@ -35,6 +35,7 @@ from repro.ecommerce.templates import template_for
 from repro.ecommerce.world import WorldConfig, build_world
 from repro.exec import ExecConfig
 from repro.io import report_to_dict
+from repro.scenarios.harness import _store_blob
 
 
 def _world(**kwargs):
@@ -53,19 +54,11 @@ def _reports_blob(reports) -> str:
     return json.dumps([report_to_dict(r) for r in reports], sort_keys=True)
 
 
-def _store_blob(store) -> str:
-    return json.dumps(
-        [[p.check_id, p.url, p.domain, p.vantage, p.timestamp, p.html]
-         for p in store],
-        sort_keys=True,
-    )
-
-
-def _backend(world, memo: bool) -> SheriffBackend:
+def _backend(world, memo: bool, store=None) -> SheriffBackend:
     """A backend over ``world``, holding a fresh burst memo when ``memo``."""
     return SheriffBackend(
         world.network, world.vantage_points, world.rates,
-        burst_cache=BurstCache() if memo else None,
+        store=store, burst_cache=BurstCache() if memo else None,
     )
 
 
@@ -623,12 +616,12 @@ class TestDriftAcrossDayBoundaries:
         )
         return world, domain
 
-    def _run_sequence(self, burst_memo: bool):
+    def _run_sequence(self, burst_memo: bool, store=None):
         """Two same-day checks, then two more the next day."""
         from repro.net.clock import SECONDS_PER_DAY
 
         world, domain = self._drift_world()
-        backend = _backend(world, burst_memo)
+        backend = _backend(world, burst_memo, store)
         anchor = _anchor(world, domain)
         product = world.retailer(domain).catalog.products[0]
         request = CheckRequest(
@@ -669,7 +662,12 @@ class TestDriftAcrossDayBoundaries:
     def test_memo_hit_timestamps_replay_per_day(self):
         """Archive timestamps on the hit day come from that day's
         delivery draws, not the stored day's."""
-        backend, reports = self._run_sequence(burst_memo=True)
+        from repro.core.store import PageStore
+
+        # All 56 fetches of the one domain are kept, not just the first 30.
+        backend, reports = self._run_sequence(
+            burst_memo=True, store=PageStore(html_per_domain=10**6)
+        )
         by_check = {}
         for page in backend.store:
             by_check.setdefault(page.check_id, []).append(page.timestamp)

@@ -147,9 +147,10 @@ class TestPageStore:
                 anchor=anchor_for(tiny_world, domain),
             )
         )
-        assert len(store) == 14
+        # 14 fetches; only the first 5 leave a page behind.
+        assert len(store) == 5
         assert store.retained_html_count() == 5
-        pages = store.pages_for_domain(domain, with_html_only=True)
+        pages = store.pages_for_domain(domain)
         assert len(pages) == 5
         assert all(page.html for page in pages)
 
@@ -174,34 +175,73 @@ class TestPageStore:
             (report.check_id, obs.vantage): obs.raw_text
             for report in reports for obs in report.observations
         }
-        pages = store.pages_for_domain(domain, with_html_only=True)
+        pages = store.pages_for_domain(domain)
         assert len(pages) == 28
         for page in pages:
             extracted = extract_price(page.html, anchor)
             assert extracted.ok, (page.vantage, extracted.error)
             assert extracted.raw_text == observed[page.check_id, page.vantage]
 
-    def test_metadata_kept_beyond_cap(self):
+    def test_fetch_past_cap_leaves_no_page_but_moves_chain(self):
         store = PageStore(html_per_domain=1)
+        chains = [store.archive_chain]
         for i in range(4):
-            store.archive(
+            assert store.archive(
                 check_id=f"c{i}", url="http://d/x", domain="d",
                 vantage="v", timestamp=0.0, html="<html></html>",
-            )
-        assert len(store) == 4
-        assert store.retained_html_count() == 1
-        # The first bodies are the retained ones.
-        assert [p.check_id for p in store if p.retained] == ["c0"]
+            ) is None
+            chains.append(store.archive_chain)
+        # The first body is the kept one; the other three fetches left
+        # no page, yet each moved the chain.
+        assert [p.check_id for p in store] == ["c0"]
+        assert len(store) == store.retained_html_count() == 1
+        assert len(set(chains)) == 5
 
-    def test_domains_listing_and_clear(self):
+    def test_domains_listing(self):
         store = PageStore()
         store.archive(check_id="c", url="u", domain="b.x", vantage="v",
                       timestamp=0, html="<p></p>")
         store.archive(check_id="c", url="u", domain="a.x", vantage="v",
                       timestamp=0, html="<p></p>")
         assert store.domains() == ["a.x", "b.x"]
-        store.clear()
-        assert len(store) == 0
+        # A domain none of whose pages was kept is not listed.
+        none_kept = PageStore(html_per_domain=0)
+        none_kept.archive(check_id="c", url="u", domain="a.x", vantage="v",
+                          timestamp=0, html="<p></p>")
+        assert none_kept.domains() == []
+        assert len(none_kept) == 0
+
+    def test_identity_is_at_least_as_strict_as_the_fetch_list(self):
+        """Two stores fed the same fetches except for a body past the
+        cap: the old identity (every fetch's metadata plus the kept
+        bodies) called them equal; chain plus kept pages does not."""
+        import json
+
+        from repro.scenarios.harness import _store_blob
+
+        def feed(second_body):
+            fetches = [
+                dict(check_id="c1", url="http://d/x", domain="d",
+                     vantage="v1", timestamp=1.0, html="<p>1</p>"),
+                dict(check_id="c1", url="http://d/x", domain="d",
+                     vantage="v2", timestamp=2.0, html=second_body),
+            ]
+            store = PageStore(html_per_domain=1)
+            for fetch in fetches:
+                store.archive(**fetch)
+            # What the store kept a record of before dropped fetches left
+            # none: each fetch's fields, with its body only if kept.
+            fetch_list = json.dumps([
+                [f["check_id"], f["url"], f["domain"], f["vantage"],
+                 f["timestamp"], f["html"] if i < 1 else None]
+                for i, f in enumerate(fetches)
+            ])
+            return fetch_list, _store_blob(store)
+
+        old_a, new_a = feed("<p>2</p>")
+        old_b, new_b = feed("<p>2, tampered</p>")
+        assert old_a == old_b
+        assert new_a != new_b
 
     def test_invalid_cap(self):
         with pytest.raises(ValueError):

@@ -32,6 +32,7 @@ from repro.exec import (
 )
 from repro.experiments.context import ExperimentContext, ExperimentScale
 from repro.io import report_to_dict
+from repro.scenarios.harness import _store_blob
 
 
 def _tiny_world():
@@ -55,8 +56,8 @@ def _run_on_pool(exec_config, world, run):
             executor.close()
 
 
-def _crawl_blob(exec_config, *, loss_rate=0.0, memo=False) -> tuple[str, tuple]:
-    """Serialize a small same-seed crawl plus a store signature."""
+def _crawl_blob(exec_config, *, loss_rate=0.0, memo=False) -> tuple[str, str]:
+    """Serialize a small same-seed crawl and its page archive."""
     world = build_world(
         WorldConfig(catalog_scale=0.15, long_tail_domains=0, loss_rate=loss_rate)
     )
@@ -73,14 +74,7 @@ def _crawl_blob(exec_config, *, loss_rate=0.0, memo=False) -> tuple[str, tuple]:
     blob = json.dumps(
         [report_to_dict(r) for r in dataset.reports], sort_keys=True
     )
-    store = backend.store
-    signature = (
-        len(store),
-        store.retained_html_count(),
-        store.unique_html_count(),
-        [(p.check_id, p.vantage, p.timestamp, p.html) for p in store],
-    )
-    return blob, signature
+    return blob, _store_blob(backend.store)
 
 
 def _campaign_blob(exec_config, *, loss_rate=0.0) -> str:

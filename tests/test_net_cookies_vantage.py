@@ -179,7 +179,7 @@ class TestVantagePoints:
 
 
 class TestRetryBackoff:
-    """`fetch_with_retries` backoff: virtual-clock sleeps, deterministic."""
+    """`fetch_with_retries`: bounded, deterministic retries."""
 
     def _point(self):
         return standard_vantage_points(IPAddressPlan())[0]
@@ -195,54 +195,15 @@ class TestRetryBackoff:
         )
         return net
 
-    def test_backoff_off_is_byte_identical_to_historical(self):
-        """The default (backoff 0) is the pre-backoff behavior exactly:
-        same clock trajectory, same response, same retry draws."""
-        def run(**kwargs):
-            net = self._network(loss_rate=0.45, seed=9)
-            point = self._point()
-            try:
-                body = point.fetch_with_retries(
-                    net, "http://shop.example/", attempts=4, **kwargs
-                ).body
-            except Exception as exc:  # noqa: BLE001 - compared below
-                body = f"failed: {exc}"
-            return body, net.clock.now, net.request_count
-
-        assert run() == run(backoff_base_s=0.0)
-
-    def test_backoff_advances_only_the_virtual_clock(self):
-        """Backoff burns simulated seconds between failed attempts --
-        never wall clock, and never before the first attempt."""
-        import time as _time
-
-        net = self._network(loss_rate=0.97, seed=3)
-        point = self._point()
-        from repro.net.transport import TransportError
-
-        t0 = _time.perf_counter()
-        before = net.clock.now
-        with pytest.raises(TransportError):
-            point.fetch_with_retries(
-                net, "http://shop.example/", attempts=4,
-                backoff_base_s=10.0, backoff_cap_s=15.0,
-            )
-        assert _time.perf_counter() - t0 < 5.0, "slept wall clock!"
-        # 3 retries backed off 10, 15 (capped), 15 (capped) virtual
-        # seconds on top of whatever the lost sends themselves burned.
-        burned = net.clock.now - before
-        assert burned >= 40.0
-
     def test_backoff_runs_are_deterministic(self):
-        """Same seed + same knobs -> the same draws, clock, and outcome;
-        the retry schedule is request-keyed, not wall-clock-keyed."""
+        """Same seed -> the same draws, clock, and outcome; the retry
+        schedule is request-keyed, not wall-clock-keyed."""
         def run():
             net = self._network(loss_rate=0.45, seed=11)
             point = self._point()
             try:
                 body = point.fetch_with_retries(
                     net, "http://shop.example/", attempts=5,
-                    backoff_base_s=2.0,
                 ).body
             except Exception as exc:  # noqa: BLE001 - compared below
                 body = f"failed: {exc}"
@@ -250,9 +211,25 @@ class TestRetryBackoff:
 
         assert run() == run()
 
-    def test_invalid_backoff_rejected(self):
-        net = self._network()
+    def test_zero_attempts_rejected(self):
         with pytest.raises(ValueError):
             self._point().fetch_with_retries(
-                net, "http://shop.example/", backoff_base_s=-1.0
+                self._network(), "http://shop.example/", attempts=0
             )
+
+    def test_all_attempts_lost_reraises_the_last_failure(self, monkeypatch):
+        from repro.net.transport import TransportError
+
+        point = self._point()
+        failures = [TransportError(f"lost {i}") for i in range(3)]
+        raised = iter(failures)
+
+        def lost(network, url, *, referer=None):
+            raise next(raised)
+
+        monkeypatch.setattr(point, "fetch", lost)
+        with pytest.raises(TransportError) as caught:
+            point.fetch_with_retries(
+                self._network(), "http://shop.example/", attempts=3
+            )
+        assert caught.value is failures[-1]

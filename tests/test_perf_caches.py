@@ -204,7 +204,6 @@ class TestStoreDedup:
         self._archive(store, "<html>same</html>", 10)
         self._archive(store, "<html>other</html>", 5)
         assert store.retained_html_count() == 15
-        assert store.unique_html_count() == 2
         stats = store.dedup_stats()
         assert stats["store_unique_bodies"] == 2
         assert stats["store_dedup_hits"] == 13
@@ -223,14 +222,14 @@ class TestStoreDedup:
         retained = [page.html for page in store]
         assert len({id(h) for h in retained}) == 3
 
-    def test_cap_still_applies_and_clear_resets(self):
+    def test_cap_still_applies(self):
         store = PageStore(html_per_domain=2)
         self._archive(store, "<p>a</p>", 4)
-        assert store.retained_html_count() == 2
-        store.clear()
-        assert len(store) == 0
-        assert store.unique_html_count() == 0
-        assert store.dedup_stats()["store_dedup_hits"] == 0
+        assert store.retained_html_count() == len(store) == 2
+        # Only kept bodies are interned; the dropped two count nothing.
+        assert store.dedup_stats() == {
+            "store_unique_bodies": 1, "store_dedup_hits": 1,
+        }
 
 
 # ----------------------------------------------------------------------

@@ -700,3 +700,105 @@ class TestProgressReadIsReadOnly:
         )
         job, _ = self._job_with_manifest(tmp_path, raw)
         assert job.checks_done() == 21
+
+
+# ----------------------------------------------------------------------
+# Durable job files and a bounded serving archive
+# ----------------------------------------------------------------------
+class TestDurableJobFiles:
+    def test_job_files_reach_disk_before_their_rename(
+        self, tmp_path, monkeypatch
+    ):
+        """job.json, results.jsonl and done.json are each fsynced as a
+        tmp file, renamed, and the rename fsynced through the directory;
+        results.jsonl is durable before done.json is written, so a power
+        loss cannot leave ``done`` over a results file that is not on
+        disk."""
+        import os
+
+        from repro.serve.service import SheriffService
+
+        events: list[tuple] = []
+        paths: dict[int, Path] = {}
+        real_open, real_close = os.open, os.close
+        real_fsync, real_replace = os.fsync, os.replace
+        real_write_bytes = Path.write_bytes
+
+        def spy_open(path, flags, *args, **kwargs):
+            fd = real_open(path, flags, *args, **kwargs)
+            paths[fd] = Path(path)
+            return fd
+
+        def spy_close(fd):
+            paths.pop(fd, None)
+            real_close(fd)
+
+        def spy_fsync(fd):
+            events.append(("fsync", paths.get(fd)))
+            real_fsync(fd)
+
+        def spy_replace(src, dst, *args, **kwargs):
+            events.append(("replace", Path(src), Path(dst)))
+            real_replace(src, dst, *args, **kwargs)
+
+        def spy_write_bytes(self, data):
+            events.append(("write", self))
+            return real_write_bytes(self, data)
+
+        monkeypatch.setattr(os, "open", spy_open)
+        monkeypatch.setattr(os, "close", spy_close)
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(os, "replace", spy_replace)
+        monkeypatch.setattr(Path, "write_bytes", spy_write_bytes)
+
+        service = SheriffService(scale="tiny", data_dir=tmp_path / "data")
+        status = service.submit_campaign(
+            {"scale": "tiny", "n_checks": 5, "end_day": 2}
+        )
+        thread = service._threads[status["id"]]
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        job = service.registry.get(status["id"])
+        assert job.status == "done", job.error
+
+        def durable(name: str) -> int:
+            """Index of the directory fsync that makes ``name`` durable."""
+            tmp = job.dir / f"{name}.tmp"
+            renamed = events.index(("replace", tmp, job.dir / name))
+            assert events.index(("fsync", tmp)) < renamed, name
+            return events.index(("fsync", job.dir), renamed)
+
+        for name in ("job.json", "results.jsonl", "done.json"):
+            durable(name)
+        assert durable("results.jsonl") < events.index(
+            ("write", job.dir / "done.json.tmp")
+        )
+
+
+class TestServingArchiveBounded:
+    def test_store_keeps_the_same_pages_as_checks_go_on(self, tmp_path):
+        """A long-lived service's page archive stops growing once every
+        retailer holds its cap of kept pages; later checks move only the
+        archive chain."""
+        from repro.serve.service import SheriffService
+
+        service = SheriffService(scale="tiny", data_dir=tmp_path / "data")
+        retailers = sorted(service.world.retailers)
+        requests = [
+            {"domain": domain, "product": product}
+            for domain in retailers for product in range(4)
+        ]
+        reads = []
+        for start in (0, 300):
+            for k in range(start, start + 300):
+                service.check(requests[k % len(requests)])
+            store = service.backend.store
+            reads.append((len(store), store.retained_html_count(),
+                          store.archive_chain))
+        (kept, retained, chain), (kept_later, retained_later, chain_later) = (
+            reads
+        )
+        assert kept == kept_later
+        assert kept <= store.html_per_domain * len(retailers)
+        assert retained == kept and retained_later == kept_later
+        assert chain != chain_later
