@@ -109,7 +109,8 @@ perfbench-smoke:
 		--trace 1 | $(PERFBENCH_LAST) | $(PERFBENCH_OK)
 
 # Serving smoke: boot the real service, run a scripted request session
-# (check, campaign job to completion, results download, health), then
+# (the same check twice, equal to the in-process batch path's two
+# checks; campaign job to completion, results download, health), then
 # SIGTERM it and assert a clean exit (benchmarks/serve_smoke.py).  The
 # second run repeats the session with the job on a 2-worker pool and
 # demands a quiet fleet_health and the inline session's result bytes.

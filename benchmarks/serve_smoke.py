@@ -4,6 +4,11 @@ Spawns the real CLI (``python -m repro.cli serve --port 0``), reads the
 bound port off its stdout, drives one of everything -- health probe,
 on-demand check, campaign job submitted and polled to completion,
 results download -- then SIGTERMs the process and demands exit code 0.
+The on-demand check is posted twice: the first derives its anchor by
+walking the anchor page, the second resolves it on the page's shape.
+Both served bodies must equal the in-process batch path's two checks on
+an identically built ``ExperimentContext("tiny")``, the anchor derived
+before each check as the service does.
 
 ``--workers N`` (default 1) runs the session's job on a pool of N
 worker processes.  With N > 1 the script first runs the same session
@@ -30,6 +35,29 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 _LISTENING = re.compile(r"listening on http://[0-9.]+:(\d+)")
 _FLEET_KEYS = {"restarts", "hang_kills", "quarantined_shards",
                "inline_checks", "recovery_ms"}
+_CHECK = {"domain": "www.digitalrev.com", "product": 1}
+
+
+def batch_checks(count: int) -> list[bytes]:
+    """The first ``count`` checks of ``_CHECK`` on the batch path, as the
+    service encodes them: a fresh tiny context, anchor before each."""
+    if str(_SRC) not in sys.path:
+        sys.path.insert(0, str(_SRC))
+    from repro.analysis.personal import derive_anchor_for_domain
+    from repro.core.backend import CheckRequest
+    from repro.experiments.context import ExperimentContext
+    from repro.serve.service import encode_report
+
+    with ExperimentContext("tiny") as ctx:
+        domain = _CHECK["domain"]
+        product = ctx.world.retailer(domain).catalog.products[_CHECK["product"]]
+        bodies = []
+        for _ in range(count):
+            anchor = derive_anchor_for_domain(ctx.world, domain)
+            bodies.append(encode_report(ctx.backend.check(CheckRequest(
+                url=f"http://{domain}{product.path}", anchor=anchor,
+            ))))
+        return bodies
 
 
 def _await_port(proc: subprocess.Popen, timeout: float = 60.0) -> int:
@@ -68,17 +96,21 @@ def _session(workers: int, data_dir: str) -> tuple[dict, bytes]:
             with urllib.request.urlopen(base + path, timeout=60) as resp:
                 return json.loads(resp.read())
 
-        def post(path: str, payload: dict) -> dict:
+        def post_raw(path: str, payload: dict) -> bytes:
             req = urllib.request.Request(
                 base + path, data=json.dumps(payload).encode("utf-8")
             )
             with urllib.request.urlopen(req, timeout=60) as resp:
-                return json.loads(resp.read())
+                return resp.read()
+
+        def post(path: str, payload: dict) -> dict:
+            return json.loads(post_raw(path, payload))
 
         health = get("/healthz")
         assert health["status"] == "ok", health
-        report = post("/checks", {"domain": "www.digitalrev.com", "product": 1})
-        assert report["check_id"] == "chk0000001", report
+        served = [post_raw("/checks", _CHECK) for _ in range(2)]
+        assert json.loads(served[0])["check_id"] == "chk0000001", served[0]
+        assert served == batch_checks(2), "served checks differ from batch"
         job = post("/campaigns", {"scale": "tiny", "n_checks": 30,
                                   "end_day": 10})
         deadline = time.monotonic() + 120
@@ -93,7 +125,8 @@ def _session(workers: int, data_dir: str) -> tuple[dict, bytes]:
         ) as resp:
             results = resp.read()
         assert results.startswith(b'{"format":'), results[:40]
-        print(f"session ok (--workers {workers}): check + job {job['id']} "
+        print(f"session ok (--workers {workers}): 2 checks equal to the "
+              f"batch path's + job {job['id']} "
               f"({state['checks']['done']} checks, "
               f"{len(results)} result bytes)")
     except BaseException:

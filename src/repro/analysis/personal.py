@@ -20,13 +20,12 @@ from typing import Optional, Sequence
 
 from repro.core.extension import UserClient
 from repro.core.extraction import extract_price
-from repro.core.highlight import PriceAnchor, derive_anchor
+from repro.core.highlight import PriceAnchor, anchor_for_selector
 from repro.ecommerce.localization import locale_for_country
 from repro.ecommerce.personas import AFFLUENT, BUDGET, Persona, login, train_persona
 from repro.ecommerce.templates import selector_on_day
 from repro.ecommerce.world import World
 from repro.htmlmodel.parser import parse_html
-from repro.htmlmodel.selectors import Selector
 from repro.net.clock import SECONDS_PER_DAY
 from repro.net.geoip import GeoLocation
 from repro.net.transport import TransportError
@@ -47,9 +46,12 @@ def derive_anchor_for_domain(world: World, domain: str) -> PriceAnchor:
 
     The operator reloads on transient network failures (same bounded
     persistence the backend's fan-out applies).  The anchor is derived on
-    the page's rendered tree when the response carries one, and on a parse
-    of the body otherwise; the fetch itself always happens, because its
-    cookie and request-count side effects are part of every run's output.
+    the response's document when it carries one, and on a parse of the
+    body otherwise, by :func:`~repro.core.highlight.anchor_for_selector`:
+    on a filled page it is resolved once per page shape, so repeated
+    calls on one day build no tree.  The fetch itself always happens,
+    because its cookie and request-count side effects are part of every
+    run's output.
     """
     vantage = world.vantage_points[0]
     retailer = world.retailer(domain)
@@ -67,13 +69,12 @@ def derive_anchor_for_domain(world: World, domain: str) -> PriceAnchor:
     document = response.document
     if document is None:
         document = parse_html(response.body)
-    selector = selector_on_day(
+    anchor = anchor_for_selector(document, selector_on_day(
         retailer.template, int(world.clock.now // SECONDS_PER_DAY)
-    )
-    element = Selector.parse(selector).select_one(document)
-    if element is None:
+    ))
+    if anchor is None:
         raise RuntimeError(f"cannot locate price on {domain}")
-    return derive_anchor(document, element)
+    return anchor
 
 
 def _fixed_location_client(world: World, name: str) -> UserClient:

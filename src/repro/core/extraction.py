@@ -42,22 +42,18 @@ from repro.ecommerce.localization import (
 )
 from repro.htmlmodel.dom import Document, Element, NodePath
 from repro.htmlmodel.parser import parse_html, parse_html_cached
-from repro.htmlmodel.selectors import Selector, SelectorError
+from repro.htmlmodel.selectors import Selector, SelectorError, compiled_selector
 
 __all__ = ["ExtractedPrice", "extract_price", "extract_price_from_document"]
 
 
-@lru_cache(maxsize=2048)
-def _compiled_selector(text: str) -> Optional[Selector]:
-    """Compile an anchor selector once per distinct string.
-
-    A fan-out applies the same anchor to every vantage page of every check;
-    re-tokenizing the selector grammar each time is pure waste.  Returns
-    ``None`` for unparseable selectors (the anchor then falls back to its
-    structural path).
-    """
+def _anchor_selector(anchor: PriceAnchor) -> Optional[Selector]:
+    """The anchor's compiled selector; ``None`` when it has none or it
+    does not parse (the anchor then falls back to its structural path)."""
+    if not anchor.selector:
+        return None
     try:
-        return Selector.parse(text)
+        return compiled_selector(anchor.selector)
     except SelectorError:
         return None
 
@@ -164,13 +160,11 @@ def _anchored_text(
     shape = document.shape
     if shape is None:
         return _walked_text(document, anchor)
-    resolutions = shape.resolutions
+    resolutions = shape.resolutions[__name__]
     key = (anchor.selector, anchor.node_path)
     resolved = resolutions.get(key)
     if resolved is None:
-        selector = (
-            _compiled_selector(anchor.selector) if anchor.selector else None
-        )
+        selector = _anchor_selector(anchor)
         if selector is not None and (
             selector.attribute_names() & shape.slot_attributes
         ):
@@ -205,7 +199,7 @@ def _walk(
 ) -> tuple[Optional[Element], str]:
     """Selector first, structural path as fallback."""
     if anchor.selector:
-        selector = _compiled_selector(anchor.selector)
+        selector = _anchor_selector(anchor)
         matches = selector.select(document) if selector is not None else []
         if len(matches) == 1:
             return matches[0], "selector"

@@ -25,7 +25,11 @@ Selector derivation reads only tags, ids, classes and element positions,
 which every page filled from one :class:`~repro.htmlmodel.shape.PageShape`
 shares unless the shape has a slot in an ``id`` or ``class``.  So on a
 filled page whose shape has no such slot, the selector for a node path is
-derived once per shape.
+derived once per shape.  :func:`anchor_for_selector` -- the highlight of a
+stand-in for human eyes, who find the price by a selector -- goes one step
+further: when that selector reads no slot attribute either, the matched
+node, its anchor's selector and its text (as the shape's pieces) are all
+resolved once per shape, and a later fill of the shape builds no tree.
 """
 
 from __future__ import annotations
@@ -33,10 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.htmlmodel.dom import Document, Element, NodePath
-from repro.htmlmodel.selectors import Selector
+from repro.htmlmodel.dom import Document, Element
+from repro.htmlmodel.selectors import SelectorError, compiled_selector
 
-__all__ = ["PriceAnchor", "derive_anchor", "AnchorError"]
+__all__ = ["PriceAnchor", "derive_anchor", "anchor_for_selector", "AnchorError"]
 
 #: Class names too generic to disambiguate anything on their own; they are
 #: still used in combination with parent steps.
@@ -44,6 +48,14 @@ _MAX_CHAIN_DEPTH = 5
 
 #: The attributes selector derivation reads.
 _DERIVATION_READS = frozenset({"id", "class"})
+
+#: Facts (derived selectors, highlights) one page shape keeps before they
+#: start over: a shape lives for a day, and a client may highlight any
+#: number of nodes on it.
+_SHAPE_FACTS = 64
+
+#: A shape resolution meaning "the selector matches nothing".
+_NO_MATCH = object()
 
 
 class AnchorError(ValueError):
@@ -76,17 +88,69 @@ def derive_anchor(document: Document, element: Element) -> PriceAnchor:
     if shape is None or shape.slot_attributes & _DERIVATION_READS:
         selector = _derive_unique_selector(document, element)
     else:
-        # Keyed by the NodePath itself, apart from extraction's tuple keys.
-        derived = shape.resolutions
+        # Keyed by the NodePath itself, apart from the highlights' text keys.
+        derived = shape.resolutions[__name__]
         if path in derived:
             selector = derived[path]
         else:
-            selector = derived[path] = _derive_unique_selector(document, element)
+            selector = _derive_unique_selector(document, element)
+            _keep(derived, path, selector)
     return PriceAnchor(
         selector=selector,
         node_path=str(path),
         sample_text=element.text(strip=True),
     )
+
+
+def anchor_for_selector(document: Document, selector: str) -> Optional[PriceAnchor]:
+    """The anchor of the first element ``selector`` matches, or ``None``.
+
+    Equal to ``derive_anchor(document, first match)``.  On a filled page
+    whose shape has no slot in an ``id`` or ``class`` and whose
+    ``selector`` reads no slot attribute, the match is the same node on
+    every fill, so it is resolved once per shape: the first fill walks
+    its tree, and every later one reads the anchor's selector and node
+    path from the shape and its sample text from the shape's text pieces
+    and the fill's values, building no tree.  An unparseable ``selector``
+    raises :class:`~repro.htmlmodel.selectors.SelectorError`.
+    """
+    compiled = compiled_selector(selector)
+    shape = document.shape
+    if shape is None or shape.slot_attributes & (
+        _DERIVATION_READS | compiled.attribute_names()
+    ):
+        element = compiled.select_one(document)
+        return None if element is None else derive_anchor(document, element)
+    highlights = shape.resolutions[__name__]
+    resolved = highlights.get(selector)
+    if resolved is None:
+        element = compiled.select_one(document)
+        if element is None:
+            _keep(highlights, selector, _NO_MATCH)
+            return None
+        anchor = derive_anchor(document, element)
+        _keep(highlights, selector, (
+            anchor.selector,
+            anchor.node_path,
+            shape.text_pieces(element.node_path()),
+        ))
+        return anchor
+    if resolved is _NO_MATCH:
+        return None
+    derived, node_path, pieces = resolved
+    return PriceAnchor(
+        selector=derived,
+        node_path=node_path,
+        sample_text=document.join(pieces).strip(),
+    )
+
+
+def _keep(facts: dict, key, value) -> None:
+    """Keep one per-shape fact, starting over once :data:`_SHAPE_FACTS`
+    are kept."""
+    if len(facts) >= _SHAPE_FACTS:
+        facts.clear()
+    facts[key] = value
 
 
 # ----------------------------------------------------------------------
@@ -152,8 +216,8 @@ def _nth_of_type(element: Element) -> int:
 
 def _is_unique(document: Document, selector_text: str, element: Element) -> bool:
     try:
-        selector = Selector.parse(selector_text)
-    except Exception:
+        selector = compiled_selector(selector_text)
+    except SelectorError:
         return False
     matches = selector.select(document)
     return len(matches) == 1 and matches[0] is element

@@ -20,12 +20,12 @@ from typing import Optional, Sequence
 
 from repro.analysis.ratios import domain_variation_counts
 from repro.core.backend import SheriffBackend
-from repro.core.highlight import PriceAnchor, derive_anchor
+from repro.core.highlight import PriceAnchor, anchor_for_selector
 from repro.crowd.dataset import CrowdDataset
 from repro.ecommerce.templates import selector_on_day
 from repro.ecommerce.world import World
 from repro.htmlmodel.parser import parse_html
-from repro.htmlmodel.selectors import Selector
+from repro.htmlmodel.selectors import compiled_selector
 from repro.net.clock import SECONDS_PER_DAY
 from repro.net.http import HttpResponse
 from repro.net.transport import TransportError
@@ -170,7 +170,7 @@ def _discover_products(
     if not response.ok:
         raise PlanError(f"index fetch failed for {domain}: {response.status}")
     document = parse_html(response.body)
-    links = Selector.parse("ul.catalog-list a").select(document)
+    links = compiled_selector("ul.catalog-list a").select(document)
     hrefs = [link.get("href") for link in links if link.get("href")]
     if not hrefs:
         raise PlanError(f"no product links found on {domain}")
@@ -188,15 +188,19 @@ def _derive_retailer_anchor(world: World, domain: str, product_url: str) -> Pric
     Day-aware templates (the scenario layer's churning template swaps
     families between days) expose ``selector_for_day``; the operator
     reads the page actually rendered *today*, so the anchor matches the
-    day's structure.
+    day's structure.  The anchor is derived on the response's document,
+    and on a parse of the body only for a page served as bare HTML.
     """
     day_index = int(world.clock.now // SECONDS_PER_DAY)
     response = _operator_fetch(world, product_url, what="anchor page")
     if not response.ok:
         raise PlanError(f"anchor page fetch failed for {domain}")
-    document = parse_html(response.body)
-    selector = selector_on_day(world.retailer(domain).template, day_index)
-    element = Selector.parse(selector).select_one(document)
-    if element is None:
+    document = response.document
+    if document is None:
+        document = parse_html(response.body)
+    anchor = anchor_for_selector(
+        document, selector_on_day(world.retailer(domain).template, day_index)
+    )
+    if anchor is None:
         raise PlanError(f"operator could not locate the price on {domain}")
-    return derive_anchor(document, element)
+    return anchor

@@ -35,7 +35,7 @@ from repro.crowd.population import CrowdUser, build_population
 from repro.ecommerce.templates import selector_on_day
 from repro.ecommerce.world import World
 from repro.htmlmodel.dom import Document, Element
-from repro.htmlmodel.selectors import Selector, SelectorError
+from repro.htmlmodel.selectors import SelectorError, compiled_selector
 from repro.net.clock import SECONDS_PER_DAY
 from repro.util import stable_rng
 
@@ -287,7 +287,7 @@ def _make_finder(price_selector: str, *, wrong: bool):
             if decoys:
                 return decoys[0]
         try:
-            return Selector.parse(price_selector).select_one(document)
+            return compiled_selector(price_selector).select_one(document)
         except SelectorError:
             return None
 
@@ -297,7 +297,7 @@ def _make_finder(price_selector: str, *, wrong: bool):
 def _decoy_candidates(document: Document) -> list[Element]:
     """Price-looking nodes inside the recommendations block."""
     try:
-        cards = Selector.parse("section.recommendations span").select(document)
+        cards = compiled_selector("section.recommendations span").select(document)
     except SelectorError:
         return []
     return [card for card in cards if any(ch.isdigit() for ch in card.text())]

@@ -22,12 +22,22 @@ request.  The request path a server implements:
    (:class:`~repro.htmlmodel.shape.PageShape`).  The bytes and the tree
    are those of a plain render of the request's view.
 
+On a signature-pure server (:meth:`RetailerServer.signature_profile` is
+not ``None``) steps 3-5 run once per (pricing signature, display locale)
+of a shape: the first request of such a key prices through a
+:class:`~repro.ecommerce.pricing.SignalProbe`, and if the policy read
+only signals the key captures, the view's slot values are kept with the
+shape (:meth:`~repro.htmlmodel.shape.PageShape.keep_view`).  A later
+request of the key builds no pricing context (no nonce), calls no policy
+and formats nothing: it fills the shape with the kept values.
+
 Routes: ``/`` (catalog index), product paths, ``/login`` (toy login that
 sets an auth cookie), anything else 404.
 
-Page shapes are kept in a :class:`RenderMemo`.  A world owns one and
-every server it registers shares it, so the memory the memo holds is
-bounded per world, not per retailer.
+Page shapes, and the views kept with them, are held in a
+:class:`RenderMemo`.  A world owns one and every server it registers
+shares it, so the memory the memo holds is bounded per world, not per
+retailer.
 """
 
 from __future__ import annotations
@@ -183,7 +193,9 @@ class RenderMemo:
 
     At most ``FIFO_ENTRIES + LRU_ENTRIES`` shapes are held at once, each
     with at most :attr:`PageShape.BODIES
-    <repro.htmlmodel.shape.PageShape.BODIES>` filled bodies.
+    <repro.htmlmodel.shape.PageShape.BODIES>` filled bodies and as many
+    priced views (a signature-pure server's slot values per pricing
+    signature and display locale), which leave with their shape.
     """
 
     FIFO_ENTRIES = 32
@@ -238,6 +250,20 @@ class RenderMemo:
 
 #: Sentinel distinguishing "not computed yet" from "not memoizable".
 _UNRESOLVED = object()
+
+
+def _signal_values(
+    profile: SignalProfile, location: GeoLocation, user_agent: str,
+    day_index: int,
+) -> tuple[Union[str, int], ...]:
+    """A request's value of each of ``profile``'s signals, in name order."""
+    request = {
+        "country_code": location.country_code,
+        "city": location.city,
+        "day_index": day_index,
+        "browser": user_agent,
+    }
+    return tuple(request[name] for name in sorted(profile.signals))
 
 
 class RetailerServer:
@@ -309,7 +335,9 @@ class RetailerServer:
 
         An undeclared policy gets the benefit of the doubt: the profile
         projects the full capturable set and the memo verifies recorded
-        reads before caching anything (detected, not assumed).
+        reads before caching anything (detected, not assumed).  The
+        server keeps its own product views per pricing signature under
+        the same profile and the same verification.
         """
         cached = self._signature_profile
         if cached is _UNRESOLVED:
@@ -342,18 +370,13 @@ class RetailerServer:
         profile = self.signature_profile()
         if profile is None:
             return None
-        location = self._lookup_location(client_ip)
-        values: list[tuple[str, Union[str, int]]] = []
-        for name in sorted(profile.signals):
-            if name == "country_code":
-                values.append((name, location.country_code))
-            elif name == "city":
-                values.append((name, location.city))
-            elif name == "day_index":
-                values.append((name, day_index))
-            elif name == "browser":
-                values.append((name, user_agent))
-        return PricingSignature(day_index=day_index, values=tuple(values))
+        values = _signal_values(
+            profile, self._lookup_location(client_ip), user_agent, day_index
+        )
+        return PricingSignature(
+            day_index=day_index,
+            values=tuple(zip(sorted(profile.signals), values)),
+        )
 
     @contextmanager
     def record_signal_reads(self) -> Iterator[set[str]]:
@@ -363,7 +386,9 @@ class RetailerServer:
         ``policy.price`` call then goes through a
         :class:`~repro.ecommerce.pricing.SignalProbe` and the yielded set
         accumulates the fields actually read -- the evidence the burst
-        memo checks a declaration against before caching.
+        memo checks a declaration against before caching.  A product
+        page served from a kept view calls no policy; it adds the reads
+        its view's pricing made, which are what the calls would read.
         """
         previous = self._signal_reads
         reads: set[str] = set()
@@ -494,17 +519,16 @@ class RetailerServer:
     def _product_page(self, request: HttpRequest, product: Product) -> HttpResponse:
         location = self._client_location(request)
         locale = self._display_locale(location)
-        ctx = self._pricing_context(request, location)
-        pricing_ctx = self._pricing_view(ctx)
-
-        usd = self.retailer.policy.price(product, pricing_ctx)
-        amount = self._display_amount(usd, locale, ctx.day_index)
-        decimals = 0 if locale.currency.code == "JPY" else 2
-        price_text = locale.format_price(amount, decimals=decimals)
-
-        recommended = self._recommended(product, pricing_ctx, locale)
-        day_index = ctx.day_index
-        logged_in_user = ctx.identity if ctx.logged_in else None
+        profile = self.signature_profile()
+        ctx: Optional[PricingContext] = None
+        if profile is None:
+            ctx = self._pricing_context(request, location)
+            day_index = ctx.day_index
+            logged_in_user = ctx.identity if ctx.logged_in else None
+        else:
+            # A signature-pure server has no logins (signature_profile).
+            day_index = int(request.timestamp // SECONDS_PER_DAY)
+            logged_in_user = None
 
         # The shape is keyed on this server plus every view field other
         # than the slot values (the structural seed follows from the sku
@@ -516,26 +540,65 @@ class RetailerServer:
             self._render_hits += 1
         else:
             self._render_misses += 1
-            shape = render_shape(self.retailer.template, ProductView(
-                retailer_name=self.retailer.name,
-                domain=self.retailer.domain,
-                product=product,
-                price_text=price_text,
-                lang=locale.code,
-                currency_code=locale.currency.code,
-                recommended=recommended,
-                trackers=self.retailer.trackers,
-                structural_seed=stable_hash(
-                    self._seed, self.retailer.domain, product.sku, day_index
-                ),
-                logged_in_user=logged_in_user,
-                day_index=day_index,
-            ))
-            memo.put(key, shape, day_index)
-        tree, html = shape.fill(slot_values(
-            locale.code, locale.currency.code, price_text,
-            [text for _, text in recommended],
-        ))
+
+        # On a signature-pure server a view's slot values are kept with
+        # the shape per (display locale, pricing signature): a later
+        # request of that key builds no context, calls no policy and
+        # formats nothing, and hands a recording burst the reads the
+        # policy made for the key.  A key is kept only if the policy read
+        # nothing outside the profile's verify set, all of which the key
+        # captures (the shape fixes the day).  Keys and views are tuples
+        # of strings and numbers, which the garbage collector stops
+        # tracking, so kept views add no work to its collections.
+        view_key = view = None
+        if profile is not None:
+            view_key = (locale.code, *_signal_values(
+                profile, location, request.user_agent, day_index))
+            if shape is not None:
+                view = shape.views.get(view_key)
+        if view is None:
+            if ctx is None:
+                ctx = self._pricing_context(request, location)
+            reads: Optional[set[str]] = None if profile is None else set()
+            pricing_ctx = (
+                self._pricing_view(ctx) if reads is None
+                else SignalProbe(ctx, reads)  # type: ignore[assignment]
+            )
+            usd = self.retailer.policy.price(product, pricing_ctx)
+            amount = self._display_amount(usd, locale, day_index)
+            decimals = 0 if locale.currency.code == "JPY" else 2
+            price_text = locale.format_price(amount, decimals=decimals)
+            recommended = self._recommended(product, pricing_ctx, locale)
+            values = slot_values(
+                locale.code, locale.currency.code, price_text,
+                [text for _, text in recommended],
+            )
+            if shape is None:
+                shape = render_shape(self.retailer.template, ProductView(
+                    retailer_name=self.retailer.name,
+                    domain=self.retailer.domain,
+                    product=product,
+                    price_text=price_text,
+                    lang=locale.code,
+                    currency_code=locale.currency.code,
+                    recommended=recommended,
+                    trackers=self.retailer.trackers,
+                    structural_seed=stable_hash(
+                        self._seed, self.retailer.domain, product.sku, day_index
+                    ),
+                    logged_in_user=logged_in_user,
+                    day_index=day_index,
+                ))
+                memo.put(key, shape, day_index)
+            if reads is not None:
+                view = (values, tuple(sorted(reads)))
+                if reads <= profile.verify_signals:  # type: ignore[union-attr]
+                    shape.keep_view(view_key, view)
+        else:
+            values = view[0]
+        if view is not None and self._signal_reads is not None:
+            self._signal_reads.update(view[1])
+        tree, html = shape.fill(values)
         response = HttpResponse.html(html, document=tree)
         if "session" not in request.cookies:
             session_id = f"s{stable_hash(self._seed, request.client_ip, request.timestamp) % 10**12}"

@@ -20,11 +20,19 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
 from repro.htmlmodel.dom import Document, Element
 
-__all__ = ["Selector", "SelectorError", "select", "select_one", "matches"]
+__all__ = [
+    "Selector",
+    "SelectorError",
+    "compiled_selector",
+    "select",
+    "select_one",
+    "matches",
+]
 
 
 class SelectorError(ValueError):
@@ -139,8 +147,8 @@ class Selector:
     """A parsed selector group, usable for matching and querying.
 
     Instances are immutable and hashable; :meth:`parse` caches nothing by
-    itself -- callers that match one selector against many documents should
-    parse once and reuse.
+    itself -- callers that match one selector text against many documents
+    go through :func:`compiled_selector`, which parses each text once.
     """
 
     groups: tuple[tuple[_Step, ...], ...]
@@ -392,10 +400,22 @@ def _parse_pseudo(
 # ----------------------------------------------------------------------
 # Module-level conveniences
 # ----------------------------------------------------------------------
+@lru_cache(maxsize=2048)
+def compiled_selector(text: str) -> Selector:
+    """:meth:`Selector.parse`, once per distinct selector text.
+
+    The program applies a handful of selector texts (templates' price
+    selectors, anchors, the decoy and catalog lists) to page after page;
+    a parsed :class:`Selector` is immutable, so every caller shares it.
+    An unparseable text raises :class:`SelectorError` on every call.
+    """
+    return Selector.parse(text)
+
+
 def select(root: Union[Document, Element], selector: Union[str, Selector]) -> list[Element]:
     """All elements matching ``selector`` under ``root``."""
     if isinstance(selector, str):
-        selector = Selector.parse(selector)
+        selector = compiled_selector(selector)
     return selector.select(root)
 
 
@@ -404,12 +424,12 @@ def select_one(
 ) -> Optional[Element]:
     """First element matching ``selector`` under ``root``, or ``None``."""
     if isinstance(selector, str):
-        selector = Selector.parse(selector)
+        selector = compiled_selector(selector)
     return selector.select_one(root)
 
 
 def matches(element: Element, selector: Union[str, Selector]) -> bool:
     """True if ``element`` matches ``selector``."""
     if isinstance(selector, str):
-        selector = Selector.parse(selector)
+        selector = compiled_selector(selector)
     return selector.matches(element)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import re
 import weakref
+from collections import defaultdict
 from typing import Optional, Sequence, Union
 
 from repro.htmlmodel.dom import Document, Element, Node, NodePath, Text
@@ -148,8 +149,9 @@ class PageShape:
     string: a shape keeps the bodies of its last :attr:`BODIES` distinct
     fills, so the copies of a page that a burst archives and memoizes are
     one object, while a retailer whose prices change on every request
-    (per-request nonce pricing) cannot grow it.  Filled documents are
-    never kept: each, and the tree it may build, lives as long as its
+    (per-request nonce pricing) cannot grow it.  It keeps at most as many
+    of its filler's :attr:`views` (:meth:`keep_view`).  Filled documents
+    are never kept: each, and the tree it may build, lives as long as its
     holder.
     """
 
@@ -158,7 +160,7 @@ class PageShape:
     BODIES = 16
 
     __slots__ = (
-        "slots", "slot_attributes", "resolutions",
+        "slots", "slot_attributes", "resolutions", "views",
         "_plan", "_fills", "_fragments", "_bodies", "__weakref__",
     )
 
@@ -166,12 +168,17 @@ class PageShape:
         if slots < 0:
             raise ValueError("slots must be >= 0")
         self.slots = slots
-        #: Per-shape memo of structural facts derived from a filled page,
-        #: keyed by whoever derives them (extraction keeps its anchor
-        #: resolutions here, anchor derivation its selectors).  A fact
-        #: may read only what every fill shares: tags, element positions
-        #: and the attributes outside :attr:`slot_attributes`.
-        self.resolutions: dict = {}
+        #: Per-shape memos of structural facts derived from a filled page,
+        #: one dict per deriving module, keyed by the module's name
+        #: (extraction keeps its anchor resolutions in one, anchor
+        #: derivation its selectors and highlights in another), so each
+        #: module bounds its own and cannot evict another's.  A fact may
+        #: read only what every fill shares: tags, element positions and
+        #: the attributes outside :attr:`slot_attributes`.
+        self.resolutions: defaultdict[str, dict] = defaultdict(dict)
+        #: The slot values of the views the shape's filler keeps with it,
+        #: by the filler's own view key (:meth:`keep_view`).
+        self.views: dict = {}
         self._bodies: dict[tuple[str, ...], str] = {}
         plan, fills = _plan(document)
         self._plan = tuple(plan)
@@ -239,6 +246,18 @@ class PageShape:
             if len(bodies) > self.BODIES:
                 del bodies[next(iter(bodies))]
         return FilledDocument(self, values), body
+
+    def keep_view(self, key, view) -> None:
+        """Keep ``view`` in :attr:`views` under ``key``.
+
+        A shape keeps its last :attr:`BODIES` views, as it keeps its
+        bodies, so what a filler keeps here is bounded by the shapes its
+        memo holds.
+        """
+        views = self.views
+        views[key] = view
+        if len(views) > self.BODIES:
+            del views[next(iter(views))]
 
     def _serialize(self, values: tuple[str, ...]) -> str:
         fragments = self._fragments

@@ -6,6 +6,12 @@ crawl/campaign/report byte -- including archive timestamps and page bodies
 the signature cannot capture are detected and served live; sampled
 cross-validation re-runs hits and fails loudly on divergence.
 
+The same signature contract lets a signature-pure server keep each
+view's priced slot values with the page's shape (the pricing memo,
+:class:`TestPricingMemo`): every page it serves equals the page a fresh
+world serves for the same request, and a policy caught reading past its
+declaration is never kept.
+
 A backend memoizes only when it is handed a :class:`BurstCache` (the
 serving backend is); every test here that asserts memo behaviour builds
 its backend that way.  The process executor and checkpointed runs refuse
@@ -15,6 +21,7 @@ such a backend.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -28,13 +35,17 @@ from repro.ecommerce.pricing import (
     CAPTURABLE_SIGNALS,
     PricingContext,
     SignalProbe,
+    UniformPricing,
     signals_read,
 )
-from repro.ecommerce.retailer import Retailer, RetailerServer
+from repro.ecommerce import retailer as retailer_module
+from repro.ecommerce.retailer import RenderMemo, Retailer, RetailerServer
 from repro.ecommerce.templates import template_for
 from repro.ecommerce.world import WorldConfig, build_world
 from repro.exec import ExecConfig
 from repro.io import report_to_dict
+from repro.net.clock import SECONDS_PER_DAY
+from repro.scenarios.behaviors import CurrencySwitchServer
 from repro.scenarios.harness import _store_blob
 
 
@@ -62,7 +73,10 @@ def _backend(world, memo: bool, store=None) -> SheriffBackend:
     )
 
 
-def _register_retailer(world, domain: str, policy) -> RetailerServer:
+def _register_retailer(
+    world, domain: str, policy, *, localizes_currency: bool = True,
+    server_class=RetailerServer, **server_options,
+) -> RetailerServer:
     """Wire a custom retailer into an existing world (inline backend only)."""
     catalog = generate_catalog(domain, "books", 6, seed=7)
     retailer = Retailer(
@@ -72,9 +86,11 @@ def _register_retailer(world, domain: str, policy) -> RetailerServer:
         catalog=catalog,
         policy=policy,
         template=template_for(domain, seed=7),
+        localizes_currency=localizes_currency,
     )
-    server = RetailerServer(
-        retailer, geoip=world.geoip, rates=world.rates, seed=world.config.seed
+    server = server_class(
+        retailer, geoip=world.geoip, rates=world.rates, seed=world.config.seed,
+        **server_options,
     )
     world.retailers[domain] = retailer
     world.servers[domain] = server
@@ -417,6 +433,150 @@ class TestStateDetection:
         stats = backend.cache_stats()
         assert stats["burst_bypass_non_product"] == 2
         assert stats["burst_hits"] == 0
+
+
+# ----------------------------------------------------------------------
+# The pricing memo: a pure server prices each view once per signature
+# ----------------------------------------------------------------------
+def _family(policy) -> str:
+    """A policy's family: its class, with its inner and routed policies."""
+    name = type(policy).__name__
+    inner = getattr(policy, "inner", None)
+    if inner is not None:
+        return f"{name}({_family(inner)})"
+    routes = getattr(policy, "routes", None)
+    if routes is not None:
+        members = sorted({_family(p) for p in (*routes.values(), policy.default)})
+        return f"{name}({','.join(members)})"
+    return name
+
+
+def _record_pages(server) -> list:
+    """Record every request ``server`` answers: (request, count, body)."""
+    pages = []
+    handle = server.handle
+
+    def recording(request):
+        count = server.request_count
+        response = handle(request)
+        pages.append((request, count, response.body))
+        return response
+
+    server.handle = recording
+    return pages
+
+
+def _assert_fresh_world_serves_each_page(pages, server) -> None:
+    """Each recorded page equals what ``server``, a fresh world's, serves
+    for the same request from an empty render memo at the same count."""
+    assert pages
+    for request, count, body in pages:
+        server.render_memo = RenderMemo()
+        server.request_count = count
+        assert server.handle(request).body == body, str(request.url)
+
+
+def _kept_views(memo: RenderMemo) -> int:
+    return sum(len(memo.get(key).views) for key in memo)
+
+
+class TestPricingMemo:
+    """Memo-free batch fan-outs: only the pricing memo is at work."""
+
+    @staticmethod
+    def _fan_out(world, domain, products=(0,), **batch):
+        anchor = _anchor(world, domain)
+        catalog = world.retailer(domain).catalog
+        requests = [
+            CheckRequest(url=f"http://{domain}{catalog.products[i].path}",
+                         anchor=anchor)
+            for i in products
+        ]
+        return _backend(world, False).check_batch(requests, **batch)
+
+    def test_lying_policy_is_never_kept(self):
+        """LyingPolicy declares no signal but reads the city: London's
+        price stays London's, though every vantage shares one display
+        locale and so one key; no view is ever kept."""
+        domain = "www.liar.example"
+        world, fresh = _world(), _world()
+        server = _register_retailer(world, domain, LyingPolicy(),
+                                    localizes_currency=False)
+        replay = _register_retailer(fresh, domain, LyingPolicy(),
+                                    localizes_currency=False)
+        pages = _record_pages(server)
+        reports = self._fan_out(world, domain, products=(0, 1, 0))
+        for report in reports:
+            london = [obs.amount for obs in report.observations
+                      if obs.city == "London"]
+            others = {obs.amount for obs in report.observations
+                      if obs.city != "London"}
+            assert len(london) == 1 and len(others) == 1
+            assert london[0] == pytest.approx(1.1 * others.pop(), rel=0.01)
+        assert _kept_views(server.render_memo) == 0
+        _assert_fresh_world_serves_each_page(pages, replay)
+
+    def test_every_policy_family_serves_what_a_fresh_world_serves(
+            self, monkeypatch):
+        world = _world(long_tail_domains=25)
+        fresh = _world(long_tail_domains=25)
+        chosen: dict = {}
+        for domain, server in world.servers.items():
+            family = (_family(server.retailer.policy),
+                      server.retailer.localizes_currency)
+            chosen.setdefault(family, domain)
+        assert len(chosen) >= 10
+        priced, rendered = Counter(), Counter()
+        recommended = RetailerServer._recommended
+        render_shape = retailer_module.render_shape
+
+        def counted_pricing(server, product, ctx, locale):
+            priced[server.retailer.domain] += 1
+            return recommended(server, product, ctx, locale)
+
+        def counted_render(template, view):
+            rendered[view.domain] += 1
+            return render_shape(template, view)
+
+        monkeypatch.setattr(RetailerServer, "_recommended", counted_pricing)
+        monkeypatch.setattr(retailer_module, "render_shape", counted_render)
+        pages = {}
+        for domain in chosen.values():
+            pages[domain] = _record_pages(world.servers[domain])
+            self._fan_out(world, domain, products=(0, 1, 0, 1))
+        for domain, served in pages.items():
+            server = world.servers[domain]
+            stats = server.render_cache_stats()
+            # Shape hits and misses count product pages as they did.
+            assert stats["render_hits"] + stats["render_misses"] == len(served)
+            assert stats["render_misses"] == rendered[domain]
+            if server.signature_profile() is None:
+                assert priced[domain] == len(served), domain
+            else:
+                assert priced[domain] < len(served) / 2, domain
+        assert _kept_views(world.render_memo) > 0
+        for domain, served in pages.items():
+            _assert_fresh_world_serves_each_page(served, fresh.servers[domain])
+
+    def test_currency_switch_on_both_sides_of_its_day(self):
+        """CurrencySwitchServer swaps its retailer per request: the key
+        covers the display locale in force on each side of the switch."""
+        domain = "www.switch.example"
+        world, fresh = _world(), _world()
+        today = int(world.clock.now // SECONDS_PER_DAY)
+        options = dict(server_class=CurrencySwitchServer,
+                       switch_day=today + 1)
+        server = _register_retailer(world, domain, UniformPricing(), **options)
+        replay = _register_retailer(fresh, domain, UniformPricing(), **options)
+        pages = _record_pages(server)
+        start = world.clock.now
+        before, after = self._fan_out(
+            world, domain, products=(0, 0),
+            start_times=[start, start + SECONDS_PER_DAY])
+        assert {obs.currency for obs in before.observations} == {"USD"}
+        assert len({obs.currency for obs in after.observations}) > 2
+        assert _kept_views(server.render_memo) > 0
+        _assert_fresh_world_serves_each_page(pages, replay)
 
 
 # ----------------------------------------------------------------------

@@ -14,11 +14,20 @@ memo and :mod:`repro.core.extraction`) promises:
   while resolving a shape-safe anchor once per shape, and anchor
   derivation returns the same :class:`PriceAnchor`, deriving each node's
   selector once per shape;
+* **shape-resolved anchors** -- :func:`anchor_for_selector` on a filled
+  page equals ``derive_anchor`` on a parse of its body, on the first
+  fill and on later ones, which build no tree: every template family,
+  the churning template on days 0-3, logged in and out; a shape with a
+  slot in ``id``/``class`` or a selector reading a slot attribute walks
+  every page; a selector matching nothing raises where it did; and
+  extraction's and anchor derivation's per-shape facts cannot evict
+  each other's;
 * **lazy trees** -- a filled page builds its tree only when something
   walks it: an element's text read from the shape's plan equals its text
   on the built tree for every element path, a campaign builds one tree
-  per prepared click (the user's page), and a backend check on a shape
-  whose anchor is resolved builds none;
+  per prepared click (the user's page), a backend check on a shape whose
+  anchor is resolved builds none, and the served check stream walks each
+  anchor page's shape once, not once per check;
 * **bounds** -- a shape keeps at most ``PageShape.BODIES`` bodies, also
   for a retailer whose prices change with every request, and a filled
   document, built or not, is freed once its response is dropped.
@@ -27,17 +36,21 @@ memo and :mod:`repro.core.extraction`) promises:
 from __future__ import annotations
 
 import gc
+import importlib.util
 import weakref
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
+from repro.analysis import personal
 from repro.analysis.personal import derive_anchor_for_domain
-from repro.core import extraction
+from repro.core import extraction, highlight
 from repro.core.backend import CheckRequest, SheriffBackend
 from repro.core.extension import SheriffExtension
 from repro.core.extraction import extract_price_from_document
-from repro.core.highlight import PriceAnchor, derive_anchor
+from repro.core.highlight import PriceAnchor, anchor_for_selector, derive_anchor
+from repro.crawler import plan as crawl_plan
 from repro.crowd.campaign import CampaignConfig, run_campaign
 from repro.ecommerce.catalog import generate_catalog
 from repro.ecommerce.localization import LOCALES
@@ -47,6 +60,7 @@ from repro.ecommerce.templates import (
     TEMPLATE_FAMILIES,
     ProductView,
     render_shape,
+    selector_on_day,
     slot_values,
 )
 from repro.ecommerce.thirdparty import TRACKER_CENSUS
@@ -55,7 +69,7 @@ from repro.fx.rates import RateService
 from repro.htmlmodel.build import E, document
 from repro.htmlmodel.dom import Document, Element, NodePath, Text
 from repro.htmlmodel.parser import parse_html
-from repro.htmlmodel.selectors import select_one
+from repro.htmlmodel.selectors import SelectorError, select_one
 from repro.htmlmodel.serialize import to_html
 from repro.htmlmodel.shape import PageShape, slot_marker
 from repro.net.geoip import IPAddressPlan
@@ -308,9 +322,6 @@ class TestDerivationEqualsWalk:
         assert len(calls) == 2 + 2 * len(pages)
 
 
-# ----------------------------------------------------------------------
-# Lazy trees
-# ----------------------------------------------------------------------
 @pytest.fixture()
 def builds(monkeypatch):
     """Count the trees filled pages build, one entry per build."""
@@ -323,6 +334,130 @@ def builds(monkeypatch):
 
     monkeypatch.setattr(PageShape, "_build", counted)
     return calls
+
+
+# ----------------------------------------------------------------------
+# Shape-resolved anchors
+# ----------------------------------------------------------------------
+def _anchor_pages(template, day: int, user):
+    """A 4-decoy shape of ``template`` on ``day`` for ``user`` and its fill
+    for every locale and hostile case: (shape, [(doc, body)])."""
+    shape = render_shape(template, _view(day, 4, user, *next(_cases(4))))
+    return shape, [shape.fill(slot_values(*case)) for case in _cases(4)]
+
+
+def _walked_anchor(body: str, selector: str):
+    """The anchor of ``selector``'s first match on a parse of ``body``."""
+    parsed = parse_html(body)
+    element = select_one(parsed, selector)
+    return None if element is None else derive_anchor(parsed, element)
+
+
+class TestShapeResolvedAnchor:
+    @pytest.mark.parametrize("user", [None, "alice"],
+                             ids=["logged-out", "logged-in"])
+    @pytest.mark.parametrize("template,day", [(t, d) for _, t, d in _TEMPLATES],
+                             ids=[name for name, _, _ in _TEMPLATES])
+    def test_equals_derivation_on_a_built_tree(self, template, day, user,
+                                               builds):
+        price = selector_on_day(template, day)
+        for selector in (price, "span, td, p"):
+            builds.clear()
+            shape, pages = _anchor_pages(template, day, user)
+            for page, body in pages:
+                ours = anchor_for_selector(page, selector)
+                assert ours is not None
+                assert ours == _walked_anchor(body, selector)
+            # The first fill walks its tree; the later fills build none.
+            assert builds == [shape]
+
+    def test_slot_in_id_or_class_walks_every_page(self, builds):
+        def page(kind: str, price: str):
+            return document(E("html", None, E("body", None, E(
+                "div", {"class": f"box {kind}"},
+                E("span", {"id": "price"}, price)))))
+
+        shape = PageShape(page(slot_marker(0), slot_marker(1)), 2)
+        assert "class" in shape.slot_attributes
+        values = [("sale", "1,00"), ("plain", "2,00"), ("sale", "3,00")]
+        for kind, price in values:
+            filled, body = shape.fill((kind, price))
+            for selector in ("#price", "div.sale span"):
+                ours = anchor_for_selector(filled, selector)
+                assert ours == _walked_anchor(body, selector)
+        assert len(builds) == len(values)
+
+    def test_selector_reading_a_slot_attribute_walks_every_page(self, builds):
+        classic = TEMPLATE_FAMILIES[0]
+        shape, pages = _anchor_pages(classic, 0, None)
+        assert "lang" in shape.slot_attributes
+        selector = 'html[lang="en-US"] #product-price'
+        found = [anchor_for_selector(page, selector) for page, _ in pages]
+        assert found == [_walked_anchor(body, selector) for _, body in pages]
+        # Only the en-US pages match: one shape, two outcomes.
+        assert None in found and any(found)
+        assert len(builds) == len(pages)
+
+    def test_selector_matching_nothing_raises_as_before(self, builds,
+                                                        monkeypatch):
+        shape, pages = _anchor_pages(TEMPLATE_FAMILIES[1], 0, None)
+        assert [anchor_for_selector(page, "#no-such-price")
+                for page, _ in pages] == [None] * len(pages)
+        assert builds == [shape]
+        with pytest.raises(SelectorError):
+            anchor_for_selector(pages[0][0], "div[")
+
+        world = build_world(WorldConfig(catalog_scale=0.15,
+                                        long_tail_domains=0))
+        domain = "www.digitalrev.com"
+        product = world.retailer(domain).catalog.products[0]
+        monkeypatch.setattr(personal, "selector_on_day",
+                            lambda template, day: "#no-such-price")
+        monkeypatch.setattr(crawl_plan, "selector_on_day",
+                            lambda template, day: "#no-such-price")
+        # The first call walks the page, the second reads the shape.
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="cannot locate price"):
+                derive_anchor_for_domain(world, domain)
+            with pytest.raises(crawl_plan.PlanError,
+                               match="could not locate the price"):
+                crawl_plan._derive_retailer_anchor(
+                    world, domain, f"http://{domain}{product.path}")
+        monkeypatch.setattr(personal, "selector_on_day",
+                            lambda template, day: "div[")
+        with pytest.raises(SelectorError):
+            derive_anchor_for_domain(world, domain)
+
+    def test_extraction_and_anchor_facts_cannot_evict_each_other(
+            self, builds):
+        classic = TEMPLATE_FAMILIES[0]
+        selector = classic.price_selector
+        shape, pages = _anchor_pages(classic, 0, None)
+        first = pages[0][0]
+        anchor = anchor_for_selector(first, selector)
+        assert extract_price_from_document(first, anchor).ok
+        # Far more extraction anchors than extraction keeps per shape ...
+        for index in range(3 * extraction._SHAPE_ANCHORS):
+            extract_price_from_document(first, PriceAnchor(
+                selector=None, node_path=f"/0/1/{index}", sample_text=""))
+        builds.clear()
+        page, body = pages[1]
+        assert anchor_for_selector(page, selector) == _walked_anchor(
+            body, selector)
+        assert builds == []  # ... leave the highlight resolved,
+        # and far more highlights than a shape keeps ...
+        assert extract_price_from_document(first, anchor).ok
+        for index in range(3 * highlight._SHAPE_FACTS):
+            assert anchor_for_selector(first, f"#no-such-{index}") is None
+        builds.clear()
+        assert extract_price_from_document(pages[2][0], anchor) == (
+            extract_price_from_document(parse_html(pages[2][1]), anchor))
+        assert builds == []  # ... leave extraction's resolution.
+
+
+# ----------------------------------------------------------------------
+# Lazy trees
+# ----------------------------------------------------------------------
 
 
 class TestLazyTrees:
@@ -434,6 +569,48 @@ class TestLazyTrees:
         assert len(report.observations) == 14
         assert all(obs.ok for obs in report.observations)
         assert builds == []
+
+    def test_served_stream_walks_each_anchor_shape_once(
+            self, builds, monkeypatch, tmp_path):
+        """The benchmark's seed-1 stream of served checks, in process: the
+        anchor step builds one tree per anchor page shape, not one per
+        check (2,250 of the stream's builds when every check walked)."""
+        from repro.serve.service import SheriffService
+
+        inputs_path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+        spec = importlib.util.spec_from_file_location("perfbench_inputs", inputs_path)
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        stream = inputs.serve_stream(1, 2250)
+
+        anchor_shapes, anchor_builds = [], []
+        resolve = personal.anchor_for_selector
+
+        def traced(document, selector):
+            before = len(builds)
+            anchor = resolve(document, selector)
+            anchor_shapes.append(document.shape)
+            anchor_builds.extend(builds[before:])
+            return anchor
+
+        monkeypatch.setattr(personal, "anchor_for_selector", traced)
+        service = SheriffService(scale="tiny", data_dir=tmp_path)
+        for body in stream:
+            service.check(body)
+
+        # Shapes stay referenced by the lists, so their ids are unique.
+        shapes = {id(shape): shape for shape in anchor_shapes}
+        assert len(anchor_shapes) == len(stream)
+        assert sorted(map(id, anchor_builds)) == sorted(shapes)
+        # A day-scoped memo renders an anchor page at most twice: once
+        # into its FIFO, and once more if it ages out before promotion.
+        domains = {body["domain"] for body in stream}
+        assert len(domains) <= len(shapes) <= 2 * len(domains)
+        # Every other build is some shape's first extraction resolution.
+        renders = sum(server.render_cache_stats()["render_misses"]
+                      for server in service.world.servers.values())
+        assert len(builds) - len(anchor_builds) <= renders
+        assert len(builds) < 200
 
 
 # ----------------------------------------------------------------------
