@@ -307,6 +307,43 @@ class TestRouteContract:
 # Byte identity with the batch path
 # ----------------------------------------------------------------------
 class TestServedCheckByteIdentity:
+    def test_first_served_check_equals_batch_first_check(self, tmp_path):
+        # Fresh service: its first check is chk0000001 on a fresh tiny
+        # world, exactly what the batch path produces on an
+        # identically-built context.
+        service, server = build_app(
+            ServeConfig(port=0, data_dir=str(tmp_path / "data"))
+        )
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = Client(server.port)
+            status, served_bytes = client.post(
+                "/checks", {"domain": "www.digitalrev.com", "product": 2}
+            )
+            assert status == 200
+        finally:
+            server.shutdown()
+            thread.join(timeout=10)
+            server.server_close()
+
+        from repro.analysis.personal import derive_anchor_for_domain
+        from repro.core.backend import CheckRequest
+        from repro.experiments.context import ExperimentContext
+        from repro.io import report_to_dict
+
+        ctx = ExperimentContext("tiny", seed=2013)
+        world = ctx.world
+        anchor = derive_anchor_for_domain(world, "www.digitalrev.com")
+        product = world.retailer("www.digitalrev.com").catalog.products[2]
+        report = ctx.backend.check(CheckRequest(
+            url=f"http://www.digitalrev.com{product.path}", anchor=anchor,
+        ))
+        batch_bytes = json.dumps(
+            report_to_dict(report), sort_keys=True
+        ).encode("utf-8")
+        assert served_bytes == batch_bytes
+
     def test_served_checks_equal_batch_checks(self, tmp_path):
         # Fresh service: its first two checks are chk0000001 and
         # chk0000002 on a fresh tiny world, exactly what the batch path
